@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import checks
 from .errors import (
     CapabilityError,
     ClassificationError,
@@ -93,20 +94,14 @@ class IntPolynomial:
         return self.terms[-1]
 
 
-def _validate_pos_int(name: str, v: int) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise DomainError(f"{name} must be a positive integer, got {v!r}")
-    return v
-
-
 def q_printed(m: int, n: int) -> IntPolynomial:
     """Lower-bound numerator as printed: terms with equal powers combined.
 
     2(2n)! x^(2m+2) + (2n+1)! x^(2m+1)
     - 2(m-1)! m! x^(2n+2) - 2[(m!)^2 + (m-1)!(m+1)!] x^(2n+1) - 2 m!(m+1)! x^(2n)
     """
-    m = _validate_pos_int("m", m)
-    n = _validate_pos_int("n", n)
+    m = checks.integer("m", m, 1)
+    n = checks.integer("n", n, 1)
     fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
     return IntPolynomial.from_pairs([
         (2 * math.factorial(2 * n), 2 * m + 2),
@@ -123,8 +118,8 @@ def p_printed(m: int, n: int) -> IntPolynomial:
     4(2n)! x^(2m+2) + 4(2n+1)! x^(2m+1)
     - 4(m-1)! m! x^(2n+2) - 2[(m!)^2 + (m-1)!(m+1)!] x^(2n+1) - m!(m+1)! x^(2n)
     """
-    m = _validate_pos_int("m", m)
-    n = _validate_pos_int("n", n)
+    m = checks.integer("m", m, 1)
+    n = checks.integer("n", n, 1)
     fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
     return IntPolynomial.from_pairs([
         (4 * math.factorial(2 * n), 2 * m + 2),
@@ -141,8 +136,8 @@ def q_derived(m: int, n: int) -> IntPolynomial:
     From f' > A_{2n+1} - 2 B_m B_{m+1} with A/B the double-inequality bounds;
     positive terms match the printed ones, negative terms are exactly twice.
     """
-    m = _validate_pos_int("m", m)
-    n = _validate_pos_int("n", n)
+    m = checks.integer("m", m, 1)
+    n = checks.integer("n", n, 1)
     fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
     return IntPolynomial.from_pairs([
         (2 * math.factorial(2 * n), 2 * m + 2),
@@ -159,8 +154,8 @@ def p_derived(m: int, n: int) -> IntPolynomial:
     From f' < B_{2n+1} - 2 A_m A_{m+1}; again negative terms are twice the
     printed ones, positives identical.
     """
-    m = _validate_pos_int("m", m)
-    n = _validate_pos_int("n", n)
+    m = checks.integer("m", m, 1)
+    n = checks.integer("n", n, 1)
     fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
     return IntPolynomial.from_pairs([
         (4 * math.factorial(2 * n), 2 * m + 2),
@@ -235,9 +230,9 @@ def bound_check(
     margin.  Printed-bound failures become findings; derived-bound failures
     make derived_ok false (and should never happen).
     """
-    m = _validate_pos_int("m", m)
-    n = _validate_pos_int("n", n)
-    pts = tuple(float(t) for t in grid)
+    m = checks.integer("m", m, 1)
+    n = checks.integer("n", n, 1)
+    pts = checks.grid(grid)
     idx = FamilyIndex(m, 2 * n)
     entries: list[BoundEntry] = []
     findings: list[str] = []
@@ -298,8 +293,8 @@ def binom_quantity(i: int, m: int) -> tuple[int, str]:
     exactly when i = m = 1, zero exactly when 2i-1 < m, and at least 2
     otherwise (which forces i >= 2).
     """
-    i = _validate_pos_int("i", i)
-    m = _validate_pos_int("m", m)
+    i = checks.integer("i", i, 1)
+    m = checks.integer("m", m, 1)
     value = i * math.comb(2 * i - 1, m)
     if i == 1 and m == 1:
         return value, "equals_one"
@@ -310,7 +305,7 @@ def binom_quantity(i: int, m: int) -> tuple[int, str]:
 
 def discriminant_mn(m: int) -> int:
     """1 - m*C(2m-1, m-1): zero at m = 1, negative for every m >= 2."""
-    m = _validate_pos_int("m", m)
+    m = checks.integer("m", m, 1)
     return 1 - m * math.comb(2 * m - 1, m - 1)
 
 
@@ -328,9 +323,7 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
         raise DomainError(f"end must be 'zero' or 'infinity', got {end!r}")
     if idx.n % 2 != 0:
         raise DomainError(f"envelope applies to even second index, got {idx.n}")
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x!r}")
+    x = checks.positive_real("x", x)
     m, v = idx.m, idx.n // 2
     X = Fraction(x)
     if end == "infinity":
@@ -459,9 +452,10 @@ def _witness_search(
 
 
 def _validate_even_pair(m: int, even_n: int) -> tuple[int, int]:
-    m = _validate_pos_int("m", m)
-    if isinstance(even_n, bool) or not isinstance(even_n, int) or even_n < 2 or even_n % 2:
-        raise DomainError(f"second index must be a positive even integer, got {even_n!r}")
+    m = checks.integer("m", m, 1)
+    even_n = checks.integer("second index", even_n, 2)
+    if even_n % 2:
+        raise DomainError(f"second index must be even, got {even_n}")
     if m == 1 and even_n == 2:
         raise DomainError("the (1,2) member is completely monotonic; no witness exists")
     return m, even_n
@@ -538,8 +532,8 @@ def classify(
     the rule and raises); the sign-changing verdict carries both witness
     kinds (search failure raises, wrapped as a classification error).
     """
-    m = _validate_pos_int("m", m)
-    n = _validate_pos_int("n", n)
+    m = checks.integer("m", m, 1)
+    n = checks.integer("n", n, 1)
     verdict = expected_verdict(m, n)
     idx = FamilyIndex(m, n)
     if verdict in ("CM_trivial", "CM_nontrivial"):

@@ -10,7 +10,8 @@ Subcommands
 Every numeric value in JSON output is paired with its abs_error; CSV
 flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 numeric capability/convergence error.
+failure, 2 usage error, 3 numeric capability/convergence error (an order
+cap, an unreachable budget, or a computed magnitude that overflows).
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
 
+from . import checks
 from .classifier import (
     BoundAuditReport,
     ClassificationEntry,
@@ -36,45 +36,9 @@ from .errors import (
     DomainError,
     PolycmError,
 )
-from .evaluation import PrecisionConfig, linear_grid, log_grid
+from .evaluation import REL_BUDGET_FLOOR, PrecisionConfig, linear_grid, log_grid
 from .inequalities import BoundsSuiteReport, bounds_suite
 from .kernels import KernelId, kernel_report
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    grid_min: float
-    grid_max: float
-    grid_count: int
-    grid_scale: str
-    precision: float
-    fmt: str
-    out: str | None
-    m: int = 1
-    n: int = 2
-    m_max: int = 6
-    n_max: int = 6
-    orders: int = 8
-    k_max: int = 8
-    kernel: str = "omega"
-    kernel_k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.grid_min <= 0.0:
-            raise DomainError("--grid-min must be positive")
-        if self.grid_count < 2:
-            raise DomainError("--grid-count must be at least 2")
-        if self.precision <= 0.0:
-            raise DomainError("--precision must be positive")
-
-    def grid(self) -> tuple[float, ...]:
-        if self.grid_scale == "linear":
-            return linear_grid(self.grid_min, self.grid_max, self.grid_count)
-        return log_grid(self.grid_min, self.grid_max, self.grid_count)
-
-    def precision_config(self) -> PrecisionConfig:
-        return PrecisionConfig(target_abs_error=self.precision)
 
 
 def _add_common(p: argparse.ArgumentParser, gmin: float, gmax: float, gcount: int) -> None:
@@ -83,7 +47,8 @@ def _add_common(p: argparse.ArgumentParser, gmin: float, gmax: float, gcount: in
     p.add_argument("--grid-count", type=int, default=gcount)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log")
     p.add_argument("--precision", type=float, default=1e-12,
-                   help="target absolute error per evaluation")
+                   help="target absolute error per evaluation; each evaluation's "
+                        f"budget is max(PRECISION, {REL_BUDGET_FLOOR:g} * |magnitude|)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
                    dest="fmt")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -128,40 +93,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        grid_min=args.grid_min,
-        grid_max=args.grid_max,
-        grid_count=args.grid_count,
-        grid_scale=args.grid_scale,
-        precision=args.precision,
-        fmt=args.fmt,
-        out=args.out,
-        m=getattr(args, "m", 1),
-        n=getattr(args, "n", 2),
-        m_max=getattr(args, "m_max", 6),
-        n_max=getattr(args, "n_max", 6),
-        orders=getattr(args, "orders", 8),
-        k_max=getattr(args, "k_max", 8),
-        kernel=getattr(args, "kernel", "omega"),
-        kernel_k=getattr(args, "k", 0),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (exit_code, document)
+# Command implementations: each takes the parsed arguments and returns
+# (exit_code, document)
 # ---------------------------------------------------------------------------
 
 
-def _config_doc(cfg: RunConfig, **extra) -> dict:
+def _grid(args: argparse.Namespace) -> list[float]:
+    make = linear_grid if args.grid_scale == "linear" else log_grid
+    return make(args.grid_min, args.grid_max, args.grid_count)
+
+
+def _precision(args: argparse.Namespace) -> PrecisionConfig:
+    return PrecisionConfig(target_abs_error=args.precision)
+
+
+def _config_doc(args: argparse.Namespace, **extra) -> dict:
     doc = {
-        "command": cfg.command,
-        "grid_min": cfg.grid_min,
-        "grid_max": cfg.grid_max,
-        "grid_count": cfg.grid_count,
-        "grid_scale": cfg.grid_scale,
-        "precision": cfg.precision,
+        "command": args.command,
+        "grid_min": args.grid_min,
+        "grid_max": args.grid_max,
+        "grid_count": args.grid_count,
+        "grid_scale": args.grid_scale,
+        "precision": args.precision,
+        "precision_rel_floor": REL_BUDGET_FLOOR,
     }
     doc.update(extra)
     return doc
@@ -218,18 +173,20 @@ def _classification_row(entry: ClassificationEntry) -> dict:
     return row
 
 
-def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
-    prec = cfg.precision_config()
-    grid = cfg.grid()
+def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
+    m_max = checks.integer("--m-max", args.m_max, 1)
+    n_max = checks.integer("--n-max", args.n_max, 1)
+    prec = _precision(args)
+    grid = _grid(args)
     entries = []
     counts = {"CM_trivial": 0, "CM_nontrivial": 0, "sign_changing_nonmonotonic": 0}
-    for m in range(1, cfg.m_max + 1):
-        for n in range(1, cfg.n_max + 1):
-            entry = classify(m, n, prec, cm_max_order=cfg.orders, cm_grid=grid)
+    for m in range(1, m_max + 1):
+        for n in range(1, n_max + 1):
+            entry = classify(m, n, prec, cm_max_order=args.orders, cm_grid=grid)
             counts[entry.verdict] += 1
             entries.append(_classification_row(entry))
     doc = {
-        "config": _config_doc(cfg, m_max=cfg.m_max, n_max=cfg.n_max, orders=cfg.orders),
+        "config": _config_doc(args, m_max=m_max, n_max=n_max, orders=args.orders),
         "entries": entries,
         "findings": [],
         "summary": counts,
@@ -237,9 +194,9 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
     return 0, doc
 
 
-def cmd_check_cm(cfg: RunConfig) -> tuple[int, dict]:
+def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
     report: CMReport = cm_check(
-        FamilyIndex(cfg.m, cfg.n), cfg.orders, cfg.grid(), cfg.precision_config()
+        FamilyIndex(args.m, args.n), args.orders, _grid(args), _precision(args)
     )
     entries = [
         {
@@ -260,7 +217,7 @@ def cmd_check_cm(cfg: RunConfig) -> tuple[int, dict]:
         for e in report.inconclusive_points
     ]
     doc = {
-        "config": _config_doc(cfg, m=cfg.m, n=cfg.n, orders=cfg.orders),
+        "config": _config_doc(args, m=args.m, n=args.n, orders=args.orders),
         "entries": entries,
         "findings": findings,
         "summary": {
@@ -276,13 +233,14 @@ def cmd_check_cm(cfg: RunConfig) -> tuple[int, dict]:
 _EXPECTED_DIRECTION = {"omega": "increasing", "tanh": "increasing", "kappa": "decreasing"}
 
 
-def cmd_kernels(cfg: RunConfig) -> tuple[int, dict]:
-    kid = KernelId("h", cfg.kernel_k) if cfg.kernel == "h" else KernelId(cfg.kernel)
-    report = kernel_report(kid, cfg.grid())
-    if cfg.kernel == "h":
-        expected = "decreasing" if cfg.kernel_k >= 0 else "increasing"
+def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
+    _precision(args)  # kernels take no budget, but a bad --precision is still rejected
+    kid = KernelId("h", args.k) if args.kernel == "h" else KernelId(args.kernel)
+    report = kernel_report(kid, _grid(args))
+    if args.kernel == "h":
+        expected = "decreasing" if args.k >= 0 else "increasing"
     else:
-        expected = _EXPECTED_DIRECTION[cfg.kernel]
+        expected = _EXPECTED_DIRECTION[args.kernel]
     entries = [
         {"t": t, "value": v.value, "abs_error": v.abs_error}
         for t, v in zip(report.grid, report.values)
@@ -304,7 +262,7 @@ def cmd_kernels(cfg: RunConfig) -> tuple[int, dict]:
         and report.range_passed
     )
     doc = {
-        "config": _config_doc(cfg, kernel=kid.label()),
+        "config": _config_doc(args, kernel=kid.label()),
         "entries": entries,
         "findings": list(report.diagnostics),
         "summary": {
@@ -319,10 +277,8 @@ def cmd_kernels(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if ok else 1), doc
 
 
-def cmd_inequalities(cfg: RunConfig) -> tuple[int, dict]:
-    report: BoundsSuiteReport = bounds_suite(
-        cfg.k_max, cfg.grid(), cfg.precision_config()
-    )
+def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
+    report: BoundsSuiteReport = bounds_suite(args.k_max, _grid(args), _precision(args))
     entries = [
         {
             "k": r.k,
@@ -344,7 +300,7 @@ def cmd_inequalities(cfg: RunConfig) -> tuple[int, dict]:
         for r in report.failures
     ]
     doc = {
-        "config": _config_doc(cfg, k_max=cfg.k_max),
+        "config": _config_doc(args, k_max=args.k_max),
         "entries": entries,
         "findings": findings,
         "summary": {
@@ -357,10 +313,8 @@ def cmd_inequalities(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if report.all_passed else 1), doc
 
 
-def cmd_bounds(cfg: RunConfig) -> tuple[int, dict]:
-    report: BoundAuditReport = bound_check(
-        cfg.m, cfg.n, cfg.grid(), cfg.precision_config()
-    )
+def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
+    report: BoundAuditReport = bound_check(args.m, args.n, _grid(args), _precision(args))
     entries = []
     for e in report.entries:
         row: dict = {"x": e.x, "f_prime": e.f_prime.value,
@@ -371,7 +325,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple[int, dict]:
             row[f"{name}_status"] = e.statuses[name]
         entries.append(row)
     doc = {
-        "config": _config_doc(cfg, m=cfg.m, n=cfg.n),
+        "config": _config_doc(args, m=args.m, n=args.n),
         "entries": entries,
         "findings": list(report.findings),
         "summary": {
@@ -448,8 +402,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        code, doc = _COMMANDS[cfg.command](cfg)
+        code, doc = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"polycm: usage error: {exc}", file=sys.stderr)
         return 2
@@ -459,9 +412,9 @@ def main(argv=None) -> int:
     except PolycmError as exc:
         print(f"polycm: verification failure: {exc}", file=sys.stderr)
         return 1
-    rendered = _RENDERERS[cfg.fmt](doc)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    rendered = _RENDERERS[args.fmt](doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)

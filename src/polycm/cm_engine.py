@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from scipy.integrate import quad
 
+from . import checks
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .evaluation import (
     DEFAULT_PRECISION,
@@ -39,9 +40,8 @@ class FamilyIndex:
     n: int
 
     def __post_init__(self) -> None:
-        for name, v in (("m", self.m), ("n", self.n)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
+        object.__setattr__(self, "m", checks.integer("m", self.m, 1))
+        object.__setattr__(self, "n", checks.integer("n", self.n, 1))
 
     def label(self) -> str:
         return f"f[{self.m},{self.n}]"
@@ -68,11 +68,8 @@ def f_derivative(
     small-x grid points do not demand absolute tolerances below the floating
     point floor of quantities like psi^(8)(0.01) ~ 1e22.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x!r}")
+    order = checks.integer("derivative order", order, 0)
+    x = checks.positive_real("x", x)
     needed = max(idx.n, idx.m) + order
     if needed > order_cap:
         raise CapabilityError(
@@ -115,11 +112,8 @@ def finite_difference_crosscheck(
     of step^2 times a local derivative bound plus rounding amplified by
     step^-l.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise DomainError(f"stencil order must be a positive integer, got {order!r}")
-    step = float(step)
-    if not math.isfinite(step) or step <= 0.0:
-        raise DomainError(f"step must be a finite positive real, got {step!r}")
+    order = checks.integer("stencil order", order, 1)
+    step = checks.positive_real("step", step)
     if x - order * step / 2.0 <= 0.0:
         raise DomainError(
             f"stencil leaves the domain: x={x}, order={order}, step={step}"
@@ -161,18 +155,6 @@ class CMReport:
         return len(self.inconclusive_points) / max(1, len(self.entries))
 
 
-def _validate_grid(grid) -> tuple[float, ...]:
-    pts = tuple(float(t) for t in grid)
-    if not pts:
-        raise DomainError("grid must be non-empty")
-    if pts[0] <= 0.0:
-        raise DomainError("grid points must be positive")
-    for a, b in zip(pts, pts[1:]):
-        if not a < b:
-            raise DomainError("grid must be strictly increasing")
-    return pts
-
-
 def cm_check(
     idx: FamilyIndex,
     max_order: int,
@@ -186,9 +168,8 @@ def cm_check(
     inconclusive when the fraction of unresolvable points exceeds the cap;
     otherwise consistent_with_CM.
     """
-    if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 0:
-        raise DomainError(f"max_order must be a non-negative integer, got {max_order!r}")
-    pts = _validate_grid(grid)
+    max_order = checks.integer("max_order", max_order, 0)
+    pts = checks.grid(grid)
     entries: list[CMEntry] = []
     for order in range(max_order + 1):
         for x in pts:
@@ -251,9 +232,8 @@ def telescoping_check(
     side, so the residual is pure rounding: at most ~(N+2) ulps of the
     largest |f| involved, independent of evaluation error.
     """
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
-    pts = _validate_grid(grid)
+    N = checks.integer("N", N, 1)
+    pts = checks.grid(grid)
     residuals: list[float] = []
     bounds: list[float] = []
     remainders: list[EvalResult] = []
@@ -289,9 +269,7 @@ def shift_difference_kernel_check(
     Route (b): (2/x^2) Integral_0^inf [(t/2)/tanh(t/2) - 1] e^(-xt) dt.
     Returns the larger of the two |difference vs f(x) - f(x+1)| residuals.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x!r}")
+    x = checks.positive_real("x", x)
     idx = FamilyIndex(1, 2)
     lhs = f_value(idx, x, cfg).value - f_value(idx, x + 1.0, cfg).value
     scale = 2.0 / (x * x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 
 # Relative floor used by callers that adapt absolute budgets to magnitude:
 # a handful of compensated double operations cannot do better than a few
@@ -139,11 +139,18 @@ class PrecisionConfig:
 
         Absolute targets below the double-precision relative floor are
         unreachable, so the effective budget is the larger of the configured
-        target and magnitude * REL_BUDGET_FLOOR.
+        target and magnitude * REL_BUDGET_FLOOR.  The magnitude is computed
+        by the program, so a non-finite one (an overflow) raises
+        CapabilityError, not the DomainError of a bad user-supplied target.
         """
-        eff = max(self.target_abs_error, abs(magnitude) * REL_BUDGET_FLOOR)
+        # magnitude first, so that a NaN magnitude propagates into eff
+        eff = max(abs(magnitude) * REL_BUDGET_FLOOR, self.target_abs_error)
         if eff == self.target_abs_error:
             return self
+        if not math.isfinite(eff):
+            raise CapabilityError(
+                f"error budget for magnitude {magnitude!r} is not a finite double"
+            )
         return replace(self, target_abs_error=eff)
 
     def tightened(self, target: float) -> "PrecisionConfig":

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from . import checks
 from .evaluation import DEFAULT_PRECISION, EvalResult, PrecisionConfig, ulp
 from .polygamma import (
     digamma,
@@ -46,13 +46,6 @@ class InequalityResult:
     passed: bool
 
 
-def _validate_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x!r}")
-    return x
-
-
 def psi_log_bounds_check(
     x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> InequalityResult:
@@ -62,7 +55,7 @@ def psi_log_bounds_check(
     fsum([-psi, ln x, -1/(2x)]) keeps the rounding at a few ulps of ln x so
     the shrinking margin still clears the error bar.
     """
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     eff = cfg.for_magnitude(digamma_magnitude_estimate(x))
     mid = digamma(x, eff)
     lnx = math.log(x)
@@ -90,9 +83,8 @@ def polygamma_bounds_check(
     k: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> InequalityResult:
     """(k-1)!/x^k + k!/(2x^(k+1)) < |psi^(k)(x)| < same + k!/x^(k+1)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DomainError(f"order must be a positive integer, got {k!r}")
-    x = _validate_x(x)
+    k = checks.integer("order k", k, 1)
+    x = checks.positive_real("x", x)
     eff = cfg.for_magnitude(magnitude_lower_bound(k, x))
     raw = polygamma(k, x, eff)
     mid = EvalResult(abs(raw.value), raw.abs_error)
@@ -140,9 +132,8 @@ def bounds_suite(
 ) -> BoundsSuiteReport:
     """Cross product of both checks: k = 0 rows are the digamma log bounds,
     k = 1..k_max the polygamma bounds, each at every grid point."""
-    if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < 1:
-        raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
-    pts = tuple(float(t) for t in grid)
+    k_max = checks.integer("k_max", k_max, 1)
+    pts = checks.grid(grid)
     results: list[InequalityResult] = []
     for x in pts:
         results.append(psi_log_bounds_check(x, cfg))

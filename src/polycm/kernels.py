@@ -20,19 +20,13 @@ from dataclasses import dataclass, field
 
 from scipy.integrate import quad
 
+from . import checks
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .evaluation import EvalResult, ulp
 
 _SERIES_SWITCH = 2.0**-10
 
 _KINDS = ("h", "omega", "tanh", "kappa")
-
-
-def _validate_t(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"kernel argument must be a finite positive real, got {t!r}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -46,8 +40,7 @@ class KernelId:
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind == "h":
-            if not isinstance(self.k, int) or isinstance(self.k, bool):
-                raise DomainError("h requires an integer power k")
+            object.__setattr__(self, "k", checks.integer("h power k", self.k))
         elif self.k is not None:
             raise DomainError(f"{self.kind} takes no power parameter")
 
@@ -62,7 +55,7 @@ def reciprocal_expm1(t: float) -> EvalResult:
     cancellation in expm1 route's reciprocal; truncation is folded into
     abs_error.  Decreasing from +inf to 0; positive everywhere.
     """
-    t = _validate_t(t)
+    t = checks.positive_real("t", t)
     if t < _SERIES_SWITCH:
         value = math.fsum([1.0 / t, -0.5, t / 12.0, -(t**3) / 720.0])
         trunc = 2.0 * t**5 / 30240.0
@@ -95,9 +88,8 @@ def h(k: int, t: float) -> EvalResult:
     Monotone: decreasing for k >= 0, increasing for k <= -1.  Ranges:
     (1/2, inf) at k = 0, (1, inf) at k = -1, (0, inf) otherwise.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"power k must be an integer, got {k!r}")
-    t = _validate_t(t)
+    k = checks.integer("power k", k)
+    t = checks.positive_real("t", t)
     num = half_shifted_kappa(t)
     try:
         tk = t ** float(k)
@@ -117,7 +109,7 @@ def tanh_kernel(t: float) -> EvalResult:
     the subtraction of 1; the two branches stay independent of the kappa
     route there, so identity tests against kappa remain meaningful.
     """
-    t = _validate_t(t)
+    t = checks.positive_real("t", t)
     if t < 0.05:
         t2 = t * t
         value = t2 / 12.0 - t2 * t2 / 720.0 + t2 * t2 * t2 / 30240.0
@@ -134,7 +126,7 @@ def omega(t: float) -> EvalResult:
 
     The e^t/(1 - e^2t) form overflows for moderate t; this rewrite does not.
     """
-    t = _validate_t(t)
+    t = checks.positive_real("t", t)
     E = reciprocal_expm1(t)
     den = 1.0 + math.exp(-t)
     value = -2.0 * t * E.value / den
@@ -150,7 +142,7 @@ def omega_plus_one(t: float) -> EvalResult:
     of 1.  sinh t - t keeps ~2 ulp(sinh t) absolute error, which the margin
     dwarfs at every positive t.
     """
-    t = _validate_t(t)
+    t = checks.positive_real("t", t)
     s = math.sinh(t) - t
     g = 2.0 * math.exp(-t) * s
     den = -math.expm1(-2.0 * t)
@@ -290,14 +282,7 @@ def kernel_report(
     A verdict of none is a refusal to certify, not a refutation; diagnostics
     list the offending comparisons.
     """
-    grid = tuple(float(t) for t in grid)
-    if len(grid) < 2:
-        raise DomainError("grid needs at least 2 points for adjacent comparisons")
-    for a, b in zip(grid, grid[1:]):
-        if not a < b:
-            raise DomainError("grid must be strictly increasing")
-    if grid[0] <= 0.0:
-        raise DomainError("grid points must be positive")
+    grid = checks.grid(grid, 2)  # adjacent comparisons need two points
 
     values = tuple(kernel_value(kernel, t) for t in grid)
     diagnostics: list[str] = []
@@ -323,7 +308,7 @@ def kernel_report(
 
     # endpoint limits
     table = _limit_table(kernel)
-    checks: list[LimitCheck] = []
+    limits: list[LimitCheck] = []
     for end, idx in (("zero", 0), ("infinity", len(grid) - 1)):
         expected = table[end]
         v_end = values[idx]
@@ -335,14 +320,14 @@ def kernel_report(
                 grew = d_outer.certainly_positive()
             else:
                 grew = d_outer.certainly_negative()  # value falls moving inward
-            checks.append(
+            limits.append(
                 LimitCheck(end, None, abs(v_end.value), None, bool(grew), bool(grew))
             )
             continue
         achieved = abs(v_end.value - expected)
         gap_prev = abs(v_prev.value - expected)
         approach = (gap_prev - achieved) > (v_end.abs_error + v_prev.abs_error)
-        checks.append(
+        limits.append(
             LimitCheck(
                 end,
                 expected,
@@ -371,7 +356,7 @@ def kernel_report(
         grid=grid,
         values=values,
         monotonicity_verdict=verdict,
-        limit_checks=tuple(checks),
+        limit_checks=tuple(limits),
         range_description=_range_description(kernel),
         range_passed=range_ok,
         min_range_margin=min_margin,
@@ -403,12 +388,8 @@ def laplace_power_identity(r: float, x: float) -> float:
     Checks the power-law Laplace pair numerically; stays below 1e-9 for
     moderate r and x.
     """
-    r = float(r)
-    x = float(x)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"exponent must be a finite positive real, got {r!r}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"argument must be a finite positive real, got {x!r}")
+    r = checks.positive_real("exponent r", r)
+    x = checks.positive_real("x", x)
     gamma_r = _gamma_value(r)
     val, est = quad(lambda t: t ** (r - 1.0) * math.exp(-x * t), 0.0, math.inf,
                     epsabs=1e-13, epsrel=1e-12, limit=400)

@@ -22,13 +22,15 @@ the positive magnitude and apply the sign at the end.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import CapabilityError, ConvergenceError, DomainError
+from . import checks
+from .errors import CapabilityError, ConvergenceError
 from .evaluation import EvalResult, PrecisionConfig, DEFAULT_PRECISION, ulp
 
 # Euler's constant to 50 digits; validated at test time against the
@@ -61,20 +63,13 @@ _HARD_ORDER_CAP = 120
 # Switch explicit summation from math.fsum to numpy past this many terms.
 _FSUM_LIMIT = 8192
 
-
-def _validate_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got x={x!r}")
-    return x
+# Powers of the tail argument below this are subnormal: they keep too few
+# significant bits to carry a value or a remainder bound.
+_TINY = sys.float_info.min
 
 
 def _validate_order(n: int, minimum: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    n = int(n)
-    if n < minimum:
-        raise DomainError(f"order must be >= {minimum}, got {n}")
+    n = checks.integer("order", n, minimum)
     if n > _HARD_ORDER_CAP:
         raise CapabilityError(
             f"order {n} exceeds the double-precision capability cap {_HARD_ORDER_CAP}"
@@ -118,17 +113,25 @@ def _polygamma_tail(n: int, y: float) -> tuple[list[float], float]:
     terms[0] is the integral part (n-1)!/y^n, terms[1] the half-sample
     n!/(2 y^(n+1)), the rest the Bernoulli corrections up to the pair count
     that minimizes the remainder bound.  Negative exponents throughout so
-    extreme y underflows to zero instead of raising.
+    extreme y underflows instead of raising OverflowError.  A subnormal
+    y^-(n+1) has lost the bits of the value, so it raises CapabilityError;
+    the pair search stops at the first subnormal power, whose remainder
+    bound would be understated.
     """
     inv_pow = y ** (-float(n))
     inv_y = 1.0 / y
+    if inv_pow * inv_y < _TINY:
+        raise CapabilityError(f"y^-{n + 1} underflows double precision at y={y}")
     base = [
         math.factorial(n - 1) * inv_pow,
         math.factorial(n) * inv_pow * inv_y / 2.0,
     ]
     best_p, best_bound = 1, abs(_em_coeff(n, 1)) * y ** (-(n + 2.0))
     for p in range(2, _MAX_EM_PAIRS + 1):
-        b = abs(_em_coeff(n, p)) * y ** (-(n + 2.0 * p))
+        power = y ** (-(n + 2.0 * p))
+        if power < _TINY:
+            break
+        b = abs(_em_coeff(n, p)) * power
         if b < best_bound:
             best_p, best_bound = p, b
     terms = base + [
@@ -237,7 +240,7 @@ def polygamma(n: PolyOrder, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) 
     1e-12 for a quantity of magnitude 1e22.
     """
     n = _validate_order(n, minimum=1)
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     return _polygamma_cached(n, x, cfg)
 
 
@@ -293,7 +296,7 @@ def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
     cfg.recurrence_shift_target; the tail is closed with an Euler-Maclaurin
     correction whose remainder bound lands in abs_error.
     """
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     return _digamma_cached(x, cfg)
 
 
@@ -316,7 +319,7 @@ def reference_polygamma(n: PolyOrder, x: float, target: float = 1e-11) -> EvalRe
     taken, guaranteed error f(K)/2.  No recurrence, no acceleration.
     """
     n = _validate_order(n, minimum=1)
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     fact = float(math.factorial(n))
     yK = (fact / target) ** (1.0 / (n + 1))
     K = int(max(64.0, math.ceil(yK - x) + 8))
@@ -344,7 +347,7 @@ def reference_polygamma(n: PolyOrder, x: float, target: float = 1e-11) -> EvalRe
 
 def reference_digamma(x: float, target: float = 1e-11) -> EvalResult:
     """Brute-force digamma oracle: -gamma + sum (x-1)/((k+1)(k+x)), midpoint tail."""
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     spread = max(abs(x - 1.0), 0.125)
     K = int(max(64.0, math.ceil(math.sqrt(spread / target))))
     if K > 60_000_000:
@@ -407,7 +410,7 @@ def polygamma_quadrature(
     cross-check in tests keep the figure honest).
     """
     n = _validate_order(n, minimum=1)
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     mag = magnitude_lower_bound(n, x)
     if not math.isfinite(mag):
         raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
@@ -446,7 +449,7 @@ def recurrence_residual(
     A healthy implementation keeps value <= abs_error.
     """
     n = _validate_order(n, minimum=1)
-    x = _validate_x(x)
+    x = checks.positive_real("x", x)
     order = n - 1
     if order == 0:
         eff = cfg.for_magnitude(digamma_magnitude_estimate(x))

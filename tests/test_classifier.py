@@ -154,6 +154,8 @@ def test_bound_audit_reports_printed_q_discrepancy(cfg):
     assert bound == Fraction(1, 16)
     assert entry.f_prime.value < float(bound)
     assert entry.f_prime.certainly_negative()
+    with pytest.raises(DomainError):
+        bound_check(1, 1, [2.0, 1.0], cfg)
 
 
 # -- combinatorial quantities -------------------------------------------------

@@ -121,6 +121,14 @@ def test_usage_errors(capsys):
     assert "usage error" in err
     code, _, err = run(capsys, ["kernels", "--kernel", "omega", "--grid-count", "1"])
     assert code == 2
+    code, _, err = run(capsys, ["check-cm", "--grid-max", "inf"])
+    assert code == 2
+    assert "finite" in err
+    code, out, err = run(capsys, ["classify", "--m-max", "0"])
+    assert code == 2
+    assert out == "" and "--m-max" in err
+    code, _, err = run(capsys, ["bounds", "--grid-min", "5", "--grid-max", "1"])
+    assert code == 2
 
 
 def test_unknown_subcommand_exits_2():
@@ -136,6 +144,14 @@ def test_capability_exit_code(capsys):
     )
     assert code == 3
     assert "capability" in err
+    # magnitudes that overflow doubles are capability limits, not usage errors
+    for argv in (
+        ["check-cm", "--grid-min", "1e-300", "--orders", "2"],
+        ["inequalities", "--k-max", "200"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert "capability" in err
 
 
 def test_csv_format(capsys):

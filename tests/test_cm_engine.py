@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,7 +150,10 @@ def test_family_index_validation():
         FamilyIndex(1, 0)
     with pytest.raises(DomainError):
         FamilyIndex(True, 2)
+    with pytest.raises(DomainError):
+        FamilyIndex(2.0, 3)
     assert FamilyIndex(2, 3).label() == "f[2,3]"
+    assert FamilyIndex(np.int64(2), 3) == FamilyIndex(2, 3)
 
 
 def test_order_cap(cfg):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycm import DomainError, EvalResult, PrecisionConfig, linear_grid, log_grid
+from polycm import (
+    CapabilityError,
+    DomainError,
+    EvalResult,
+    PrecisionConfig,
+    linear_grid,
+    log_grid,
+)
 from polycm.evaluation import as_result, result_sum, ulp
 
 finite_values = st.floats(
@@ -127,6 +134,10 @@ def test_for_magnitude_widens_only_above_relative_floor():
     assert big.target_abs_error == 1e6 * 1e-13
     assert big.max_series_terms == cfg.max_series_terms
     assert cfg.tightened(1e-8).target_abs_error == 1e-8
+    # a magnitude that overflowed is the program's limit, not a bad target
+    for magnitude in (math.inf, math.nan):
+        with pytest.raises(CapabilityError):
+            cfg.for_magnitude(magnitude)
 
 
 def test_log_grid_shape():

@@ -83,3 +83,5 @@ def test_validation(cfg):
         polygamma_bounds_check(1, -3.0, cfg)
     with pytest.raises(DomainError):
         bounds_suite(0, [1.0], cfg)
+    with pytest.raises(DomainError):
+        bounds_suite(1, [], cfg)

@@ -204,6 +204,27 @@ def test_capability_limits(cfg):
         polygamma(60, 1e-300, cfg)
 
 
+@pytest.mark.parametrize(
+    "n, x",
+    [
+        (61, 2e5),  # x^-61 is subnormal: the value used to lose all its bits
+        (61, 421413.5942223906),  # x^-61 underflows to zero
+        (64, 1e4),
+        (62, 1e3),
+        (40, 1e6),
+        (8, 1e12),
+    ],
+)
+def test_underflow_edge_raises_or_holds_bound(cfg, n, x):
+    mpmath = pytest.importorskip("mpmath")
+    try:
+        r = polygamma(n, x, cfg)
+    except CapabilityError:
+        return
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(r.value) - mpmath.psi(n, mpmath.mpf(x))) <= r.abs_error
+
+
 def test_convergence_failure_modes(cfg):
     # series cap too small for the argument
     tiny = PrecisionConfig(target_abs_error=1e-12, max_series_terms=20)
