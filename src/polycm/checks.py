@@ -13,6 +13,14 @@ import numpy as np
 from .errors import DomainError
 
 
+def finite(name: str, v) -> float:
+    """v as a float; it must be finite."""
+    v = float(v)
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def positive_real(name: str, v) -> float:
     """v as a float; it must be finite and > 0."""
     v = float(v)

@@ -358,6 +358,7 @@ class SearchParams:
     rel_width: float = 1e-6
 
     def __post_init__(self) -> None:
+        checks.finite("x_max", self.x_max)
         if not (0.0 < self.x_min < self.x_max):
             raise DomainError("need 0 < x_min < x_max")
         if self.coarse_count < 2:

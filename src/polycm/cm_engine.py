@@ -4,6 +4,14 @@ The l-th derivative in closed form, by the product rule:
 
     f^(l) = psi^(n+l) + sum_{j=0..l} C(l,j) psi^(m+j) psi^(m+l-j)
 
+_assemble computes f^(l)(x) from a psi row, {k: (value, abs_error) of
+psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
+arithmetic.  f_derivative fills a row with {n+l} and {m..m+l}; cm_check keeps
+one row per grid point with exactly {m..m+L} and {n..n+L}, so it evaluates
+each psi^(k)(x) once.  Each entry's budget is adapted to its own magnitude,
+so small-x points do not demand absolute tolerances below the floating
+point floor of quantities like psi^(8)(0.01) ~ 1e22.
+
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point:
 certified positive, certified violation (value < -abs_error), or
 inconclusive (|value| <= abs_error).  Violations are never declared inside
@@ -15,15 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
 from . import checks
 from .errors import CapabilityError, ConvergenceError, DomainError
 from .evaluation import (
     DEFAULT_PRECISION,
     EvalResult,
     PrecisionConfig,
-    result_sum,
+    bounded_sum,
+    product,
+    scale,
     ulp,
 )
 from .kernels import tanh_kernel
@@ -47,12 +55,31 @@ class FamilyIndex:
         return f"f[{self.m},{self.n}]"
 
 
-def _adapted(cfg: PrecisionConfig, order: int, x: float) -> PrecisionConfig:
-    return cfg.for_magnitude(magnitude_lower_bound(order, x))
+def _check_cap(idx: FamilyIndex, order: int, order_cap: int) -> None:
+    needed = max(idx.n, idx.m) + order
+    if needed > order_cap:
+        raise CapabilityError(f"{idx.label()} derivative {order} needs polygamma "
+                              f"order {needed} beyond the cap {order_cap}")
 
 
-def _psi(order: int, x: float, cfg: PrecisionConfig) -> EvalResult:
-    return polygamma(order, x, _adapted(cfg, order, x))
+def _fill(row: dict, orders, x: float, cfg: PrecisionConfig) -> None:
+    """Add psi^(k)(x) to the row for each order k it does not hold yet."""
+    for k in orders:
+        if k not in row:
+            r = polygamma(k, x, cfg.for_magnitude(magnitude_lower_bound(k, x)))
+            row[k] = (r.value, r.abs_error)
+
+
+def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> EvalResult:
+    """sign * f^(order)(x) from a row holding n+order and m..m+order."""
+    terms = [row[idx.n + order]]
+    # terms j and order-j are bit-identical (products commute): compute once
+    for j in range(order // 2 + 1):
+        v, e = product(*row[idx.m + j], *row[idx.m + order - j])
+        t = scale(v, e, float(math.comb(order, j)))
+        terms += (t, t) if 2 * j < order else (t,)
+    v, e = bounded_sum(*zip(*terms))
+    return EvalResult(sign * v, e)
 
 
 def f_derivative(
@@ -62,26 +89,13 @@ def f_derivative(
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> EvalResult:
-    """f^(order)(x) in closed form with propagated error bounds.
-
-    Each polygamma call gets a budget adapted to its own magnitude scale, so
-    small-x grid points do not demand absolute tolerances below the floating
-    point floor of quantities like psi^(8)(0.01) ~ 1e22.
-    """
+    """f^(order)(x) in closed form with propagated error bounds."""
     order = checks.integer("derivative order", order, 0)
     x = checks.positive_real("x", x)
-    needed = max(idx.n, idx.m) + order
-    if needed > order_cap:
-        raise CapabilityError(
-            f"{idx.label()} derivative {order} needs polygamma order {needed} "
-            f"beyond the cap {order_cap}"
-        )
-    parts = [_psi(idx.n + order, x, cfg)]
-    for j in range(order + 1):
-        a = _psi(idx.m + j, x, cfg)
-        b = a if 2 * j == order else _psi(idx.m + order - j, x, cfg)
-        parts.append((a * b).scaled(float(math.comb(order, j))))
-    return result_sum(parts)
+    _check_cap(idx, order, order_cap)
+    row: dict = {}
+    _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x, cfg)
+    return _assemble(idx, order, row)
 
 
 def f_value(idx: FamilyIndex, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
@@ -170,10 +184,13 @@ def cm_check(
     """
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
+    _check_cap(idx, max_order, DEFAULT_ORDER_CAP)
+    rows: list[dict] = [{} for _ in pts]
     entries: list[CMEntry] = []
     for order in range(max_order + 1):
-        for x in pts:
-            sv = signed_derivative(idx, order, x, cfg)
+        for x, row in zip(pts, rows):
+            _fill(row, (idx.n + order, idx.m + order), x, cfg)
+            sv = _assemble(idx, order, row, (-1.0) ** order)
             if sv.certainly_negative():
                 status = "violation"
             elif sv.certainly_positive() or sv.value >= 0.0:
@@ -269,13 +286,14 @@ def shift_difference_kernel_check(
     Route (b): (2/x^2) Integral_0^inf [(t/2)/tanh(t/2) - 1] e^(-xt) dt.
     Returns the larger of the two |difference vs f(x) - f(x+1)| residuals.
     """
+    from scipy.integrate import quad  # verification only: keeps scipy off the import path
     x = checks.positive_real("x", x)
     idx = FamilyIndex(1, 2)
     lhs = f_value(idx, x, cfg).value - f_value(idx, x + 1.0, cfg).value
-    scale = 2.0 / (x * x)
+    factor = 2.0 / (x * x)
 
-    trig = polygamma(1, x, _adapted(cfg, 1, x)).value
-    closed = scale * (trig - 1.0 / (2.0 * x * x) - 1.0 / x)
+    trig = polygamma(1, x, cfg.for_magnitude(magnitude_lower_bound(1, x))).value
+    closed = factor * (trig - 1.0 / (2.0 * x * x) - 1.0 / x)
 
     # truncation: integrand <= (t/2) e^(-xt) past T
     T = max(2.0, 20.0 / x)
@@ -293,5 +311,5 @@ def shift_difference_kernel_check(
         raise ConvergenceError(
             f"shift-difference quadrature did not converge at x={x}", best_bound=est
         )
-    via_kernel = scale * val
+    via_kernel = factor * val
     return max(abs(lhs - closed), abs(lhs - via_kernel))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import checks
 from .errors import CapabilityError, DomainError
 
 # Relative floor used by callers that adapt absolute budgets to magnitude:
@@ -24,6 +25,25 @@ REL_BUDGET_FLOOR = 1e-13
 def ulp(value: float) -> float:
     """One unit in the last place of |value| (positive, never zero)."""
     return math.ulp(abs(value)) if value != 0.0 else 5e-324
+
+
+def product(a: float, ea: float, b: float, eb: float) -> tuple[float, float]:
+    """(value, abs_error) of (a +- ea) * (b +- eb)."""
+    v = a * b
+    return v, abs(a) * eb + abs(b) * ea + ea * eb + ulp(v)
+
+
+def scale(v: float, e: float, c: float) -> tuple[float, float]:
+    """(value, abs_error) of (v +- e) times the exact scalar c."""
+    w = v * c
+    return w, abs(c) * e + ulp(w)
+
+
+def bounded_sum(values, errors) -> tuple[float, float]:
+    """(value, abs_error) of a sum: bounds add, and the half ulp math.fsum
+    rounds the value by is charged as one full ulp."""
+    v = math.fsum(values)
+    return v, math.fsum(errors) + ulp(v)
 
 
 @dataclass(frozen=True)
@@ -58,14 +78,7 @@ class EvalResult:
 
     def __mul__(self, other: "EvalResult | float | int") -> "EvalResult":
         o = as_result(other)
-        v = self.value * o.value
-        err = (
-            abs(self.value) * o.abs_error
-            + abs(o.value) * self.abs_error
-            + self.abs_error * o.abs_error
-            + ulp(v)
-        )
-        return EvalResult(v, err)
+        return EvalResult(*product(self.value, self.abs_error, o.value, o.abs_error))
 
     __rmul__ = __mul__
 
@@ -77,8 +90,7 @@ class EvalResult:
 
     def scaled(self, c: float) -> "EvalResult":
         """Multiply by an exact scalar (integer-valued floats stay exact)."""
-        v = self.value * c
-        return EvalResult(v, abs(c) * self.abs_error + ulp(v))
+        return EvalResult(*scale(self.value, self.abs_error, c))
 
     # -- sign certification -------------------------------------------------
 
@@ -100,14 +112,8 @@ def as_result(x: "EvalResult | float | int") -> EvalResult:
 
 
 def result_sum(parts: list[EvalResult]) -> EvalResult:
-    """Exactly-rounded sum of values; error bounds add.
-
-    math.fsum introduces at most half an ulp of the final value, charged
-    as one full ulp.
-    """
-    v = math.fsum(p.value for p in parts)
-    err = math.fsum(p.abs_error for p in parts) + ulp(v)
-    return EvalResult(v, err)
+    """Exactly-rounded sum of values; error bounds add (see bounded_sum)."""
+    return EvalResult(*bounded_sum([p.value for p in parts], [p.abs_error for p in parts]))
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,8 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:
     """count log-spaced points on [lo, hi], endpoints included, increasing."""
+    checks.finite("grid start", lo)
+    checks.finite("grid end", hi)
     if not (0.0 < lo < hi) or count < 2:
         raise DomainError(f"bad grid ({lo}, {hi}, {count})")
     la, lb = math.log(lo), math.log(hi)
@@ -172,6 +180,8 @@ def log_grid(lo: float, hi: float, count: int) -> list[float]:
 
 def linear_grid(lo: float, hi: float, count: int) -> list[float]:
     """count evenly spaced points on [lo, hi], endpoints included."""
+    checks.finite("grid start", lo)
+    checks.finite("grid end", hi)
     if not (lo < hi) or count < 2:
         raise DomainError(f"bad grid ({lo}, {hi}, {count})")
     step = (hi - lo) / (count - 1)

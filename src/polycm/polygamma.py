@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import checks
 from .errors import CapabilityError, ConvergenceError
@@ -113,20 +112,20 @@ def _polygamma_tail(n: int, y: float) -> tuple[list[float], float]:
     terms[0] is the integral part (n-1)!/y^n, terms[1] the half-sample
     n!/(2 y^(n+1)), the rest the Bernoulli corrections up to the pair count
     that minimizes the remainder bound.  Negative exponents throughout so
-    extreme y underflows instead of raising OverflowError.  A subnormal
-    y^-(n+1) has lost the bits of the value, so it raises CapabilityError;
-    the pair search stops at the first subnormal power, whose remainder
-    bound would be understated.
+    extreme y underflows instead of raising OverflowError.  A subnormal y^-n
+    has lost the value's bits: CapabilityError.  An underflowed half-sample
+    term is charged in full (n! * _TINY/2), the p = 1 remainder power is at
+    least _TINY, and the pair search stops at the first subnormal power.
     """
     inv_pow = y ** (-float(n))
+    if inv_pow < _TINY:
+        raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
     inv_y = 1.0 / y
-    if inv_pow * inv_y < _TINY:
-        raise CapabilityError(f"y^-{n + 1} underflows double precision at y={y}")
     base = [
         math.factorial(n - 1) * inv_pow,
         math.factorial(n) * inv_pow * inv_y / 2.0,
     ]
-    best_p, best_bound = 1, abs(_em_coeff(n, 1)) * y ** (-(n + 2.0))
+    best_p, best_bound = 1, abs(_em_coeff(n, 1)) * max(y ** (-(n + 2.0)), _TINY)
     for p in range(2, _MAX_EM_PAIRS + 1):
         power = y ** (-(n + 2.0 * p))
         if power < _TINY:
@@ -134,6 +133,8 @@ def _polygamma_tail(n: int, y: float) -> tuple[list[float], float]:
         b = abs(_em_coeff(n, p)) * power
         if b < best_bound:
             best_p, best_bound = p, b
+    if inv_pow * inv_y < _TINY:
+        best_bound += math.factorial(n) * _TINY / 2.0
     terms = base + [
         _em_coeff(n, i) * y ** (-(n + 2.0 * i)) for i in range(1, best_p)
     ]
@@ -409,6 +410,7 @@ def polygamma_quadrature(
     estimates (estimates, not hard guarantees; the inflation plus the series
     cross-check in tests keep the figure honest).
     """
+    from scipy.integrate import quad  # verification only: keeps scipy off the import path
     n = _validate_order(n, minimum=1)
     x = checks.positive_real("x", x)
     mag = magnitude_lower_bound(n, x)

@@ -261,6 +261,8 @@ def test_search_params_validation():
         SearchParams(x_min=2.0, x_max=1.0)
     with pytest.raises(DomainError):
         SearchParams(coarse_count=1)
+    with pytest.raises(DomainError, match="x_max"):
+        SearchParams(x_max=math.inf)
 
 
 # -- classification --------------------------------------------------------------

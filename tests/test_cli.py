@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polycm
 from polycm.cli import main
 
 CLASSIFY_SMALL = [
@@ -129,6 +133,18 @@ def test_usage_errors(capsys):
     assert out == "" and "--m-max" in err
     code, _, err = run(capsys, ["bounds", "--grid-min", "5", "--grid-max", "1"])
     assert code == 2
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the quadrature cross-checks; every CLI call imports
+    # polycm, so loading scipy there would cost each call most of a second
+    probe = "import sys, polycm; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(polycm.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_unknown_subcommand_exits_2():

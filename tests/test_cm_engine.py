@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycm import cm_engine
 from polycm import (
     CapabilityError,
     DomainError,
@@ -101,6 +102,44 @@ def test_cm_check_flags_certified_violation(cfg):
     assert worst.x in (3.0, 10.0)
 
 
+@pytest.mark.parametrize("m, n", [(1, 2), (6, 1), (1, 12)])  # (1,12): gap 10..11
+def test_cm_check_entries_match_signed_derivative(cfg, m, n):
+    idx, grid = FamilyIndex(m, n), [0.02, 0.3, 1.0, 7.5, 40.0]
+    rep = cm_check(idx, 8, grid, cfg)
+    assert len(rep.entries) == 9 * len(grid)
+    for e in rep.entries:
+        ref = signed_derivative(idx, e.order, e.x, cfg)
+        assert (e.signed_value.value, e.signed_value.abs_error) == (ref.value, ref.abs_error)
+
+
+@pytest.fixture
+def psi_calls(monkeypatch) -> list[tuple[int, float]]:
+    """Every (order, x) that cm_engine asks polygamma for during the test."""
+    calls = []
+    real = cm_engine.polygamma
+
+    def spy(k, x, cfg):
+        calls.append((k, x))
+        return real(k, x, cfg)
+
+    monkeypatch.setattr(cm_engine, "polygamma", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (6, 1), (1, 12)])
+def test_cm_check_evaluates_each_psi_once(cfg, psi_calls, m, n):
+    grid = [0.05, 0.5, 5.0]
+    cm_check(FamilyIndex(m, n), 8, grid, cfg)
+    orders = set(range(m, m + 9)) | set(range(n, n + 9))
+    assert len(psi_calls) == len(set(psi_calls))
+    assert set(psi_calls) == {(k, x) for k in orders for x in grid}
+
+
+def test_f_derivative_requests_only_its_orders(cfg, psi_calls):
+    f_derivative(FamilyIndex(2, 12), 3, 1.5, cfg)
+    assert sorted(psi_calls) == [(k, 1.5) for k in (2, 3, 4, 5, 15)]
+
+
 def test_cm_grid_validation(cfg):
     with pytest.raises(DomainError):
         cm_check(FamilyIndex(1, 2), 2, [], cfg)
@@ -156,9 +195,12 @@ def test_family_index_validation():
     assert FamilyIndex(np.int64(2), 3) == FamilyIndex(2, 3)
 
 
-def test_order_cap(cfg):
+def test_order_cap(cfg, psi_calls):
     with pytest.raises(CapabilityError):
         f_derivative(FamilyIndex(1, 2), 63, 1.0, cfg)
+    with pytest.raises(CapabilityError):
+        cm_check(FamilyIndex(1, 2), 63, [1.0, 2.0], cfg)
+    assert psi_calls == []  # both refuse before evaluating anything
     with pytest.raises(DomainError):
         f_derivative(FamilyIndex(1, 2), -1, 1.0, cfg)
     # a raised cap is honored

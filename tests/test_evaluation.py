@@ -149,6 +149,8 @@ def test_log_grid_shape():
         log_grid(-1.0, 10.0, 5)
     with pytest.raises(DomainError):
         log_grid(1.0, 10.0, 1)
+    with pytest.raises(DomainError, match="grid end"):
+        log_grid(0.01, math.inf, 5)
 
 
 def test_linear_grid_shape():
@@ -156,3 +158,5 @@ def test_linear_grid_shape():
     assert g == [0.0, 0.25, 0.5, 0.75, 1.0]
     with pytest.raises(DomainError):
         linear_grid(1.0, 1.0, 3)
+    with pytest.raises(DomainError, match="grid end"):
+        linear_grid(0.0, math.inf, 3)

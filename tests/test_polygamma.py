@@ -225,6 +225,16 @@ def test_underflow_edge_raises_or_holds_bound(cfg, n, x):
         assert abs(mpmath.mpf(r.value) - mpmath.psi(n, mpmath.mpf(x))) <= r.abs_error
 
 
+@pytest.mark.parametrize("n, x", [(1, 1e200), (3, 1e100), (2, 1e150), (1, 1e300)])
+def test_underflowed_half_sample_still_returns(cfg, n, x):
+    # x^-n is a normal double while x^-(n+1) underflows: the half-sample
+    # term is below one ulp of the value, so a value with a bound is due
+    mpmath = pytest.importorskip("mpmath")
+    r = polygamma(n, x, cfg)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(r.value) - mpmath.psi(n, mpmath.mpf(x))) <= r.abs_error
+
+
 def test_convergence_failure_modes(cfg):
     # series cap too small for the argument
     tiny = PrecisionConfig(target_abs_error=1e-12, max_series_terms=20)
