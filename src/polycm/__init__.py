@@ -3,6 +3,8 @@
 Every evaluation returns an EvalResult carrying a guaranteed absolute error
 bound; every verdict (monotonicity, sign, complete monotonicity, inequality
 strictness) is only asserted when its margin clears the relevant bounds.
+The verification-only routes that tests compare against are in
+polycm.crosscheck, which this package does not import.
 """
 
 from .errors import (
@@ -25,11 +27,6 @@ from .polygamma import (
     digamma,
     magnitude_lower_bound,
     polygamma,
-    polygamma_any,
-    polygamma_quadrature,
-    recurrence_residual,
-    reference_digamma,
-    reference_polygamma,
 )
 from .kernels import (
     KernelId,
@@ -37,7 +34,6 @@ from .kernels import (
     h,
     kappa,
     kernel_report,
-    laplace_power_identity,
     omega,
     omega_plus_one,
     tanh_kernel,
@@ -48,10 +44,7 @@ from .cm_engine import (
     cm_check,
     f_derivative,
     f_value,
-    finite_difference_crosscheck,
-    shift_difference_kernel_check,
     signed_derivative,
-    telescoping_check,
 )
 from .classifier import (
     ClassificationEntry,
@@ -98,17 +91,11 @@ __all__ = [
     "digamma",
     "magnitude_lower_bound",
     "polygamma",
-    "polygamma_any",
-    "polygamma_quadrature",
-    "recurrence_residual",
-    "reference_digamma",
-    "reference_polygamma",
     "KernelId",
     "KernelReport",
     "h",
     "kappa",
     "kernel_report",
-    "laplace_power_identity",
     "omega",
     "omega_plus_one",
     "tanh_kernel",
@@ -117,10 +104,7 @@ __all__ = [
     "cm_check",
     "f_derivative",
     "f_value",
-    "finite_difference_crosscheck",
-    "shift_difference_kernel_check",
     "signed_derivative",
-    "telescoping_check",
     "ClassificationEntry",
     "IntPolynomial",
     "SearchParams",

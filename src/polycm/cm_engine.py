@@ -15,16 +15,19 @@ point floor of quantities like psi^(8)(0.01) ~ 1e22.
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point:
 certified positive, certified violation (value < -abs_error), or
 inconclusive (|value| <= abs_error).  Violations are never declared inside
-the error band; analytic claims must not be refuted by rounding.
+the error band; analytic claims must not be refuted by rounding.  A Leibniz
+sum that leaves the double range raises CapabilityError.  The identity
+checks on f (finite differences, telescoping, the shift difference) live in
+polycm.crosscheck.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import checks
-from .errors import CapabilityError, ConvergenceError, DomainError
+from .errors import CapabilityError
 from .evaluation import (
     DEFAULT_PRECISION,
     EvalResult,
@@ -32,9 +35,7 @@ from .evaluation import (
     bounded_sum,
     product,
     scale,
-    ulp,
 )
-from .kernels import tanh_kernel
 from .polygamma import magnitude_lower_bound, polygamma
 
 DEFAULT_ORDER_CAP = 64
@@ -78,7 +79,12 @@ def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> Eva
         v, e = product(*row[idx.m + j], *row[idx.m + order - j])
         t = scale(v, e, float(math.comb(order, j)))
         terms += (t, t) if 2 * j < order else (t,)
-    v, e = bounded_sum(*zip(*terms))
+    try:
+        v, e = bounded_sum(*zip(*terms))
+    except OverflowError:  # math.fsum: a partial sum left the double range
+        v = e = math.inf
+    if not (math.isfinite(v) and math.isfinite(e)):
+        raise CapabilityError(f"{idx.label()} derivative {order} overflows double precision")
     return EvalResult(sign * v, e)
 
 
@@ -110,35 +116,6 @@ def signed_derivative(
     """(-1)^order * f^(order)(x): the quantity whose non-negativity CM asserts."""
     r = f_derivative(idx, order, x, cfg)
     return -r if order % 2 == 1 else r
-
-
-def finite_difference_crosscheck(
-    idx: FamilyIndex,
-    order: int,
-    x: float,
-    step: float,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> float:
-    """|central difference of f at the given order - closed-form f^(order)|.
-
-    Central stencil: step^-l * sum_i (-1)^i C(l,i) f(x + (l/2 - i)*step),
-    O(step^2) accurate for smooth f.  The discrepancy should be on the order
-    of step^2 times a local derivative bound plus rounding amplified by
-    step^-l.
-    """
-    order = checks.integer("stencil order", order, 1)
-    step = checks.positive_real("step", step)
-    if x - order * step / 2.0 <= 0.0:
-        raise DomainError(
-            f"stencil leaves the domain: x={x}, order={order}, step={step}"
-        )
-    nodes = [
-        (-1.0) ** i * math.comb(order, i)
-        * f_value(idx, x + (order / 2.0 - i) * step, cfg).value
-        for i in range(order + 1)
-    ]
-    fd = math.fsum(nodes) / step**order
-    return abs(fd - f_derivative(idx, order, x, cfg).value)
 
 
 # ---------------------------------------------------------------------------
@@ -216,100 +193,3 @@ def cm_check(
         violations=violations,
         inconclusive_points=inconclusive,
     )
-
-
-# ---------------------------------------------------------------------------
-# Telescoping and the shift-difference identity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TelescopeReport:
-    index: FamilyIndex
-    N: int
-    xs: tuple[float, ...]
-    residuals: tuple[float, ...]          # |partial sum - (f(x) - f(x+N+1))|
-    residual_bounds: tuple[float, ...]    # rounding-only bound on each residual
-    remainders: tuple[EvalResult, ...]    # f(x+N+1) per x
-    max_residual: float
-    identity_ok: bool
-    tolerance: float
-
-
-def telescoping_check(
-    idx: FamilyIndex,
-    N: int,
-    grid,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-    tolerance: float = 1e-10,
-) -> TelescopeReport:
-    """Verify sum_{k=0..N} [f(x+k) - f(x+k+1)] = f(x) - f(x+N+1) pointwise.
-
-    The partial sum is assembled from the same evaluated values as the right
-    side, so the residual is pure rounding: at most ~(N+2) ulps of the
-    largest |f| involved, independent of evaluation error.
-    """
-    N = checks.integer("N", N, 1)
-    pts = checks.grid(grid)
-    residuals: list[float] = []
-    bounds: list[float] = []
-    remainders: list[EvalResult] = []
-    for x in pts:
-        vals = [f_value(idx, x + k, cfg) for k in range(N + 2)]
-        diffs = [vals[k].value - vals[k + 1].value for k in range(N + 1)]
-        partial = math.fsum(diffs)
-        direct = vals[0].value - vals[N + 1].value
-        residuals.append(abs(partial - direct))
-        peak = max(abs(v.value) for v in vals)
-        bounds.append((N + 3.0) * ulp(peak))
-        remainders.append(vals[N + 1])
-    max_residual = max(residuals)
-    return TelescopeReport(
-        index=idx,
-        N=N,
-        xs=pts,
-        residuals=tuple(residuals),
-        residual_bounds=tuple(bounds),
-        remainders=tuple(remainders),
-        max_residual=max_residual,
-        identity_ok=max_residual <= tolerance,
-        tolerance=tolerance,
-    )
-
-
-def shift_difference_kernel_check(
-    x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> float:
-    """Residual of the two closed forms for f(x) - f(x+1) at index (1,2).
-
-    Route (a): (2/x^2) (psi'(x) - 1/(2x^2) - 1/x).
-    Route (b): (2/x^2) Integral_0^inf [(t/2)/tanh(t/2) - 1] e^(-xt) dt.
-    Returns the larger of the two |difference vs f(x) - f(x+1)| residuals.
-    """
-    from scipy.integrate import quad  # verification only: keeps scipy off the import path
-    x = checks.positive_real("x", x)
-    idx = FamilyIndex(1, 2)
-    lhs = f_value(idx, x, cfg).value - f_value(idx, x + 1.0, cfg).value
-    factor = 2.0 / (x * x)
-
-    trig = polygamma(1, x, cfg.for_magnitude(magnitude_lower_bound(1, x))).value
-    closed = factor * (trig - 1.0 / (2.0 * x * x) - 1.0 / x)
-
-    # truncation: integrand <= (t/2) e^(-xt) past T
-    T = max(2.0, 20.0 / x)
-    while math.exp(-x * T) * (T / (2.0 * x) + 1.0 / (2.0 * x * x)) > 1e-13 and T < 1e5:
-        T *= 2.0
-    val, est = quad(
-        lambda t: tanh_kernel(t).value * math.exp(-x * t),
-        0.0,
-        T,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=400,
-    )
-    if est > 1e-9 * (1.0 + abs(val)):
-        raise ConvergenceError(
-            f"shift-difference quadrature did not converge at x={x}", best_bound=est
-        )
-    via_kernel = factor * val
-    return max(abs(lhs - closed), abs(lhs - via_kernel))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import checks
-from .errors import CapabilityError, ConvergenceError, DomainError
+from .errors import CapabilityError, DomainError
 from .evaluation import EvalResult, ulp
 
 _SERIES_SWITCH = 2.0**-10
@@ -138,9 +138,13 @@ def omega_plus_one(t: float) -> EvalResult:
     This is the margin of omega above its infimum -1; at t = 1e-6 it is
     ~t^2/6 = 1.7e-13, far below what omega(t) - (-1) could resolve in ulps
     of 1.  sinh t - t keeps ~2 ulp(sinh t) absolute error, which the margin
-    dwarfs at every positive t.
+    dwarfs at every positive t.  Past t = 700, where sinh t nears overflow,
+    omega(t) > -1e-300, so omega(t) + 1 is formed directly.
     """
     t = checks.positive_real("t", t)
+    if t > 700.0:
+        w = omega(t)
+        return EvalResult(1.0 + w.value, w.abs_error + ulp(1.0 + w.value))
     s = math.sinh(t) - t
     g = 2.0 * math.exp(-t) * s
     den = -math.expm1(-2.0 * t)
@@ -360,40 +364,3 @@ def kernel_report(
         min_range_margin=min_margin,
         diagnostics=tuple(diagnostics),
     )
-
-
-# ---------------------------------------------------------------------------
-# Power-law Laplace identity
-# ---------------------------------------------------------------------------
-
-
-def _gamma_value(r: float) -> float:
-    """Gamma(r): factorial for integer r, else quadrature of the defining
-    integral of t^(r-1) e^-t over (0, inf)."""
-    if float(r).is_integer():
-        return float(math.factorial(int(r) - 1))
-    from scipy.integrate import quad  # verification only: keeps scipy off the import path
-    val, est = quad(lambda t: t ** (r - 1.0) * math.exp(-t), 0.0, math.inf,
-                    epsabs=1e-12, epsrel=1e-12, limit=400)
-    if est > 1e-8 * (1.0 + abs(val)):
-        raise ConvergenceError(f"gamma quadrature did not converge at r={r}",
-                               best_bound=est)
-    return val
-
-
-def laplace_power_identity(r: float, x: float) -> float:
-    """Residual |x^-r - (1/Gamma(r)) Integral_0^inf t^(r-1) e^(-xt) dt|.
-
-    Checks the power-law Laplace pair numerically; stays below 1e-9 for
-    moderate r and x.
-    """
-    r = checks.positive_real("exponent r", r)
-    x = checks.positive_real("x", x)
-    from scipy.integrate import quad  # verification only: keeps scipy off the import path
-    gamma_r = _gamma_value(r)
-    val, est = quad(lambda t: t ** (r - 1.0) * math.exp(-x * t), 0.0, math.inf,
-                    epsabs=1e-13, epsrel=1e-12, limit=400)
-    if est > 1e-8 * (1.0 + abs(val)):
-        raise ConvergenceError(f"Laplace quadrature did not converge at r={r}, x={x}",
-                               best_bound=est)
-    return abs(x ** (-r) - val / gamma_r)

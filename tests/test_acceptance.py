@@ -24,14 +24,16 @@ from polycm import (
     log_grid,
     magnitude_lower_bound,
     polygamma,
-    polygamma_quadrature,
     q_printed,
-    recurrence_residual,
-    shift_difference_kernel_check,
     tanh_kernel,
-    telescoping_check,
 )
 from polycm.cli import main
+from polycm.crosscheck import (
+    polygamma_quadrature,
+    recurrence_residual,
+    shift_difference_kernel_check,
+    telescoping_check,
+)
 from polycm.evaluation import DEFAULT_PRECISION as CFG
 
 
@@ -83,8 +85,8 @@ def test_criterion_3_route_agreement():
         for x in (0.5, 1.0, 2.0, 10.0):
             eff = CFG.for_magnitude(magnitude_lower_bound(n, x))
             a = polygamma(n, x, eff)
-            b = polygamma_quadrature(n, x, eff)
-            assert abs(a.value - b.value) <= 1e-9 * abs(a.value), (n, x)
+            b = polygamma_quadrature(n, x)
+            assert abs(a.value - b) <= 1e-9 * abs(a.value), (n, x)
     rng = random.Random(20260816)
     worst = 0.0
     for _ in range(50):

@@ -136,15 +136,19 @@ def test_usage_errors(capsys):
 
 
 def test_import_does_not_load_scipy():
-    # scipy serves only the quadrature cross-checks; every CLI call imports
-    # polycm, so loading scipy there would cost each call most of a second
-    probe = "import sys, polycm; print('scipy' in sys.modules)"
+    # scipy serves only the verification routes in polycm.crosscheck; every
+    # CLI call imports polycm, so loading scipy there would cost each call
+    # most of a second
+    probe = (
+        "import sys, polycm, polycm.cli; "
+        "print('scipy' in sys.modules, 'polycm.crosscheck' in sys.modules)"
+    )
     src = os.path.dirname(os.path.dirname(polycm.__file__))
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_unknown_subcommand_exits_2():
@@ -164,6 +168,11 @@ def test_capability_exit_code(capsys):
     for argv in (
         ["check-cm", "--grid-min", "1e-300", "--orders", "2"],
         ["inequalities", "--k-max", "200"],
+        # psi'(1e-100)^2 overflows in the Leibniz product
+        ["check-cm", "--m", "1", "--n", "2", "--grid-min", "1e-100", "--orders", "0"],
+        # finite products whose sum overflows
+        ["check-cm", "--m", "1", "--n", "2", "--grid-min", "6.18e-52",
+         "--grid-max", "6.19e-52", "--grid-count", "2", "--orders", "2"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 3

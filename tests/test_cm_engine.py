@@ -21,10 +21,12 @@ from polycm import (
     cm_check,
     f_derivative,
     f_value,
-    finite_difference_crosscheck,
     log_grid,
-    shift_difference_kernel_check,
     signed_derivative,
+)
+from polycm.crosscheck import (
+    finite_difference_crosscheck,
+    shift_difference_kernel_check,
     telescoping_check,
 )
 

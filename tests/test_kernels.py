@@ -19,12 +19,12 @@ from polycm import (
     h,
     kappa,
     kernel_report,
-    laplace_power_identity,
     log_grid,
     omega,
     omega_plus_one,
     tanh_kernel,
 )
+from polycm.crosscheck import laplace_power_identity
 from polycm.kernels import half_shifted_kappa, kernel_value, reciprocal_expm1
 
 KAPPA_AT_1 = 1.581976706869326424385002005109011558547

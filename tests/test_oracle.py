@@ -1,0 +1,145 @@
+"""Bound soundness: every claimed abs_error covers the truth from mpmath.
+
+Each test draws points with Hypothesis, evaluates one public evaluator and
+asserts |value - truth| <= abs_error with the truth from mpmath at 60
+digits, compared in mpmath so the check adds no rounding of its own.  A
+CapabilityError or ConvergenceError makes no claim and passes.
+
+The draws cover x log-uniform on [1e-3, 1e6], integers +-1e-9, the root of
+digamma, and the kernels' series switch points 2^-10 and 0.05 with their
+neighbouring doubles.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polycm import (
+    DEFAULT_PRECISION,
+    CapabilityError,
+    ConvergenceError,
+    FamilyIndex,
+    digamma,
+    f_derivative,
+    h,
+    kappa,
+    magnitude_lower_bound,
+    omega,
+    omega_plus_one,
+    polygamma,
+    tanh_kernel,
+)
+from polycm.crosscheck import reference_digamma, reference_polygamma
+from polycm.kernels import reciprocal_expm1
+from polycm.polygamma import digamma_magnitude_estimate
+
+mpmath = pytest.importorskip("mpmath")
+mpf = mpmath.mpf
+
+DIGAMMA_ROOT = 1.4616321449683623
+SWITCH_POINTS = tuple(
+    p for c in (2.0**-10, 0.05) for p in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))
+)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+XS = st.one_of(
+    _log_uniform(1e-3, 1e6),
+    st.builds(lambda k, d: k + d, st.integers(1, 1000), st.sampled_from((-1e-9, 1e-9))),
+    st.just(DIGAMMA_ROOT),
+)
+TS = st.one_of(_log_uniform(1e-12, 1e5), st.sampled_from(SWITCH_POINTS))
+
+
+def assert_covers(evaluate, truth) -> None:
+    """evaluate() is within its abs_error of truth(), unless it declines."""
+    try:
+        r = evaluate()
+    except (CapabilityError, ConvergenceError):
+        return
+    with mpmath.workdps(60):
+        assert abs(mpf(r.value) - truth()) <= mpf(r.abs_error), r
+
+
+@given(x=XS)
+@example(x=DIGAMMA_ROOT)
+@settings(max_examples=60, deadline=None)
+def test_digamma(x):
+    eff = DEFAULT_PRECISION.for_magnitude(digamma_magnitude_estimate(x))
+    assert_covers(lambda: digamma(x, eff), lambda: mpmath.digamma(mpf(x)))
+
+
+@given(n=st.integers(1, 64), x=XS)
+@example(n=64, x=3e4)
+@example(n=1, x=DIGAMMA_ROOT)
+@settings(max_examples=120, deadline=None)
+def test_polygamma(n, x):
+    eff = DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(n, x))
+    assert_covers(lambda: polygamma(n, x, eff), lambda: mpmath.psi(n, mpf(x)))
+
+
+@given(
+    mn=st.sampled_from(((1, 2), (2, 2), (1, 3), (3, 4))),
+    order=st.integers(0, 4),
+    x=XS,
+)
+@settings(max_examples=60, deadline=None)
+def test_f_derivative(mn, order, x):
+    m, n = mn
+
+    def truth():
+        X = mpf(x)
+        return mpmath.psi(n + order, X) + sum(
+            math.comb(order, j) * mpmath.psi(m + j, X) * mpmath.psi(m + order - j, X)
+            for j in range(order + 1)
+        )
+
+    assert_covers(lambda: f_derivative(FamilyIndex(m, n), order, x), truth)
+
+
+def _e(t):
+    return 1 / mpmath.expm1(mpf(t))
+
+
+def _omega(t):
+    T = mpf(t)
+    return -2 * T * mpmath.exp(-T) / -mpmath.expm1(-2 * T)
+
+
+KERNELS = {
+    "reciprocal_expm1": (reciprocal_expm1, _e),
+    "kappa": (kappa, lambda t: 1 + _e(t)),
+    "tanh_kernel": (tanh_kernel, lambda t: (mpf(t) / 2) / mpmath.tanh(mpf(t) / 2) - 1),
+    "omega": (omega, _omega),
+    "omega_plus_one": (omega_plus_one, lambda t: 1 + _omega(t)),
+}
+KERNELS.update({
+    f"h[{k}]": (lambda t, k=k: h(k, t), lambda t, k=k: (_e(t) + mpf(1) / 2) / mpf(t) ** k)
+    for k in range(-3, 3)
+})
+
+
+@given(name=st.sampled_from(sorted(KERNELS)), t=TS)
+@example(name="omega_plus_one", t=1e3)  # sinh t overflows past t ~ 710
+@settings(max_examples=200, deadline=None)
+def test_kernels(name, t):
+    evaluate, truth = KERNELS[name]
+    assert_covers(lambda: evaluate(t), lambda: truth(t))
+
+
+@given(n=st.integers(0, 64), x=XS)
+@example(n=0, x=DIGAMMA_ROOT)
+@settings(max_examples=30, deadline=None)
+def test_reference_series(n, x):
+    # a loose target keeps the brute-force sums below about 1e6 terms
+    if n == 0:
+        assert_covers(lambda: reference_digamma(x, 1e-6), lambda: mpmath.digamma(mpf(x)))
+    else:
+        assert_covers(lambda: reference_polygamma(n, x, 1e-6), lambda: mpmath.psi(n, mpf(x)))

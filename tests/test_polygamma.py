@@ -25,7 +25,8 @@ from polycm import (
     log_grid,
     magnitude_lower_bound,
     polygamma,
-    polygamma_any,
+)
+from polycm.crosscheck import (
     polygamma_quadrature,
     recurrence_residual,
     reference_digamma,
@@ -127,19 +128,34 @@ def test_route_agreement_series_vs_quadrature(cfg):
         for x in (0.5, 1.0, 2.0, 10.0):
             eff = cfg.for_magnitude(magnitude_lower_bound(n, x))
             p = polygamma(n, x, eff)
-            q = polygamma_quadrature(n, x, eff)
-            assert abs(p.value - q.value) <= p.abs_error + q.abs_error
-            assert abs(p.value - q.value) <= 1e-9 * abs(p.value)
+            q = polygamma_quadrature(n, x)
+            assert abs(p.value - q) <= p.abs_error + 1e-12 * abs(q)
+            assert abs(p.value - q) <= 1e-9 * abs(p.value)
 
 
 def test_quadrature_bracket_at_large_argument(cfg):
     x = 50.0
-    q = polygamma_quadrature(1, x, cfg)
+    q = polygamma_quadrature(1, x)
     lo = 1.0 / x + 1.0 / (2.0 * x * x)
     hi = 1.0 / x + 1.0 / (x * x)
     pad = 3 * math.ulp(hi)
-    assert q.value - q.abs_error - pad > lo
-    assert q.value + q.abs_error + pad < hi
+    assert q - pad > lo
+    assert q + pad < hi
+
+
+@pytest.mark.parametrize(
+    "n, x",
+    [(2, 1e-3), (3, 1e-3), (3, 3e-3), (4, 3e-3), (6, 10.0), (8, 10.0), (8, 100.0),
+     (1, 1e6), (8, 1e5), (64, 1e3)],
+)
+def test_quadrature_estimate_against_mpmath(n, x):
+    # the integrand peaks at t = n/x with width 1/x; a split or a sampling
+    # scale that misses the peak loses digits
+    mpmath = pytest.importorskip("mpmath")
+    q = polygamma_quadrature(n, x)
+    with mpmath.workdps(50):
+        truth = mpmath.psi(n, mpmath.mpf(x))
+        assert abs(mpmath.mpf(q) - truth) <= 1e-12 * abs(truth)
 
 
 def test_monotone_decay_along_grid(cfg):
@@ -173,11 +189,6 @@ def test_recurrence_residual_seeded_sample(cfg):
         r = recurrence_residual(n, x, cfg)
         assert r.value <= 1e-11
         assert r.value <= r.abs_error
-
-
-def test_polygamma_any_dispatch(cfg):
-    assert polygamma_any(0, 1.5, cfg) == digamma(1.5, cfg)
-    assert polygamma_any(2, 1.5, cfg) == polygamma(2, 1.5, cfg)
 
 
 def test_domain_errors(cfg):
