@@ -7,8 +7,7 @@ argument in the form the numerics use (float, int or tuple of floats).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import operator
 
 from .errors import DomainError
 
@@ -32,12 +31,16 @@ def positive_real(name: str, v) -> float:
 def integer(name: str, v, minimum: float = -math.inf) -> int:
     """v as an int >= minimum.
 
-    Python and numpy integers pass; bool and floats (even integral ones) are
-    rejected, so a stray True or 2.0 never selects an order or index.
+    Integer types pass (int, numpy integers: whatever defines __index__);
+    bool and floats (even integral ones) are rejected, so a stray True or
+    2.0 never selects an order or index.
     """
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+    if isinstance(v, bool):
         raise DomainError(f"{name} must be an integer, got {v!r}")
-    v = int(v)
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
     if v < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {v}")
     return v

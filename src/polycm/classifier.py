@@ -388,9 +388,9 @@ class Witness:
 
 
 def _certified_sign(ev: EvalResult, factor: float) -> int:
-    if ev.value > factor * ev.abs_error:
+    if ev.certainly_positive(factor):
         return 1
-    if ev.value < -factor * ev.abs_error:
+    if ev.certainly_negative(factor):
         return -1
     return 0
 

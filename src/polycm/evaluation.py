@@ -11,7 +11,7 @@ overestimate can only make a check inconclusive, never wrongly "pass".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import checks
 from .errors import CapabilityError, DomainError
@@ -118,27 +118,19 @@ def result_sum(parts: list[EvalResult]) -> EvalResult:
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Shared evaluation knobs.
+    """The error budget of one evaluation.
 
-    target_abs_error: absolute error budget a single evaluation must meet
-        (operations fail with ConvergenceError if they cannot).
-    max_series_terms: hard cap on explicit series terms per evaluation.
-    recurrence_shift_target: arguments are recurrence-shifted above this
-        value before series summation; tail corrections may shift further
-        when the budget demands it.
+    target_abs_error: absolute error bound a single evaluation must meet
+        (operations fail with ConvergenceError if they cannot).  The
+        recurrence shift and the series-term cap that the series routes use
+        to reach it are constants of polycm.polygamma.
     """
 
     target_abs_error: float = 1e-12
-    max_series_terms: int = 5_000_000
-    recurrence_shift_target: float = 10.0
 
     def __post_init__(self) -> None:
         if not (self.target_abs_error > 0.0) or not math.isfinite(self.target_abs_error):
             raise DomainError("target_abs_error must be a positive finite float")
-        if self.max_series_terms < 1:
-            raise DomainError("max_series_terms must be a positive integer")
-        if not (self.recurrence_shift_target > 0.0):
-            raise DomainError("recurrence_shift_target must be positive")
 
     def for_magnitude(self, magnitude: float) -> "PrecisionConfig":
         """Budget adapted to a quantity of the given rough magnitude.
@@ -157,10 +149,7 @@ class PrecisionConfig:
             raise CapabilityError(
                 f"error budget for magnitude {magnitude!r} is not a finite double"
             )
-        return replace(self, target_abs_error=eff)
-
-    def tightened(self, target: float) -> "PrecisionConfig":
-        return replace(self, target_abs_error=target)
+        return PrecisionConfig(eff)
 
 
 DEFAULT_PRECISION = PrecisionConfig()

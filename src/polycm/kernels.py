@@ -16,6 +16,7 @@ h(-1, t) above 1 is exactly tanh_kernel(t).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import checks
@@ -68,16 +69,12 @@ def reciprocal_expm1(t: float) -> EvalResult:
 
 def kappa(t: float) -> EvalResult:
     """1/(1 - e^-t) = 1 + E(t); decreasing on (0, inf) with range (1, inf)."""
-    E = reciprocal_expm1(t)
-    value = 1.0 + E.value
-    return EvalResult(value, E.abs_error + ulp(value))
+    return reciprocal_expm1(t) + 1.0
 
 
 def half_shifted_kappa(t: float) -> EvalResult:
     """kappa(t) - 1/2 = E(t) + 1/2, the shared numerator of the h family."""
-    E = reciprocal_expm1(t)
-    value = E.value + 0.5
-    return EvalResult(value, E.abs_error + ulp(value))
+    return reciprocal_expm1(t) + 0.5
 
 
 def h(k: int, t: float) -> EvalResult:
@@ -143,8 +140,7 @@ def omega_plus_one(t: float) -> EvalResult:
     """
     t = checks.positive_real("t", t)
     if t > 700.0:
-        w = omega(t)
-        return EvalResult(1.0 + w.value, w.abs_error + ulp(1.0 + w.value))
+        return omega(t) + 1.0
     s = math.sinh(t) - t
     g = 2.0 * math.exp(-t) * s
     den = -math.expm1(-2.0 * t)
@@ -227,16 +223,10 @@ def _adjacent_margins(kernel: KernelId, grid: tuple[float, ...]) -> list[EvalRes
     through E itself.
     """
     if kernel.kind == "kappa" or (kernel.kind == "h" and kernel.k == 0):
-        Es = [reciprocal_expm1(t) for t in grid]
-        return [
-            EvalResult(b.value - a.value, a.abs_error + b.abs_error + ulp(b.value - a.value))
-            for a, b in zip(Es, Es[1:])
-        ]
-    vals = [kernel_value(kernel, t) for t in grid]
-    return [
-        EvalResult(b.value - a.value, a.abs_error + b.abs_error + ulp(b.value - a.value))
-        for a, b in zip(vals, vals[1:])
-    ]
+        vals = [reciprocal_expm1(t) for t in grid]
+    else:
+        vals = [kernel_value(kernel, t) for t in grid]
+    return [b - a for a, b in zip(vals, vals[1:])]
 
 
 def _range_margins(kernel: KernelId, t: float, v: EvalResult) -> list[EvalResult]:
@@ -247,7 +237,7 @@ def _range_margins(kernel: KernelId, t: float, v: EvalResult) -> list[EvalResult
     tanh_kernel, kappa - 1 = E, omega + 1 via its dedicated form.
     """
     if kernel.kind == "omega":
-        return [omega_plus_one(t), EvalResult(-v.value, v.abs_error)]
+        return [omega_plus_one(t), -v]
     if kernel.kind == "kappa":
         return [reciprocal_expm1(t)]
     if kernel.kind == "tanh":
@@ -282,7 +272,8 @@ def kernel_report(
     limits, and range membership, each only when margins clear error bounds.
 
     A verdict of none is a refusal to certify, not a refutation; diagnostics
-    list the offending comparisons.
+    list the offending comparisons.  A range margin whose value and bound
+    both sit below the normal double range raises CapabilityError.
     """
     grid = checks.grid(grid, 2)  # adjacent comparisons need two points
 
@@ -347,6 +338,12 @@ def kernel_report(
         for margin in _range_margins(kernel, t, v):
             min_margin = min(min_margin, margin.value - margin.abs_error)
             if not margin.certainly_positive():
+                if abs(margin.value) + margin.abs_error < sys.float_info.min:
+                    # e.g. E(t) past t ~ 745: the margin left the double range
+                    raise CapabilityError(
+                        f"{kernel.label()} range margin underflows double "
+                        f"precision at t={t:.6g}"
+                    )
                 range_ok = False
                 diagnostics.append(
                     f"range margin not cleared at t={t:.6g}: "

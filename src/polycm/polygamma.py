@@ -4,8 +4,9 @@ digamma and polygamma sum explicit series terms and close the series with an
 Euler-Maclaurin tail correction whose remainder is bounded rigorously by
 |B_2p|/(2p)! times the integral of |g^(2p)| (classical periodized-Bernoulli-
 polynomial bound; the integrand's derivatives are one-signed, so the integral
-telescopes to a closed form).  The independent routes that tests check them
-against live in polycm.crosscheck.
+telescopes to a closed form).  One loop, _converge, lengthens the explicit
+prefix for both until the bound meets the budget.  The independent routes
+that tests check them against live in polycm.crosscheck.
 
 Sign convention: psi^(n) has sign (-1)^(n+1) on (0, inf); internals work with
 the positive magnitude and apply the sign at the end.
@@ -138,6 +139,44 @@ def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
 # Series route (production)
 # ---------------------------------------------------------------------------
 
+# Hard cap on explicit series terms per evaluation.
+_MAX_SERIES_TERMS = 5_000_000
+
+# Arguments are recurrence-shifted above this value before the tail closes the
+# series; a tight budget may shift further.
+_RECURRENCE_SHIFT_TARGET = 10.0
+
+
+def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]:
+    """(value, abs_error) of the first series closed at K terms within budget.
+
+    attempt(K) sums the first K terms, closes the series with its
+    Euler-Maclaurin tail and returns (value, remainder, rounding).  K grows
+    until the bound remainder + rounding meets the budget; ConvergenceError
+    when K passes the term cap, or when the remainder is already negligible
+    against the rounding floor that more terms cannot lower.
+    """
+    best_bound = math.inf
+    while True:
+        if K > _MAX_SERIES_TERMS:
+            raise ConvergenceError(
+                f"{label}: budget {budget:g} unreachable within "
+                f"{_MAX_SERIES_TERMS} series terms",
+                best_bound=best_bound,
+            )
+        total, remainder, rounding = attempt(K)
+        abs_error = remainder + rounding
+        best_bound = min(best_bound, abs_error)
+        if abs_error <= budget:
+            return total, abs_error
+        if remainder <= 0.05 * rounding:
+            raise ConvergenceError(
+                f"{label}: budget {budget:g} below the double-precision floor; "
+                f"best achievable bound {abs_error:g}",
+                best_bound=best_bound,
+            )
+        K = max(K + 16, int(1.5 * K))
+
 
 def _explicit_polygamma_sum(n: int, x: float, K: int, fact_f: float) -> tuple[float, float]:
     """(sum, rounding charge) of fact_f * (x+k)^-(n+1) for k < K; terms positive."""
@@ -151,6 +190,7 @@ def _explicit_polygamma_sum(n: int, x: float, K: int, fact_f: float) -> tuple[fl
     return s, charge
 
 
+# Separate calls at shared points (classify's members) reuse work only through this cache.
 @lru_cache(maxsize=200_000)
 def _polygamma_cached(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
     fact_f = float(math.factorial(n))
@@ -161,23 +201,9 @@ def _polygamma_cached(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
     if not math.isfinite(probe):
         raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
 
-    budget = cfg.target_abs_error
-    K = max(
-        0,
-        math.ceil(cfg.recurrence_shift_target - x),
-        math.ceil(24.0 + 0.55 * n - x),
-    )
-    best_bound = math.inf
-    while True:
-        if K > cfg.max_series_terms:
-            raise ConvergenceError(
-                f"psi^({n})({x}): budget {budget:g} unreachable within "
-                f"{cfg.max_series_terms} series terms",
-                best_bound=best_bound,
-            )
-        y = x + K
+    def attempt(K: int) -> tuple[float, float, float]:
         s_expl, charge_expl = _explicit_polygamma_sum(n, x, K, fact_f)
-        tail_terms, remainder = _polygamma_tail(n, y)
+        tail_terms, remainder = _polygamma_tail(n, x + K)
         tail_abs = math.fsum(abs(t) for t in tail_terms)
         total = math.fsum([s_expl] + tail_terms)
         rounding = (
@@ -185,30 +211,28 @@ def _polygamma_cached(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
             + ((n + 16.0) / 2.0 + 4.0) * _EPS * tail_abs
             + 2.0 * ulp(total)
         )
-        abs_error = remainder + rounding
-        best_bound = min(best_bound, abs_error)
-        if abs_error <= budget:
-            sign = 1.0 if n % 2 == 1 else -1.0
-            return EvalResult(sign * total, abs_error)
-        if remainder <= 0.05 * rounding:
-            # more terms cannot beat the rounding floor
-            raise ConvergenceError(
-                f"psi^({n})({x}): budget {budget:g} below the double-precision "
-                f"floor; best achievable bound {abs_error:g}",
-                best_bound=best_bound,
-            )
-        K = max(K + 16, int(1.5 * K))
+        return total, remainder, rounding
+
+    K = max(
+        0,
+        math.ceil(_RECURRENCE_SHIFT_TARGET - x),
+        math.ceil(24.0 + 0.55 * n - x),
+    )
+    total, abs_error = _converge(f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
+    sign = 1.0 if n % 2 == 1 else -1.0
+    return EvalResult(sign * total, abs_error)
 
 
 def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
     """psi^(n)(x) for n >= 1 with abs_error <= cfg.target_abs_error.
 
-    Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), summed
-    explicitly past the recurrence shift target (summing the first K terms is
-    the recurrence shift: each term strips one pole) and finished with an
-    Euler-Maclaurin tail whose remainder bound is folded into abs_error.
-    Raises ConvergenceError when the budget is unreachable, e.g. an absolute
-    1e-12 for a quantity of magnitude 1e22.
+    Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
+    first K terms summed explicitly, with x + K at least the recurrence shift
+    target of 10 (summing the first K terms is the recurrence shift: each
+    term strips one pole), and finished with an Euler-Maclaurin tail whose
+    remainder bound is folded into abs_error.  Raises ConvergenceError when
+    the budget is unreachable, e.g. an absolute 1e-12 for a quantity of
+    magnitude 1e22.
     """
     n = checks.integer("order", n, 1)
     if n > _HARD_ORDER_CAP:
@@ -219,18 +243,17 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
     return _polygamma_cached(n, x, cfg)
 
 
-@lru_cache(maxsize=50_000)
-def _digamma_cached(x: float, cfg: PrecisionConfig) -> EvalResult:
-    budget = cfg.target_abs_error
-    K = max(32, math.ceil(cfg.recurrence_shift_target))
-    best_bound = math.inf
-    while True:
-        if K > cfg.max_series_terms:
-            raise ConvergenceError(
-                f"psi({x}): budget {budget:g} unreachable within "
-                f"{cfg.max_series_terms} series terms",
-                best_bound=best_bound,
-            )
+def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
+    """psi(x) via the series -gamma + sum_{k>=0} [1/(k+1) - 1/(k+x)].
+
+    The explicit prefix of the series (at least 32 terms, and at least the
+    recurrence shift target of 10) is the recurrence shift; the tail is
+    closed with an Euler-Maclaurin correction whose remainder bound lands in
+    abs_error.
+    """
+    x = checks.positive_real("x", x)
+
+    def attempt(K: int) -> tuple[float, float, float]:
         s_terms = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(K))
         gross_uv = math.fsum(1.0 / (k + 1.0) + 1.0 / (k + x) for k in range(K))
         tail_terms, remainder = _digamma_tail(x, K)
@@ -243,25 +266,7 @@ def _digamma_cached(x: float, cfg: PrecisionConfig) -> EvalResult:
             + ulp(EULER_GAMMA)
             + 2.0 * ulp(total)
         )
-        abs_error = remainder + rounding
-        best_bound = min(best_bound, abs_error)
-        if abs_error <= budget:
-            return EvalResult(total, abs_error)
-        if remainder <= 0.05 * rounding:
-            raise ConvergenceError(
-                f"psi({x}): budget {budget:g} below the double-precision floor; "
-                f"best achievable bound {abs_error:g}",
-                best_bound=best_bound,
-            )
-        K = max(K + 16, int(1.5 * K))
+        return total, remainder, rounding
 
-
-def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
-    """psi(x) via the series -gamma + sum_{k>=0} [1/(k+1) - 1/(k+x)].
-
-    The explicit prefix of the series is the recurrence shift above
-    cfg.recurrence_shift_target; the tail is closed with an Euler-Maclaurin
-    correction whose remainder bound lands in abs_error.
-    """
-    x = checks.positive_real("x", x)
-    return _digamma_cached(x, cfg)
+    K = max(32, math.ceil(_RECURRENCE_SHIFT_TARGET))
+    return EvalResult(*_converge(f"psi({x})", cfg.target_abs_error, K, attempt))

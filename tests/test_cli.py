@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -135,20 +136,49 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-def test_import_does_not_load_scipy():
-    # scipy serves only the verification routes in polycm.crosscheck; every
-    # CLI call imports polycm, so loading scipy there would cost each call
-    # most of a second
-    probe = (
-        "import sys, polycm, polycm.cli; "
-        "print('scipy' in sys.modules, 'polycm.crosscheck' in sys.modules)"
-    )
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this polycm."""
     src = os.path.dirname(os.path.dirname(polycm.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False False"
+
+
+def test_import_does_not_load_scipy():
+    # numpy and scipy serve only the verification routes in polycm.crosscheck;
+    # every CLI call imports polycm, so loading either there would cost each
+    # call a tenth of a second or more
+    out = _fresh_python(
+        "import sys, polycm, polycm.cli; "
+        "print('scipy' in sys.modules, 'numpy' in sys.modules, "
+        "'polycm.crosscheck' in sys.modules)"
+    )
+    assert out.strip() == "False False False"
+
+
+def test_cli_runs_without_numpy_or_scipy():
+    # None in sys.modules makes any import of them fail, also one made
+    # lazily inside a function, so each subcommand runs on the stdlib alone
+    out = _fresh_python(textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = sys.modules["scipy"] = None
+        import contextlib, io
+        from polycm.cli import main
+        for argv in (
+            ["classify", "--m-max", "2", "--n-max", "2", "--grid-count", "12", "--orders", "3"],
+            ["check-cm", "--m", "1", "--n", "2", "--orders", "4", "--grid-count", "20"],
+            ["kernels", "--kernel", "omega", "--grid-count", "16"],
+            ["inequalities", "--k-max", "2", "--grid-count", "10"],
+            ["bounds", "--m", "1", "--n", "1", "--grid-count", "9"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[0], code)
+    """))
+    assert out.splitlines() == [
+        "classify 0", "check-cm 0", "kernels 0", "inequalities 0", "bounds 0",
+    ]
 
 
 def test_unknown_subcommand_exits_2():
@@ -173,6 +203,11 @@ def test_capability_exit_code(capsys):
         # finite products whose sum overflows
         ["check-cm", "--m", "1", "--n", "2", "--grid-min", "6.18e-52",
          "--grid-max", "6.19e-52", "--grid-count", "2", "--orders", "2"],
+        # E(t) and omega(t) underflow past t ~ 745, so their range margins
+        # leave the double range
+        ["kernels", "--kernel", "omega", "--grid-max", "1000"],
+        ["kernels", "--kernel", "kappa", "--grid-max", "1000"],
+        ["kernels", "--kernel", "h", "--k", "0", "--grid-max", "1000"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 3

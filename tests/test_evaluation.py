@@ -121,10 +121,6 @@ def test_precision_config_validation():
         PrecisionConfig(target_abs_error=0.0)
     with pytest.raises(DomainError):
         PrecisionConfig(target_abs_error=float("nan"))
-    with pytest.raises(DomainError):
-        PrecisionConfig(max_series_terms=0)
-    with pytest.raises(DomainError):
-        PrecisionConfig(recurrence_shift_target=-1.0)
 
 
 def test_for_magnitude_widens_only_above_relative_floor():
@@ -132,8 +128,6 @@ def test_for_magnitude_widens_only_above_relative_floor():
     assert cfg.for_magnitude(1.0) is cfg
     big = cfg.for_magnitude(1e6)
     assert big.target_abs_error == 1e6 * 1e-13
-    assert big.max_series_terms == cfg.max_series_terms
-    assert cfg.tightened(1e-8).target_abs_error == 1e-8
     # a magnitude that overflowed is the program's limit, not a bad target
     for magnitude in (math.inf, math.nan):
         with pytest.raises(CapabilityError):

@@ -201,6 +201,16 @@ def test_laplace_power_identity_residuals():
         laplace_power_identity(1.0, -2.0)
 
 
+def test_report_underflowed_range_margin_is_capability():
+    # E(t) and omega(t) underflow to 0 past t ~ 745: their range margins have
+    # left the double range, which no verdict can rest on
+    for kid in (KernelId("omega"), KernelId("kappa"), KernelId("h", 0)):
+        with pytest.raises(CapabilityError, match="t=1000"):
+            kernel_report(kid, [1.0, 700.0, 1000.0])
+        # subnormal but nonzero margins still certify
+        assert kernel_report(kid, [1.0, 700.0, 740.0]).range_passed
+
+
 def test_h_extreme_power_capability():
     with pytest.raises(CapabilityError):
         h(400, 1e-3)

@@ -7,6 +7,7 @@ leading 17 digits.
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 
@@ -246,12 +247,19 @@ def test_underflowed_half_sample_still_returns(cfg, n, x):
         assert abs(mpmath.mpf(r.value) - mpmath.psi(n, mpmath.mpf(x))) <= r.abs_error
 
 
-def test_convergence_failure_modes(cfg):
-    # series cap too small for the argument
-    tiny = PrecisionConfig(target_abs_error=1e-12, max_series_terms=20)
-    with pytest.raises(ConvergenceError) as exc:
-        polygamma(1, 0.5, tiny)
+def test_convergence_failure_modes(cfg, monkeypatch):
+    # series cap too small for the argument; the cleared cache cannot answer
+    # from an entry computed under the real cap
+    psi = importlib.import_module("polycm.polygamma")
+    monkeypatch.setattr(psi, "_MAX_SERIES_TERMS", 20)
+    psi._polygamma_cached.cache_clear()
+    with pytest.raises(ConvergenceError, match="within 20 series terms") as exc:
+        polygamma(1, 0.5, cfg)
     assert math.isfinite(exc.value.best_bound) or exc.value.best_bound == math.inf
+    # digamma runs the same loop, so the same cap stops it
+    with pytest.raises(ConvergenceError, match="within 20 series terms"):
+        digamma(0.5, cfg)
+    monkeypatch.undo()
     # absolute budget below what doubles can represent for this magnitude
     with pytest.raises(ConvergenceError):
         polygamma(8, 0.01, cfg)
