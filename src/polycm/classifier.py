@@ -361,8 +361,14 @@ class SearchParams:
         checks.finite("x_max", self.x_max)
         if not (0.0 < self.x_min < self.x_max):
             raise DomainError("need 0 < x_min < x_max")
-        if self.coarse_count < 2:
-            raise DomainError("coarse_count must be at least 2")
+        for name, value in (
+            ("coarse_count", checks.integer("coarse_count", self.coarse_count, 2)),
+            ("max_refinements", checks.integer("max_refinements", self.max_refinements, 0)),
+            # below 1 a witness could be certified inside its own error band
+            ("certify_factor", checks.real_in("certify_factor", self.certify_factor, 1.0)),
+            ("rel_width", checks.positive_real("rel_width", self.rel_width)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_SEARCH = SearchParams()

@@ -6,11 +6,15 @@ The l-th derivative in closed form, by the product rule:
 
 _assemble computes f^(l)(x) from a psi row, {k: (value, abs_error) of
 psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
-arithmetic.  f_derivative fills a row with {n+l} and {m..m+l}; cm_check keeps
-one row per grid point with exactly {m..m+L} and {n..n+L}, so it evaluates
-each psi^(k)(x) once.  Each entry's budget is adapted to its own magnitude,
-so small-x points do not demand absolute tolerances below the floating
-point floor of quantities like psi^(8)(0.01) ~ 1e22.
+arithmetic.  One bounded module-level table holds a row per (x, target
+budget) and is shared by every call: f_derivative adds {n+l} and {m..m+l} to
+the row of its point, cm_check adds {m..m+L} and {n..n+L} to the row of each
+grid point, and polygamma runs only for an order the row lacks.  So one call
+evaluates each psi^(k)(x) at most once, and members and scans that share
+points share the evaluations.  Each entry's budget is adapted to its own
+magnitude, a function of (k, x, target) alone, so small-x points do not
+demand absolute tolerances below the floating point floor of quantities like
+psi^(8)(0.01) ~ 1e22.
 
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point:
 certified positive, certified violation (value < -abs_error), or
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import checks
 from .errors import CapabilityError
@@ -32,13 +37,14 @@ from .evaluation import (
     DEFAULT_PRECISION,
     EvalResult,
     PrecisionConfig,
-    bounded_sum,
-    product,
-    scale,
+    ulp,
 )
 from .polygamma import magnitude_lower_bound, polygamma
 
 DEFAULT_ORDER_CAP = 64
+
+# Rows kept by the psi row table; least recently used rows are dropped first.
+_ROW_TABLE_SIZE = 50_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,13 @@ def _check_cap(idx: FamilyIndex, order: int, order_cap: int) -> None:
                               f"order {needed} beyond the cap {order_cap}")
 
 
+@lru_cache(maxsize=_ROW_TABLE_SIZE)
+def _row(x: float, target_abs_error: float) -> dict:
+    """The shared psi row of x under the target budget: the same dict for
+    the same key until evicted, so callers fill it in place."""
+    return {}
+
+
 def _fill(row: dict, orders, x: float, cfg: PrecisionConfig) -> None:
     """Add psi^(k)(x) to the row for each order k it does not hold yet."""
     for k in orders:
@@ -71,16 +84,36 @@ def _fill(row: dict, orders, x: float, cfg: PrecisionConfig) -> None:
             row[k] = (r.value, r.abs_error)
 
 
+@lru_cache(maxsize=None)  # one entry per order; polygamma caps the orders
+def _binomials(order: int) -> tuple[float, ...]:
+    """C(order, j) as floats for j <= order/2."""
+    return tuple(float(math.comb(order, j)) for j in range(order // 2 + 1))
+
+
 def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> EvalResult:
-    """sign * f^(order)(x) from a row holding n+order and m..m+order."""
-    terms = [row[idx.n + order]]
+    """sign * f^(order)(x) from a row holding n+order and m..m+order.
+
+    The arithmetic of product, scale and bounded_sum, written out in their
+    operation order."""
+    m = idx.m
+    v, e = row[idx.n + order]
+    values, errors = [v], [e]
     # terms j and order-j are bit-identical (products commute): compute once
-    for j in range(order // 2 + 1):
-        v, e = product(*row[idx.m + j], *row[idx.m + order - j])
-        t = scale(v, e, float(math.comb(order, j)))
-        terms += (t, t) if 2 * j < order else (t,)
+    for j, c in enumerate(_binomials(order)):
+        a, ea = row[m + j]
+        b, eb = row[m + order - j]
+        p = a * b
+        w = p * c
+        we = c * (abs(a) * eb + abs(b) * ea + ea * eb + ulp(p)) + ulp(w)
+        if 2 * j < order:
+            values += (w, w)
+            errors += (we, we)
+        else:
+            values.append(w)
+            errors.append(we)
     try:
-        v, e = bounded_sum(*zip(*terms))
+        v = math.fsum(values)
+        e = math.fsum(errors) + ulp(v)
     except OverflowError:  # math.fsum: a partial sum left the double range
         v = e = math.inf
     if not (math.isfinite(v) and math.isfinite(e)):
@@ -99,7 +132,7 @@ def f_derivative(
     order = checks.integer("derivative order", order, 0)
     x = checks.positive_real("x", x)
     _check_cap(idx, order, order_cap)
-    row: dict = {}
+    row = _row(x, cfg.target_abs_error)
     _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x, cfg)
     return _assemble(idx, order, row)
 
@@ -161,8 +194,9 @@ def cm_check(
     """
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
+    cap = checks.real_in("inconclusive_fraction_cap", inconclusive_fraction_cap, 0.0, 1.0)
     _check_cap(idx, max_order, DEFAULT_ORDER_CAP)
-    rows: list[dict] = [{} for _ in pts]
+    rows = [_row(x, cfg.target_abs_error) for x in pts]
     entries: list[CMEntry] = []
     for order in range(max_order + 1):
         for x, row in zip(pts, rows):
@@ -180,7 +214,7 @@ def cm_check(
     inconclusive = tuple(e for e in entries if e.status == "inconclusive")
     if violations:
         verdict = "violation"
-    elif len(inconclusive) > inconclusive_fraction_cap * len(entries):
+    elif len(inconclusive) > cap * len(entries):
         verdict = "inconclusive"
     else:
         verdict = "consistent_with_CM"

@@ -10,6 +10,7 @@ tolerance), and residuals of identities the certified routes must satisfy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,9 @@ def reference_polygamma(n: int, x: float, target: float = 1e-11) -> EvalResult:
     y = x + K
     integral = y ** (-float(n)) / n
     first_omitted = y ** (-(n + 1.0))
+    if first_omitted < sys.float_info.min:
+        # subnormal terms keep too few bits for the relative rounding charge
+        raise CapabilityError(f"oracle terms underflow at n={n}, x={x}")
     total = fact * (series + integral + 0.5 * first_omitted)
     tail_err = fact * 0.5 * first_omitted
     rounding = (math.log2(K) + n / 2.0 + 8.0) * _EPS * total

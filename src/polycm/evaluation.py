@@ -22,9 +22,10 @@ from .errors import CapabilityError, DomainError
 REL_BUDGET_FLOOR = 1e-13
 
 
-def ulp(value: float) -> float:
-    """One unit in the last place of |value| (positive, never zero)."""
-    return math.ulp(abs(value)) if value != 0.0 else 5e-324
+# One unit in the last place of |value|: positive, and 5e-324 at +-0.0.
+# math.ulp already takes |value| and maps zero to the smallest subnormal, so
+# the bound operations call it directly, with no Python frame in between.
+ulp = math.ulp
 
 
 def product(a: float, ea: float, b: float, eb: float) -> tuple[float, float]:
@@ -159,7 +160,8 @@ def log_grid(lo: float, hi: float, count: int) -> list[float]:
     """count log-spaced points on [lo, hi], endpoints included, increasing."""
     checks.finite("grid start", lo)
     checks.finite("grid end", hi)
-    if not (0.0 < lo < hi) or count < 2:
+    count = checks.integer("grid count", count, 2)
+    if not (0.0 < lo < hi):
         raise DomainError(f"bad grid ({lo}, {hi}, {count})")
     la, lb = math.log(lo), math.log(hi)
     pts = [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
@@ -171,7 +173,8 @@ def linear_grid(lo: float, hi: float, count: int) -> list[float]:
     """count evenly spaced points on [lo, hi], endpoints included."""
     checks.finite("grid start", lo)
     checks.finite("grid end", hi)
-    if not (lo < hi) or count < 2:
+    count = checks.integer("grid count", count, 2)
+    if not (lo < hi):
         raise DomainError(f"bad grid ({lo}, {hi}, {count})")
     step = (hi - lo) / (count - 1)
     pts = [lo + step * i for i in range(count)]

@@ -190,9 +190,24 @@ def _explicit_polygamma_sum(n: int, x: float, K: int, fact_f: float) -> tuple[fl
     return s, charge
 
 
-# Separate calls at shared points (classify's members) reuse work only through this cache.
-@lru_cache(maxsize=200_000)
-def _polygamma_cached(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
+def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
+    """psi^(n)(x) for n >= 1 with abs_error <= cfg.target_abs_error.
+
+    Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
+    first K terms summed explicitly, with x + K at least the recurrence shift
+    target of 10 (summing the first K terms is the recurrence shift: each
+    term strips one pole), and finished with an Euler-Maclaurin tail whose
+    remainder bound is folded into abs_error.  Raises ConvergenceError when
+    the budget is unreachable, e.g. an absolute 1e-12 for a quantity of
+    magnitude 1e22.  Nothing is cached here: polycm.cm_engine shares whole
+    psi rows across calls.
+    """
+    n = checks.integer("order", n, 1)
+    if n > _HARD_ORDER_CAP:
+        raise CapabilityError(
+            f"order {n} exceeds the double-precision capability cap {_HARD_ORDER_CAP}"
+        )
+    x = checks.positive_real("x", x)
     fact_f = float(math.factorial(n))
     try:
         probe = fact_f * x ** (-(n + 1.0))
@@ -221,26 +236,6 @@ def _polygamma_cached(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
     total, abs_error = _converge(f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * total, abs_error)
-
-
-def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
-    """psi^(n)(x) for n >= 1 with abs_error <= cfg.target_abs_error.
-
-    Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
-    first K terms summed explicitly, with x + K at least the recurrence shift
-    target of 10 (summing the first K terms is the recurrence shift: each
-    term strips one pole), and finished with an Euler-Maclaurin tail whose
-    remainder bound is folded into abs_error.  Raises ConvergenceError when
-    the budget is unreachable, e.g. an absolute 1e-12 for a quantity of
-    magnitude 1e22.
-    """
-    n = checks.integer("order", n, 1)
-    if n > _HARD_ORDER_CAP:
-        raise CapabilityError(
-            f"order {n} exceeds the double-precision capability cap {_HARD_ORDER_CAP}"
-        )
-    x = checks.positive_real("x", x)
-    return _polygamma_cached(n, x, cfg)
 
 
 def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:

@@ -18,10 +18,13 @@ from polycm import (
     CapabilityError,
     DomainError,
     FamilyIndex,
+    PrecisionConfig,
     cm_check,
     f_derivative,
     f_value,
     log_grid,
+    magnitude_lower_bound,
+    polygamma,
     signed_derivative,
 )
 from polycm.crosscheck import (
@@ -29,6 +32,7 @@ from polycm.crosscheck import (
     shift_difference_kernel_check,
     telescoping_check,
 )
+from polycm.evaluation import result_sum
 
 F12_AT_1 = 0.3016942779586569079905329183300197754069
 F22_AT_1 = 3.375649387415348364855263992205051327205
@@ -116,7 +120,9 @@ def test_cm_check_entries_match_signed_derivative(cfg, m, n):
 
 @pytest.fixture
 def psi_calls(monkeypatch) -> list[tuple[int, float]]:
-    """Every (order, x) that cm_engine asks polygamma for during the test."""
+    """Every (order, x) that cm_engine asks polygamma for during the test,
+    starting from an empty psi row table."""
+    cm_engine._row.cache_clear()
     calls = []
     real = cm_engine.polygamma
 
@@ -140,6 +146,82 @@ def test_cm_check_evaluates_each_psi_once(cfg, psi_calls, m, n):
 def test_f_derivative_requests_only_its_orders(cfg, psi_calls):
     f_derivative(FamilyIndex(2, 12), 3, 1.5, cfg)
     assert sorted(psi_calls) == [(k, 1.5) for k in (2, 3, 4, 5, 15)]
+
+
+def test_assembly_matches_evalresult_arithmetic(cfg):
+    # _assemble writes out product, scale and bounded_sum; the EvalResult
+    # form of the Leibniz sum is the reference, bit for bit
+    for m, n in ((1, 2), (3, 5), (2, 2), (6, 1)):
+        for order in range(9):
+            for x in (0.02, 0.7, 3.0, 40.0):
+                psi = {k: polygamma(k, x, cfg.for_magnitude(magnitude_lower_bound(k, x)))
+                       for k in {n + order, *range(m, m + order + 1)}}
+                terms = [psi[n + order]] + [
+                    (psi[m + j] * psi[m + order - j]).scaled(float(math.comb(order, j)))
+                    for j in range(order + 1)
+                ]
+                ref = result_sum(terms)
+                got = f_derivative(FamilyIndex(m, n), order, x, cfg)
+                assert (got.value, got.abs_error) == (ref.value, ref.abs_error)
+
+
+def _entries(rep):
+    return [(e.order, e.x, e.signed_value.value, e.signed_value.abs_error, e.status)
+            for e in rep.entries]
+
+
+def test_row_table_cold_and_warm_agree(cfg):
+    grid = log_grid(0.01, 100.0, 25)
+    members = [FamilyIndex(1, 2), FamilyIndex(3, 5), FamilyIndex(2, 2)]
+    cm_engine._row.cache_clear()
+    cold = [_entries(cm_check(idx, 8, grid, cfg)) for idx in members]
+    warm = [_entries(cm_check(idx, 8, grid, cfg)) for idx in members]
+    assert cm_engine._row.cache_info().currsize == len(grid)
+    assert warm == cold
+    # each member alone on a cleared table, against the warm, uncleared one
+    for idx, ref in zip(members, cold):
+        cm_engine._row.cache_clear()
+        assert _entries(cm_check(idx, 8, grid, cfg)) == ref
+
+
+def test_row_table_keeps_one_row_per_budget(cfg):
+    tight, loose = cfg, PrecisionConfig(target_abs_error=1e-9)
+    idx, x, orders = FamilyIndex(2, 3), 0.7, range(2, 7)
+    cm_engine._row.cache_clear()
+    a = f_derivative(idx, 3, x, tight)
+    b = f_derivative(idx, 3, x, loose)
+    rows = {t: cm_engine._row(x, t) for t in (tight.target_abs_error, loose.target_abs_error)}
+    assert cm_engine._row.cache_info().currsize == 2
+    assert rows[tight.target_abs_error] is not rows[loose.target_abs_error]
+    for c, ref in ((tight, a), (loose, b)):
+        row = rows[c.target_abs_error]
+        assert sorted(row) == list(orders)
+        for k in orders:
+            cold = polygamma(k, x, c.for_magnitude(magnitude_lower_bound(k, x)))
+            assert row[k] == (cold.value, cold.abs_error)
+        cm_engine._row.cache_clear()
+        again = f_derivative(idx, 3, x, c)
+        assert (again.value, again.abs_error) == (ref.value, ref.abs_error)
+
+
+def test_row_table_shares_orders_across_members(cfg, psi_calls):
+    grid = [0.05, 0.5, 5.0]
+    cm_check(FamilyIndex(1, 3), 4, grid, cfg)
+    first = set(psi_calls)
+    assert first == {(k, x) for k in range(1, 8) for x in grid}
+    psi_calls.clear()
+    cm_check(FamilyIndex(1, 5), 4, grid, cfg)
+    # (1,5) needs 1..5 and 5..9; (1,3) already evaluated 1..7
+    assert sorted(psi_calls) == sorted((k, x) for k in (8, 9) for x in grid)
+
+
+def test_cm_check_rejects_bad_inconclusive_cap(cfg):
+    for cap in (math.nan, -1.0, 1.5, math.inf):
+        with pytest.raises(DomainError, match="inconclusive_fraction_cap"):
+            cm_check(FamilyIndex(1, 2), 2, [1.0, 2.0], cfg, inconclusive_fraction_cap=cap)
+    for cap in (0.0, 1.0):
+        rep = cm_check(FamilyIndex(1, 2), 2, [1.0, 2.0], cfg, inconclusive_fraction_cap=cap)
+        assert rep.verdict == "consistent_with_CM"
 
 
 def test_cm_grid_validation(cfg):

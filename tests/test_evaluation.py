@@ -31,6 +31,16 @@ def test_ulp_positive_even_at_zero():
     assert ulp(1.0) == 2.0**-52
 
 
+@pytest.mark.parametrize(
+    "v", [0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e308, -1e308, math.inf, -math.inf, math.nan]
+)
+def test_ulp_is_the_positive_ulp_of_the_magnitude(v):
+    # the rule ulp stands for: one ulp of |v|, and 5e-324 at zero
+    ref = math.ulp(abs(v)) if v != 0.0 else 5e-324
+    got = ulp(v)
+    assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+
 def test_invalid_construction_rejected():
     with pytest.raises(DomainError):
         EvalResult(float("nan"), 0.0)
@@ -145,6 +155,8 @@ def test_log_grid_shape():
         log_grid(1.0, 10.0, 1)
     with pytest.raises(DomainError, match="grid end"):
         log_grid(0.01, math.inf, 5)
+    with pytest.raises(DomainError, match="grid count"):
+        log_grid(0.1, 1.0, 2.5)
 
 
 def test_linear_grid_shape():
@@ -154,3 +166,5 @@ def test_linear_grid_shape():
         linear_grid(1.0, 1.0, 3)
     with pytest.raises(DomainError, match="grid end"):
         linear_grid(0.0, math.inf, 3)
+    with pytest.raises(DomainError, match="grid count"):
+        linear_grid(0.0, 1.0, 2.5)
