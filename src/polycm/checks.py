@@ -28,15 +28,6 @@ def positive_real(name: str, v) -> float:
     return v
 
 
-def real_in(name: str, v, lo: float, hi: float = math.inf) -> float:
-    """v as a float; it must be finite and lie in [lo, hi] (NaN never does)."""
-    v = float(v)
-    if not (math.isfinite(v) and lo <= v <= hi):
-        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-        raise DomainError(f"{name} must be a finite real {bounds}, got {v!r}")
-    return v
-
-
 def integer(name: str, v, minimum: float = -math.inf) -> int:
     """v as an int >= minimum.
 

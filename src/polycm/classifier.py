@@ -94,83 +94,70 @@ class IntPolynomial:
         return self.terms[-1]
 
 
-def q_printed(m: int, n: int) -> IntPolynomial:
-    """Lower-bound numerator as printed: terms with equal powers combined.
+# Every bounding numerator is a sum of the same five monomials,
+#
+#     a (2n)! x^(2m+2) + b (2n+1)! x^(2m+1) - c (m-1)! m! x^(2n+2)
+#       - d [(m!)^2 + (m-1)!(m+1)!] x^(2n+1) - e m! (m+1)! x^(2n),
+#
+# with integer multipliers (a, b, c, d, e) per variant.  Key order is the
+# order of the audit's findings and columns.
+_BOUND_MULTIPLIERS = {
+    "q_printed": (2, 1, 2, 2, 2),
+    "q_derived": (2, 1, 4, 4, 4),
+    "p_printed": (4, 4, 4, 2, 1),
+    "p_derived": (4, 4, 8, 4, 2),
+}
 
-    2(2n)! x^(2m+2) + (2n+1)! x^(2m+1)
-    - 2(m-1)! m! x^(2n+2) - 2[(m!)^2 + (m-1)!(m+1)!] x^(2n+1) - 2 m!(m+1)! x^(2n)
-    """
+
+def _bound_numerator(name: str, m: int, n: int) -> IntPolynomial:
     m = checks.integer("m", m, 1)
     n = checks.integer("n", n, 1)
+    a, b, c, d, e = _BOUND_MULTIPLIERS[name]
     fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
     return IntPolynomial.from_pairs([
-        (2 * math.factorial(2 * n), 2 * m + 2),
-        (math.factorial(2 * n + 1), 2 * m + 1),
-        (-2 * fm1 * fm, 2 * n + 2),
-        (-2 * (fm * fm + fm1 * fm2), 2 * n + 1),
-        (-2 * fm * fm2, 2 * n),
+        (a * math.factorial(2 * n), 2 * m + 2),
+        (b * math.factorial(2 * n + 1), 2 * m + 1),
+        (-c * fm1 * fm, 2 * n + 2),
+        (-d * (fm * fm + fm1 * fm2), 2 * n + 1),
+        (-e * fm * fm2, 2 * n),
     ])
+
+
+def q_printed(m: int, n: int) -> IntPolynomial:
+    """Lower-bound numerator as printed, terms with equal powers combined."""
+    return _bound_numerator("q_printed", m, n)
 
 
 def p_printed(m: int, n: int) -> IntPolynomial:
-    """Upper-bound numerator as printed.
-
-    4(2n)! x^(2m+2) + 4(2n+1)! x^(2m+1)
-    - 4(m-1)! m! x^(2n+2) - 2[(m!)^2 + (m-1)!(m+1)!] x^(2n+1) - m!(m+1)! x^(2n)
-    """
-    m = checks.integer("m", m, 1)
-    n = checks.integer("n", n, 1)
-    fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
-    return IntPolynomial.from_pairs([
-        (4 * math.factorial(2 * n), 2 * m + 2),
-        (4 * math.factorial(2 * n + 1), 2 * m + 1),
-        (-4 * fm1 * fm, 2 * n + 2),
-        (-2 * (fm * fm + fm1 * fm2), 2 * n + 1),
-        (-fm * fm2, 2 * n),
-    ])
+    """Upper-bound numerator as printed."""
+    return _bound_numerator("p_printed", m, n)
 
 
 def q_derived(m: int, n: int) -> IntPolynomial:
     """Re-derived lower-bound numerator: q/(2x^(2m+2n+3)) <= f'_{m,2n}.
 
-    From f' > A_{2n+1} - 2 B_m B_{m+1} with A/B the double-inequality bounds;
-    positive terms match the printed ones, negative terms are exactly twice.
+    From f' > A_{2n+1} - 2 B_m B_{m+1} with A/B the double-inequality bounds.
     """
-    m = checks.integer("m", m, 1)
-    n = checks.integer("n", n, 1)
-    fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
-    return IntPolynomial.from_pairs([
-        (2 * math.factorial(2 * n), 2 * m + 2),
-        (math.factorial(2 * n + 1), 2 * m + 1),
-        (-4 * fm1 * fm, 2 * n + 2),
-        (-4 * (fm * fm + fm1 * fm2), 2 * n + 1),
-        (-4 * fm * fm2, 2 * n),
-    ])
+    return _bound_numerator("q_derived", m, n)
 
 
 def p_derived(m: int, n: int) -> IntPolynomial:
     """Re-derived upper-bound numerator: f'_{m,2n} <= p/(4x^(2m+2n+3)).
 
-    From f' < B_{2n+1} - 2 A_m A_{m+1}; again negative terms are twice the
-    printed ones, positives identical.
+    From f' < B_{2n+1} - 2 A_m A_{m+1}.
     """
-    m = checks.integer("m", m, 1)
-    n = checks.integer("n", n, 1)
-    fm1, fm, fm2 = math.factorial(m - 1), math.factorial(m), math.factorial(m + 1)
-    return IntPolynomial.from_pairs([
-        (4 * math.factorial(2 * n), 2 * m + 2),
-        (4 * math.factorial(2 * n + 1), 2 * m + 1),
-        (-8 * fm1 * fm, 2 * n + 2),
-        (-4 * (fm * fm + fm1 * fm2), 2 * n + 1),
-        (-2 * fm * fm2, 2 * n),
-    ])
+    return _bound_numerator("p_derived", m, n)
+
+
+def _check_end(end: str) -> None:
+    if end not in ("zero", "infinity"):
+        raise DomainError(f"end must be 'zero' or 'infinity', got {end!r}")
 
 
 def leading_term_sign(poly: IntPolynomial, end: str) -> int:
     """Sign (+1/-1) of the coefficient that dominates at the given end:
     highest power toward infinity, lowest power toward zero."""
-    if end not in ("zero", "infinity"):
-        raise DomainError(f"end must be 'zero' or 'infinity', got {end!r}")
+    _check_end(end)
     if poly.is_zero():
         raise DomainError("zero polynomial has no dominant term")
     coeff, _ = poly.leading() if end == "infinity" else poly.trailing()
@@ -202,21 +189,6 @@ class BoundAuditReport:
     printed_p_ok: bool
 
 
-_BOUND_NAMES = ("q_printed", "q_derived", "p_printed", "p_derived")
-
-
-def _bound_values(m: int, n: int, x: float) -> dict[str, float]:
-    X = Fraction(x)
-    denom_q = 2 * X ** (2 * m + 2 * n + 3)
-    denom_p = 4 * X ** (2 * m + 2 * n + 3)
-    return {
-        "q_printed": float(q_printed(m, n).evaluate_exact(X) / denom_q),
-        "q_derived": float(q_derived(m, n).evaluate_exact(X) / denom_q),
-        "p_printed": float(p_printed(m, n).evaluate_exact(X) / denom_p),
-        "p_derived": float(p_derived(m, n).evaluate_exact(X) / denom_p),
-    }
-
-
 def bound_check(
     m: int,
     n: int,
@@ -234,17 +206,23 @@ def bound_check(
     n = checks.integer("n", n, 1)
     pts = checks.grid(grid)
     idx = FamilyIndex(m, 2 * n)
+    numerators = {name: _bound_numerator(name, m, n) for name in _BOUND_MULTIPLIERS}
     entries: list[BoundEntry] = []
     findings: list[str] = []
     derived_ok = True
     printed_p_ok = True
     for x in pts:
         fp = f_derivative(idx, 1, x, cfg)
-        bounds = _bound_values(m, n, x)
+        X = Fraction(x)
+        power = X ** (2 * m + 2 * n + 3)
+        bounds: dict[str, float] = {}
         statuses: dict[str, str] = {}
         margins: dict[str, float] = {}
-        for name, b in bounds.items():
+        for name, poly in numerators.items():
             lower = name.startswith("q")
+            # q/(2 x^(2m+2n+3)) bounds f' from below, p/(4 x^(2m+2n+3)) from above
+            b = float(poly.evaluate_exact(X) / ((2 if lower else 4) * power))
+            bounds[name] = b
             margin = (fp.value - b) if lower else (b - fp.value)
             err = fp.abs_error + ulp(b)
             if margin > err:
@@ -319,8 +297,7 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
     predicts the sign of f at that end (degenerate at m = v = 1, where the
     infinity-end leading coefficients cancel).
     """
-    if end not in ("zero", "infinity"):
-        raise DomainError(f"end must be 'zero' or 'infinity', got {end!r}")
+    _check_end(end)
     if idx.n % 2 != 0:
         raise DomainError(f"envelope applies to even second index, got {idx.n}")
     x = checks.positive_real("x", x)
@@ -348,27 +325,27 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
+# Witness search: points of the coarse log scan, bisection steps, the factor
+# by which |value| must clear abs_error to certify a sign (below 1 a witness
+# could be certified inside its own error band), and the relative bracket
+# width at which bisection stops.
+_COARSE_COUNT = 128
+_MAX_REFINEMENTS = 80
+_CERTIFY_FACTOR = 10.0
+_REL_WIDTH = 1e-6
+
+
 @dataclass(frozen=True)
 class SearchParams:
+    """The window [x_min, x_max] the witness search scans."""
+
     x_min: float = 1e-3
     x_max: float = 1e3
-    coarse_count: int = 128
-    max_refinements: int = 80
-    certify_factor: float = 10.0
-    rel_width: float = 1e-6
 
     def __post_init__(self) -> None:
         checks.finite("x_max", self.x_max)
         if not (0.0 < self.x_min < self.x_max):
             raise DomainError("need 0 < x_min < x_max")
-        for name, value in (
-            ("coarse_count", checks.integer("coarse_count", self.coarse_count, 2)),
-            ("max_refinements", checks.integer("max_refinements", self.max_refinements, 0)),
-            # below 1 a witness could be certified inside its own error band
-            ("certify_factor", checks.real_in("certify_factor", self.certify_factor, 1.0)),
-            ("rel_width", checks.positive_real("rel_width", self.rel_width)),
-        ):
-            object.__setattr__(self, name, value)
 
 
 DEFAULT_SEARCH = SearchParams()
@@ -393,10 +370,10 @@ class Witness:
     margin_negative: float
 
 
-def _certified_sign(ev: EvalResult, factor: float) -> int:
-    if ev.certainly_positive(factor):
+def _certified_sign(ev: EvalResult) -> int:
+    if ev.certainly_positive(_CERTIFY_FACTOR):
         return 1
-    if ev.certainly_negative(factor):
+    if ev.certainly_negative(_CERTIFY_FACTOR):
         return -1
     return 0
 
@@ -409,11 +386,11 @@ def _witness_search(
 ) -> Witness:
     """Scan a log grid for certified opposite signs, then log-bisect the
     bracket; stop early if a midpoint cannot be certified."""
-    xs = log_grid(search.x_min, search.x_max, search.coarse_count)
+    xs = log_grid(search.x_min, search.x_max, _COARSE_COUNT)
     signs: list[tuple[float, EvalResult, int]] = []
     for x in xs:
         ev = probe(x)
-        signs.append((x, ev, _certified_sign(ev, search.certify_factor)))
+        signs.append((x, ev, _certified_sign(ev)))
 
     bracket = None
     for (x1, e1, s1), (x2, e2, s2) in zip(signs, signs[1:]):
@@ -430,12 +407,12 @@ def _witness_search(
         )
 
     lo, elo, slo, hi, ehi, shi = bracket
-    for _ in range(search.max_refinements):
-        if hi / lo - 1.0 <= search.rel_width:
+    for _ in range(_MAX_REFINEMENTS):
+        if hi / lo - 1.0 <= _REL_WIDTH:
             break
         mid = math.sqrt(lo * hi)
         emid = probe(mid)
-        smid = _certified_sign(emid, search.certify_factor)
+        smid = _certified_sign(emid)
         if smid == 0:
             break  # keep the last certified bracket
         if smid == slo:

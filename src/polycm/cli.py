@@ -230,17 +230,10 @@ def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
     return (1 if report.verdict == "violation" else 0), doc
 
 
-_EXPECTED_DIRECTION = {"omega": "increasing", "tanh": "increasing", "kappa": "decreasing"}
-
-
 def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
     _precision(args)  # kernels take no budget, but a bad --precision is still rejected
     kid = KernelId("h", args.k) if args.kernel == "h" else KernelId(args.kernel)
     report = kernel_report(kid, _grid(args))
-    if args.kernel == "h":
-        expected = "decreasing" if args.k >= 0 else "increasing"
-    else:
-        expected = _EXPECTED_DIRECTION[args.kernel]
     entries = [
         {"t": t, "value": v.value, "abs_error": v.abs_error}
         for t, v in zip(report.grid, report.values)
@@ -257,7 +250,7 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
         for c in report.limit_checks
     ]
     ok = (
-        report.monotonicity_verdict == expected
+        report.monotonicity_verdict == report.expected_monotonicity
         and all(c.passed for c in report.limit_checks)
         and report.range_passed
     )
@@ -267,7 +260,7 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
         "findings": list(report.diagnostics),
         "summary": {
             "monotonicity": report.monotonicity_verdict,
-            "expected_monotonicity": expected,
+            "expected_monotonicity": report.expected_monotonicity,
             "limit_checks": limit_rows,
             "range": report.range_description,
             "range_passed": report.range_passed,
@@ -319,8 +312,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
     for e in report.entries:
         row: dict = {"x": e.x, "f_prime": e.f_prime.value,
                      "abs_error": e.f_prime.abs_error}
-        for name in ("q_printed", "q_derived", "p_printed", "p_derived"):
-            row[f"{name}_bound"] = e.bounds[name]
+        for name, bound in e.bounds.items():
+            row[f"{name}_bound"] = bound
             row[f"{name}_margin"] = e.margins[name]
             row[f"{name}_status"] = e.statuses[name]
         entries.append(row)

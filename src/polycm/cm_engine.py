@@ -41,7 +41,11 @@ from .evaluation import (
 )
 from .polygamma import magnitude_lower_bound, polygamma
 
+# Highest polygamma order a derivative may need.
 DEFAULT_ORDER_CAP = 64
+
+# Largest share of unresolved entries a consistent_with_CM verdict allows.
+_INCONCLUSIVE_CAP = 0.01
 
 # Rows kept by the psi row table; least recently used rows are dropped first.
 _ROW_TABLE_SIZE = 50_000
@@ -62,11 +66,11 @@ class FamilyIndex:
         return f"f[{self.m},{self.n}]"
 
 
-def _check_cap(idx: FamilyIndex, order: int, order_cap: int) -> None:
+def _check_cap(idx: FamilyIndex, order: int) -> None:
     needed = max(idx.n, idx.m) + order
-    if needed > order_cap:
+    if needed > DEFAULT_ORDER_CAP:
         raise CapabilityError(f"{idx.label()} derivative {order} needs polygamma "
-                              f"order {needed} beyond the cap {order_cap}")
+                              f"order {needed} beyond the cap {DEFAULT_ORDER_CAP}")
 
 
 @lru_cache(maxsize=_ROW_TABLE_SIZE)
@@ -126,12 +130,11 @@ def f_derivative(
     order: int,
     x: float,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> EvalResult:
     """f^(order)(x) in closed form with propagated error bounds."""
     order = checks.integer("derivative order", order, 0)
     x = checks.positive_real("x", x)
-    _check_cap(idx, order, order_cap)
+    _check_cap(idx, order)
     row = _row(x, cfg.target_abs_error)
     _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x, cfg)
     return _assemble(idx, order, row)
@@ -184,18 +187,16 @@ def cm_check(
     max_order: int,
     grid,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
-    inconclusive_fraction_cap: float = 0.01,
 ) -> CMReport:
     """Evaluate (-1)^l f^(l) for l = 0..max_order over the grid.
 
     Verdict: violation if any point is certified negative; otherwise
-    inconclusive when the fraction of unresolvable points exceeds the cap;
-    otherwise consistent_with_CM.
+    inconclusive when the share of unresolved entries exceeds
+    _INCONCLUSIVE_CAP; otherwise consistent_with_CM.
     """
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
-    cap = checks.real_in("inconclusive_fraction_cap", inconclusive_fraction_cap, 0.0, 1.0)
-    _check_cap(idx, max_order, DEFAULT_ORDER_CAP)
+    _check_cap(idx, max_order)
     rows = [_row(x, cfg.target_abs_error) for x in pts]
     entries: list[CMEntry] = []
     for order in range(max_order + 1):
@@ -204,9 +205,8 @@ def cm_check(
             sv = _assemble(idx, order, row, (-1.0) ** order)
             if sv.certainly_negative():
                 status = "violation"
-            elif sv.certainly_positive() or sv.value >= 0.0:
-                # non-negative within tolerance counts toward consistency
-                status = "positive" if sv.certainly_positive() else "inconclusive"
+            elif sv.certainly_positive():
+                status = "positive"
             else:
                 status = "inconclusive"
             entries.append(CMEntry(order, x, sv, status))
@@ -214,7 +214,7 @@ def cm_check(
     inconclusive = tuple(e for e in entries if e.status == "inconclusive")
     if violations:
         verdict = "violation"
-    elif len(inconclusive) > cap * len(entries):
+    elif len(inconclusive) > _INCONCLUSIVE_CAP * len(entries):
         verdict = "inconclusive"
     else:
         verdict = "consistent_with_CM"

@@ -122,16 +122,17 @@ class PrecisionConfig:
     """The error budget of one evaluation.
 
     target_abs_error: absolute error bound a single evaluation must meet
-        (operations fail with ConvergenceError if they cannot).  The
-        recurrence shift and the series-term cap that the series routes use
-        to reach it are constants of polycm.polygamma.
+        (operations fail with ConvergenceError if they cannot).
+        polycm.polygamma decides how far its series routes shift the
+        argument to reach it and how many terms they may sum.
     """
 
     target_abs_error: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (self.target_abs_error > 0.0) or not math.isfinite(self.target_abs_error):
-            raise DomainError("target_abs_error must be a positive finite float")
+        object.__setattr__(
+            self, "target_abs_error", checks.positive_real("target_abs_error", self.target_abs_error)
+        )
 
     def for_magnitude(self, magnitude: float) -> "PrecisionConfig":
         """Budget adapted to a quantity of the given rough magnitude.

@@ -18,12 +18,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from . import checks
 from .errors import CapabilityError, DomainError
 from .evaluation import EvalResult, ulp
 
 _SERIES_SWITCH = 2.0**-10
+
+# A finite endpoint limit passes when the endpoint value is this close to it
+# (or when the approach to it is certified).
+_LIMIT_TOLERANCE = 1e-5
 
 _KINDS = ("h", "omega", "tanh", "kappa")
 
@@ -149,14 +155,54 @@ def omega_plus_one(t: float) -> EvalResult:
     return EvalResult(value, err)
 
 
-def kernel_value(kernel: KernelId, t: float) -> EvalResult:
-    if kernel.kind == "h":
-        return h(kernel.k, t)
+@dataclass(frozen=True)
+class _Facts:
+    """What the report certifies about one kernel.
+
+    compared: the quantity whose adjacent differences decide monotonicity,
+    None for the kernel itself.  h at k = 0 and kappa flatten to 1/2 resp. 1
+    at large t, where subtracting near-equal values loses the comparison;
+    both differ from E(t) by a constant, so they are compared through E.
+    limits: values at t -> 0 and t -> inf, None for divergence to +inf.
+    range_margins(t, value): the margins that must all be certified positive
+    for the range claim, in the cancellation-free forms of the module
+    docstring (omega + 1 as omega_plus_one).
+    """
+
+    value: Callable[[float], EvalResult]
+    compared: Callable[[float], EvalResult] | None
+    direction: str  # "increasing" | "decreasing"
+    limits: tuple[float | None, float | None]
+    range_text: str
+    range_margins: Callable[[float, EvalResult], list[EvalResult]]
+
+
+def _facts(kernel: KernelId) -> _Facts:
     if kernel.kind == "omega":
-        return omega(t)
+        return _Facts(omega, None, "increasing", (-1.0, 0.0), "(-1, 0)",
+                      lambda t, v: [omega_plus_one(t), -v])
+    if kernel.kind == "kappa":
+        return _Facts(kappa, reciprocal_expm1, "decreasing", (None, 1.0), "(1, inf)",
+                      lambda t, v: [reciprocal_expm1(t)])
     if kernel.kind == "tanh":
-        return tanh_kernel(t)
-    return kappa(t)
+        return _Facts(tanh_kernel, None, "increasing", (0.0, None), "(0, inf)",
+                      lambda t, v: [v])
+    k = kernel.k
+    value = partial(h, k)
+    if k == 0:
+        return _Facts(value, reciprocal_expm1, "decreasing", (None, 0.5), "(1/2, inf)",
+                      lambda t, v: [reciprocal_expm1(t)])
+    if k == -1:
+        return _Facts(value, None, "increasing", (1.0, None), "(1, inf)",
+                      lambda t, v: [tanh_kernel(t)])
+    if k > 0:
+        return _Facts(value, None, "decreasing", (None, 0.0), "(0, inf)",
+                      lambda t, v: [v])
+    return _Facts(value, None, "increasing", (0.0, None), "(0, inf)", lambda t, v: [v])
+
+
+def kernel_value(kernel: KernelId, t: float) -> EvalResult:
+    return _facts(kernel).value(t)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +237,7 @@ class KernelReport:
     grid: tuple[float, ...]
     values: tuple[EvalResult, ...]
     monotonicity_verdict: str  # "increasing" | "decreasing" | "none"
+    expected_monotonicity: str  # the direction the kernel is known to have
     limit_checks: tuple[LimitCheck, ...]
     range_description: str
     range_passed: bool
@@ -198,75 +245,9 @@ class KernelReport:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _limit_table(kernel: KernelId) -> dict[str, float | None]:
-    """Endpoint limits; None encodes divergence to +inf."""
-    if kernel.kind == "omega":
-        return {"zero": -1.0, "infinity": 0.0}
-    if kernel.kind == "kappa":
-        return {"zero": None, "infinity": 1.0}
-    if kernel.kind == "tanh":
-        return {"zero": 0.0, "infinity": None}
-    k = kernel.k
-    zero: float | None
-    zero = 0.0 if k <= -2 else (1.0 if k == -1 else None)
-    inf: float | None
-    inf = None if k <= -1 else (0.5 if k == 0 else 0.0)
-    return {"zero": zero, "infinity": inf}
-
-
-def _adjacent_margins(kernel: KernelId, grid: tuple[float, ...]) -> list[EvalResult]:
-    """Signed differences value(t_{i+1}) - value(t_i), with combined error.
-
-    h at k = 0 and kappa flatten to 1/2 resp. 1 at large t, where direct
-    subtraction of near-equal floats loses the comparison; both differ from
-    E(t) by an additive constant, so their adjacent differences are compared
-    through E itself.
-    """
-    if kernel.kind == "kappa" or (kernel.kind == "h" and kernel.k == 0):
-        vals = [reciprocal_expm1(t) for t in grid]
-    else:
-        vals = [kernel_value(kernel, t) for t in grid]
-    return [b - a for a, b in zip(vals, vals[1:])]
-
-
-def _range_margins(kernel: KernelId, t: float, v: EvalResult) -> list[EvalResult]:
-    """Margins that must all be certified positive for the range claim.
-
-    Boundary distances use the cancellation-free reformulations:
-    h_0 - 1/2 = E, h_-1 - 1 = tanh_kernel/t... concretely t*h_-1 - 1 =
-    tanh_kernel, kappa - 1 = E, omega + 1 via its dedicated form.
-    """
-    if kernel.kind == "omega":
-        return [omega_plus_one(t), -v]
-    if kernel.kind == "kappa":
-        return [reciprocal_expm1(t)]
-    if kernel.kind == "tanh":
-        return [v]
-    if kernel.k == 0:
-        return [reciprocal_expm1(t)]
-    if kernel.k == -1:
-        return [tanh_kernel(t)]
-    return [v]
-
-
-def _range_description(kernel: KernelId) -> str:
-    if kernel.kind == "omega":
-        return "(-1, 0)"
-    if kernel.kind == "kappa":
-        return "(1, inf)"
-    if kernel.kind == "tanh":
-        return "(0, inf)"
-    if kernel.k == 0:
-        return "(1/2, inf)"
-    if kernel.k == -1:
-        return "(1, inf)"
-    return "(0, inf)"
-
-
 def kernel_report(
     kernel: KernelId,
     grid: tuple[float, ...] | list[float],
-    limit_tolerance: float = 1e-5,
 ) -> KernelReport:
     """Evaluate the kernel over the grid and certify monotonicity, endpoint
     limits, and range membership, each only when margins clear error bounds.
@@ -276,12 +257,13 @@ def kernel_report(
     both sit below the normal double range raises CapabilityError.
     """
     grid = checks.grid(grid, 2)  # adjacent comparisons need two points
-
-    values = tuple(kernel_value(kernel, t) for t in grid)
+    facts = _facts(kernel)
+    values = tuple(facts.value(t) for t in grid)
     diagnostics: list[str] = []
 
-    # monotonicity across adjacent pairs
-    diffs = _adjacent_margins(kernel, grid)
+    # monotonicity: signed differences of adjacent compared values
+    compared = values if facts.compared is None else [facts.compared(t) for t in grid]
+    diffs = [b - a for a, b in zip(compared, compared[1:])]
     ups = sum(1 for d in diffs if d.certainly_positive())
     downs = sum(1 for d in diffs if d.certainly_negative())
     if ups == len(diffs):
@@ -300,10 +282,8 @@ def kernel_report(
             diagnostics.append(f"mixed directions: {ups} up, {downs} down")
 
     # endpoint limits
-    table = _limit_table(kernel)
     limits: list[LimitCheck] = []
-    for end, idx in (("zero", 0), ("infinity", len(grid) - 1)):
-        expected = table[end]
+    for end, idx, expected in zip(("zero", "infinity"), (0, len(grid) - 1), facts.limits):
         v_end = values[idx]
         v_prev = values[1] if end == "zero" else values[-2]
         if expected is None:
@@ -325,9 +305,9 @@ def kernel_report(
                 end,
                 expected,
                 achieved,
-                limit_tolerance,
+                _LIMIT_TOLERANCE,
                 bool(approach),
-                achieved <= limit_tolerance or bool(approach),
+                achieved <= _LIMIT_TOLERANCE or bool(approach),
             )
         )
 
@@ -335,7 +315,7 @@ def kernel_report(
     min_margin = math.inf
     range_ok = True
     for t, v in zip(grid, values):
-        for margin in _range_margins(kernel, t, v):
+        for margin in facts.range_margins(t, v):
             min_margin = min(min_margin, margin.value - margin.abs_error)
             if not margin.certainly_positive():
                 if abs(margin.value) + margin.abs_error < sys.float_info.min:
@@ -355,8 +335,9 @@ def kernel_report(
         grid=grid,
         values=values,
         monotonicity_verdict=verdict,
+        expected_monotonicity=facts.direction,
         limit_checks=tuple(limits),
-        range_description=_range_description(kernel),
+        range_description=facts.range_text,
         range_passed=range_ok,
         min_range_margin=min_margin,
         diagnostics=tuple(diagnostics),

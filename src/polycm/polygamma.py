@@ -142,10 +142,6 @@ def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
 # Hard cap on explicit series terms per evaluation.
 _MAX_SERIES_TERMS = 5_000_000
 
-# Arguments are recurrence-shifted above this value before the tail closes the
-# series; a tight budget may shift further.
-_RECURRENCE_SHIFT_TARGET = 10.0
-
 
 def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]:
     """(value, abs_error) of the first series closed at K terms within budget.
@@ -153,10 +149,12 @@ def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]
     attempt(K) sums the first K terms, closes the series with its
     Euler-Maclaurin tail and returns (value, remainder, rounding).  K grows
     until the bound remainder + rounding meets the budget; ConvergenceError
-    when K passes the term cap, or when the remainder is already negligible
-    against the rounding floor that more terms cannot lower.
+    when K passes the term cap, or when more terms cannot lower the bound:
+    the remainder is already negligible against the rounding floor, or it
+    did not change from the previous attempt (the tail power it scales sits
+    at the subnormal floor _TINY, where it stays as K grows).
     """
-    best_bound = math.inf
+    best_bound = last_remainder = math.inf
     while True:
         if K > _MAX_SERIES_TERMS:
             raise ConvergenceError(
@@ -169,12 +167,13 @@ def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]
         best_bound = min(best_bound, abs_error)
         if abs_error <= budget:
             return total, abs_error
-        if remainder <= 0.05 * rounding:
+        if remainder <= 0.05 * rounding or remainder == last_remainder:
             raise ConvergenceError(
                 f"{label}: budget {budget:g} below the double-precision floor; "
                 f"best achievable bound {abs_error:g}",
                 best_bound=best_bound,
             )
+        last_remainder = remainder
         K = max(K + 16, int(1.5 * K))
 
 
@@ -194,9 +193,9 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
     """psi^(n)(x) for n >= 1 with abs_error <= cfg.target_abs_error.
 
     Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
-    first K terms summed explicitly, with x + K at least the recurrence shift
-    target of 10 (summing the first K terms is the recurrence shift: each
-    term strips one pole), and finished with an Euler-Maclaurin tail whose
+    first K terms summed explicitly, with x + K at least 24 + 0.55n (summing
+    the first K terms is the recurrence shift: each term strips one pole),
+    and finished with an Euler-Maclaurin tail whose
     remainder bound is folded into abs_error.  Raises ConvergenceError when
     the budget is unreachable, e.g. an absolute 1e-12 for a quantity of
     magnitude 1e22.  Nothing is cached here: polycm.cm_engine shares whole
@@ -228,11 +227,7 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
         )
         return total, remainder, rounding
 
-    K = max(
-        0,
-        math.ceil(_RECURRENCE_SHIFT_TARGET - x),
-        math.ceil(24.0 + 0.55 * n - x),
-    )
+    K = max(0, math.ceil(24.0 + 0.55 * n - x))
     total, abs_error = _converge(f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * total, abs_error)
@@ -241,10 +236,9 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
 def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
     """psi(x) via the series -gamma + sum_{k>=0} [1/(k+1) - 1/(k+x)].
 
-    The explicit prefix of the series (at least 32 terms, and at least the
-    recurrence shift target of 10) is the recurrence shift; the tail is
-    closed with an Euler-Maclaurin correction whose remainder bound lands in
-    abs_error.
+    The explicit prefix of the series (at least 32 terms) is the recurrence
+    shift; the tail is closed with an Euler-Maclaurin correction whose
+    remainder bound lands in abs_error.
     """
     x = checks.positive_real("x", x)
 
@@ -263,5 +257,4 @@ def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
         )
         return total, remainder, rounding
 
-    K = max(32, math.ceil(_RECURRENCE_SHIFT_TARGET))
-    return EvalResult(*_converge(f"psi({x})", cfg.target_abs_error, K, attempt))
+    return EvalResult(*_converge(f"psi({x})", cfg.target_abs_error, 32, attempt))

@@ -136,7 +136,7 @@ def test_kernel_id_validation():
 
 def test_report_omega():
     rep = kernel_report(KernelId("omega"), log_grid(1e-6, 50.0, 64))
-    assert rep.monotonicity_verdict == "increasing"
+    assert rep.monotonicity_verdict == rep.expected_monotonicity == "increasing"
     assert all(c.passed for c in rep.limit_checks)
     by_end = {c.end: c for c in rep.limit_checks}
     assert by_end["zero"].achieved <= 1e-5
@@ -147,7 +147,7 @@ def test_report_omega():
 
 def test_report_kappa():
     rep = kernel_report(KernelId("kappa"), log_grid(1e-6, 50.0, 64))
-    assert rep.monotonicity_verdict == "decreasing"
+    assert rep.monotonicity_verdict == rep.expected_monotonicity == "decreasing"
     by_end = {c.end: c for c in rep.limit_checks}
     assert by_end["zero"].expected is None and by_end["zero"].passed
     assert by_end["infinity"].passed
@@ -156,7 +156,7 @@ def test_report_kappa():
 
 def test_report_tanh():
     rep = kernel_report(KernelId("tanh"), log_grid(1e-6, 50.0, 64))
-    assert rep.monotonicity_verdict == "increasing"
+    assert rep.monotonicity_verdict == rep.expected_monotonicity == "increasing"
     by_end = {c.end: c for c in rep.limit_checks}
     assert by_end["zero"].passed and by_end["zero"].achieved <= 1e-5
     assert by_end["infinity"].expected is None and by_end["infinity"].passed
@@ -170,7 +170,7 @@ def test_report_tanh():
 )
 def test_report_h_directions_and_limits(k, direction):
     rep = kernel_report(KernelId("h", k), log_grid(1e-6, 50.0, 64))
-    assert rep.monotonicity_verdict == direction
+    assert rep.monotonicity_verdict == rep.expected_monotonicity == direction
     assert all(c.passed for c in rep.limit_checks)
     assert rep.range_passed
     if k >= 1:

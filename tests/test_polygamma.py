@@ -265,6 +265,12 @@ def test_convergence_failure_modes(cfg, monkeypatch):
     eff = cfg.for_magnitude(magnitude_lower_bound(8, 0.01))
     big = polygamma(8, 0.01, eff)
     assert abs(big.value) > 1e20 and big.abs_error <= eff.target_abs_error
+    # the remainder sits at the subnormal floor and cannot fall as terms are
+    # added: the floor error comes at once, not after the whole term cap
+    x = 1.7782794100389e10
+    tight = PrecisionConfig(1e-300).for_magnitude(magnitude_lower_bound(29, x))
+    with pytest.raises(ConvergenceError, match="best achievable bound"):
+        polygamma(29, x, tight)
 
 
 def test_magnitude_lower_bound_is_a_lower_bound(cfg):
