@@ -385,28 +385,28 @@ def _witness_search(
     search: SearchParams,
 ) -> Witness:
     """Scan a log grid for certified opposite signs, then log-bisect the
-    bracket; stop early if a midpoint cannot be certified."""
-    xs = log_grid(search.x_min, search.x_max, _COARSE_COUNT)
-    signs: list[tuple[float, EvalResult, int]] = []
-    for x in xs:
-        ev = probe(x)
-        signs.append((x, ev, _certified_sign(ev)))
+    bracket; stop early if a midpoint cannot be certified.
 
-    bracket = None
-    for (x1, e1, s1), (x2, e2, s2) in zip(signs, signs[1:]):
-        if s1 != 0 and s2 != 0 and s1 != s2:
-            bracket = (x1, e1, s1, x2, e2, s2)
+    The scan stops at the first adjacent pair of coarse points with
+    certified opposite signs, the bracket a full scan would pick, so no
+    point past it is probed; without a bracket it probes all of them.
+    """
+    signs: list[int] = []
+    for x in log_grid(search.x_min, search.x_max, _COARSE_COUNT):
+        ev = probe(x)
+        s = _certified_sign(ev)
+        if signs and s * signs[-1] < 0:
+            hi, ehi = x, ev
             break
-    if bracket is None:
-        pos = sum(1 for _, _, s in signs if s == 1)
-        neg = sum(1 for _, _, s in signs if s == -1)
+        signs.append(s)
+        lo, elo, slo = x, ev, s
+    else:
         raise SearchExhaustedError(
             f"no certified {kind} bracket for {label} in "
             f"[{search.x_min:g}, {search.x_max:g}]: "
-            f"{pos} certified positive, {neg} certified negative"
+            f"{signs.count(1)} certified positive, {signs.count(-1)} certified negative"
         )
 
-    lo, elo, slo, hi, ehi, shi = bracket
     for _ in range(_MAX_REFINEMENTS):
         if hi / lo - 1.0 <= _REL_WIDTH:
             break

@@ -122,9 +122,11 @@ class PrecisionConfig:
     """The error budget of one evaluation.
 
     target_abs_error: absolute error bound a single evaluation must meet
-        (operations fail with ConvergenceError if they cannot).
-        polycm.polygamma decides how far its series routes shift the
-        argument to reach it and how many terms they may sum.
+        (operations fail with ConvergenceError if they cannot).  It does
+        not set where polycm.polygamma's series starts: that shift depends
+        on the order and the argument alone and already meets every
+        magnitude-adapted budget.  A tighter budget only lengthens the
+        series; one the series cannot reach raises ConvergenceError.
     """
 
     target_abs_error: float = 1e-12

@@ -75,46 +75,26 @@ def digamma_magnitude_estimate(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _em_coeff(n: int, i: int) -> float:
-    """B_2i * (n + 2i - 1)! / (2i)!  as a float (exact rational, then rounded)."""
-    f = _BERNOULLI[2 * i] * Fraction(math.factorial(n + 2 * i - 1), math.factorial(2 * i))
-    return float(f)
-
-
-def _polygamma_tail(n: int, y: float) -> tuple[list[float], float]:
-    """Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1), with remainder bound.
-
-    terms[0] is the integral part (n-1)!/y^n, terms[1] the half-sample
-    n!/(2 y^(n+1)), the rest the Bernoulli corrections up to the pair count
-    that minimizes the remainder bound.  Negative exponents throughout so
-    extreme y underflows instead of raising OverflowError.  A subnormal y^-n
-    has lost the value's bits: CapabilityError.  An underflowed half-sample
-    term is charged in full (n! * _TINY/2), the p = 1 remainder power is at
-    least _TINY, and the pair search stops at the first subnormal power.
+@lru_cache(maxsize=_HARD_ORDER_CAP)
+def _order_constants(n: int) -> tuple:
+    """What polygamma's series needs of the order n alone, as floats rounded
+    from exact integers and rationals: n!, (n-1)!, the exponents -(n+1), -n
+    and -(n+2p), the Euler-Maclaurin coefficients B_2p (n+2p-1)!/(2p)! and
+    their absolute values, the explicit-sum and tail rounding charge
+    factors, and the full charge n! * _TINY/2 of an underflowed half-sample.
     """
-    inv_pow = y ** (-float(n))
-    if inv_pow < _TINY:
-        raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
-    inv_y = 1.0 / y
-    base = [
-        math.factorial(n - 1) * inv_pow,
-        math.factorial(n) * inv_pow * inv_y / 2.0,
-    ]
-    best_p, best_bound = 1, abs(_em_coeff(n, 1)) * max(y ** (-(n + 2.0)), _TINY)
-    for p in range(2, _MAX_EM_PAIRS + 1):
-        power = y ** (-(n + 2.0 * p))
-        if power < _TINY:
-            break
-        b = abs(_em_coeff(n, p)) * power
-        if b < best_bound:
-            best_p, best_bound = p, b
-    if inv_pow * inv_y < _TINY:
-        best_bound += math.factorial(n) * _TINY / 2.0
-    terms = base + [
-        _em_coeff(n, i) * y ** (-(n + 2.0 * i)) for i in range(1, best_p)
-    ]
-    return terms, best_bound
+    fact_f = float(math.factorial(n))
+    pairs = range(1, _MAX_EM_PAIRS + 1)
+    coeffs = tuple(
+        float(_BERNOULLI[2 * p] * Fraction(math.factorial(n + 2 * p - 1), math.factorial(2 * p)))
+        for p in pairs
+    )
+    # explicit-sum charge, per term: pow amplification (n+1)/2 eps on the
+    # rounded base, ~1 ulp for pow itself, 1/2 ulp each for factorial and
+    # product; math.fsum rounds the sum once
+    return (fact_f, float(math.factorial(n - 1)), -(n + 1.0), -float(n),
+            tuple(-(n + 2.0 * p) for p in pairs), coeffs, tuple(abs(c) for c in coeffs),
+            ((n + 1.0) / 2.0 + 3.0) * _EPS, ((n + 16.0) / 2.0 + 4.0) * _EPS, fact_f * _TINY / 2.0)
 
 
 def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
@@ -177,29 +157,19 @@ def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]
         K = max(K + 16, int(1.5 * K))
 
 
-def _explicit_polygamma_sum(n: int, x: float, K: int, fact_f: float) -> tuple[float, float]:
-    """(sum, rounding charge) of fact_f * (x+k)^-(n+1) for k < K; terms positive."""
-    if K == 0:
-        return 0.0, 0.0
-    s = math.fsum(fact_f * (x + k) ** (-(n + 1.0)) for k in range(K))
-    # per-term relative error: pow amplification (n+1)/2 eps on the rounded
-    # base, ~1 ulp for pow itself, 1/2 ulp each for factorial and product;
-    # math.fsum rounds the sum exactly once, whatever K
-    charge = ((n + 1.0) / 2.0 + 3.0) * _EPS * s
-    return s, charge
-
-
 def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
     """psi^(n)(x) for n >= 1 with abs_error <= cfg.target_abs_error.
 
     Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
-    first K terms summed explicitly, with x + K at least 24 + 0.55n (summing
-    the first K terms is the recurrence shift: each term strips one pole),
-    and finished with an Euler-Maclaurin tail whose
-    remainder bound is folded into abs_error.  Raises ConvergenceError when
-    the budget is unreachable, e.g. an absolute 1e-12 for a quantity of
-    magnitude 1e22.  Nothing is cached here: polycm.cm_engine shares whole
-    psi rows across calls.
+    first K terms summed explicitly (summing them is the recurrence shift:
+    each term strips one pole), and finished with an Euler-Maclaurin tail
+    whose remainder bound is folded into abs_error.  The first attempt
+    shifts to x + K >= 24 + 0.55n, a start that depends on n and x alone and
+    already meets every budget polycm.cm_engine asks for; a tighter budget
+    only lengthens the series, and one it cannot reach raises
+    ConvergenceError, e.g. an absolute 1e-12 for a quantity of magnitude
+    1e22.  Nothing is cached here but the constants of each order:
+    polycm.cm_engine shares whole psi rows across calls.
     """
     n = checks.integer("order", n, 1)
     if n > _HARD_ORDER_CAP:
@@ -207,24 +177,47 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
             f"order {n} exceeds the double-precision capability cap {_HARD_ORDER_CAP}"
         )
     x = checks.positive_real("x", x)
-    fact_f = float(math.factorial(n))
+    (fact_f, fact_m1, e_expl, e_tail, e_pairs, coeffs, abs_coeffs,
+     expl_charge, tail_charge, tiny_charge) = _order_constants(n)
     try:
-        probe = fact_f * x ** (-(n + 1.0))
+        probe = fact_f * x ** e_expl
     except OverflowError as exc:
         raise CapabilityError(f"|psi^({n})({x})| overflows double precision") from exc
     if not math.isfinite(probe):
         raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
 
     def attempt(K: int) -> tuple[float, float, float]:
-        s_expl, charge_expl = _explicit_polygamma_sum(n, x, K, fact_f)
-        tail_terms, remainder = _polygamma_tail(n, x + K)
-        tail_abs = math.fsum(abs(t) for t in tail_terms)
-        total = math.fsum([s_expl] + tail_terms)
-        rounding = (
-            charge_expl
-            + ((n + 16.0) / 2.0 + 4.0) * _EPS * tail_abs
-            + 2.0 * ulp(total)
-        )
+        s_expl = math.fsum([fact_f * (x + k) ** e_expl for k in range(K)])
+        # Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1): the integral
+        # part (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), then the Bernoulli
+        # corrections up to the pair count that minimizes the remainder
+        # bound.  Negative exponents throughout so extreme y underflows
+        # instead of raising OverflowError.  A subnormal y^-n has lost the
+        # value's bits: CapabilityError.  An underflowed half-sample term is
+        # charged in full, the p = 1 remainder power is at least _TINY, and
+        # the pair search stops at the first subnormal power.
+        y = x + K
+        inv_pow = y ** e_tail
+        if inv_pow < _TINY:
+            raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
+        inv_y = 1.0 / y
+        powers = [y ** e_pairs[0]]  # entry i: the power of pair i + 1
+        best_p, remainder = 1, abs_coeffs[0] * max(powers[0], _TINY)
+        for i in range(1, _MAX_EM_PAIRS):
+            power = y ** e_pairs[i]
+            if power < _TINY:
+                break
+            powers.append(power)
+            b = abs_coeffs[i] * power
+            if b < remainder:
+                best_p, remainder = i + 1, b
+        if inv_pow * inv_y < _TINY:
+            remainder += tiny_charge
+        tail = [fact_m1 * inv_pow, fact_f * inv_pow * inv_y / 2.0]
+        tail += [c * w for c, w in zip(coeffs, powers[:best_p - 1])]
+        tail_abs = math.fsum([abs(t) for t in tail])
+        total = math.fsum([s_expl] + tail)
+        rounding = expl_charge * s_expl + tail_charge * tail_abs + 2.0 * ulp(total)
         return total, remainder, rounding
 
     K = max(0, math.ceil(24.0 + 0.55 * n - x))

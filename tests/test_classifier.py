@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycm import (
+    CapabilityError,
     DomainError,
+    EvalResult,
     FamilyIndex,
     IntPolynomial,
     SearchParams,
@@ -24,11 +26,14 @@ from polycm import (
     find_nonmonotonic,
     find_sign_change,
     leading_term_sign,
+    log_grid,
     p_derived,
     p_printed,
     q_derived,
     q_printed,
 )
+from polycm import classifier
+from polycm.errors import SearchExhaustedError
 
 
 # -- exact polynomial plumbing ----------------------------------------------
@@ -261,6 +266,131 @@ def test_search_params_validation():
         SearchParams(x_min=2.0, x_max=1.0)
     with pytest.raises(DomainError, match="x_max"):
         SearchParams(x_max=math.inf)
+
+
+def _full_scan_search(probe, kind, label, search):
+    """The witness search as it was before the scan stopped early: every
+    coarse point is probed before the first certified bracket is taken."""
+    xs = log_grid(search.x_min, search.x_max, classifier._COARSE_COUNT)
+    signs = []
+    for x in xs:
+        ev = probe(x)
+        signs.append((x, ev, classifier._certified_sign(ev)))
+    bracket = None
+    for (x1, e1, s1), (x2, e2, s2) in zip(signs, signs[1:]):
+        if s1 != 0 and s2 != 0 and s1 != s2:
+            bracket = (x1, e1, s1, x2, e2, s2)
+            break
+    if bracket is None:
+        pos = sum(1 for _, _, s in signs if s == 1)
+        neg = sum(1 for _, _, s in signs if s == -1)
+        raise SearchExhaustedError(
+            f"no certified {kind} bracket for {label} in "
+            f"[{search.x_min:g}, {search.x_max:g}]: "
+            f"{pos} certified positive, {neg} certified negative"
+        )
+    lo, elo, slo, hi, ehi, shi = bracket
+    for _ in range(classifier._MAX_REFINEMENTS):
+        if hi / lo - 1.0 <= classifier._REL_WIDTH:
+            break
+        mid = math.sqrt(lo * hi)
+        emid = probe(mid)
+        smid = classifier._certified_sign(emid)
+        if smid == 0:
+            break
+        if smid == slo:
+            lo, elo = mid, emid
+        else:
+            hi, ehi = mid, emid
+    if slo == 1:
+        xp, ep, xn, en = lo, elo, hi, ehi
+    else:
+        xp, ep, xn, en = hi, ehi, lo, elo
+    return classifier.Witness(
+        kind=kind,
+        x_positive=xp,
+        x_negative=xn,
+        positive=ep,
+        negative=en,
+        margin_positive=ep.value - ep.abs_error,
+        margin_negative=-en.value - en.abs_error,
+    )
+
+
+def _waves(x: float) -> float:
+    """Sign changes wherever 3 ln(x/0.9) is an odd multiple of pi/2, the
+    first near x = 2.8e-3."""
+    return math.cos(3.0 * math.log(x / 0.9))
+
+
+class _CountingProbe:
+    """fn(x) within 1e-3, recording every x it is called at; raises
+    CapabilityError past x = fail_above."""
+
+    def __init__(self, fn, fail_above: float = math.inf):
+        self.fn, self.fail_above = fn, fail_above
+        self.xs: list[float] = []
+
+    def value(self, x: float) -> EvalResult:
+        return EvalResult(self.fn(x), 1e-3)
+
+    def __call__(self, x: float) -> EvalResult:
+        self.xs.append(x)
+        if x > self.fail_above:
+            raise CapabilityError(f"probe fails at x={x}")
+        return self.value(x)
+
+
+# the first certified brackets end at coarse points 10 and 4, a dozen more
+# following, and at 73 for the one sign change at x = 2.6, in the range
+# where the family members' first brackets lie
+@pytest.mark.parametrize(
+    "fn",
+    [_waves, lambda x: math.cos(3.0 * math.log(x / 250.0)), lambda x: math.tanh(math.log(2.6 / x))],
+)
+def test_witness_scan_stops_at_first_bracket(fn):
+    search = SearchParams()
+    xs = log_grid(search.x_min, search.x_max, classifier._COARSE_COUNT)
+    early, full = _CountingProbe(fn), _CountingProbe(fn)
+    w = classifier._witness_search(early, "sign_change", "synthetic", search)
+    assert w == _full_scan_search(full, "sign_change", "synthetic", search)
+    signs = [classifier._certified_sign(early.value(x)) for x in xs]
+    j = next(i for i in range(1, len(xs)) if signs[i] * signs[i - 1] < 0)
+    assert early.xs[: j + 1] == xs[: j + 1]
+    bisection = full.xs[len(xs):]
+    assert early.xs[j + 1:] == bisection
+    assert len(early.xs) == j + 1 + len(bisection) < len(full.xs)
+
+
+def test_witness_scan_without_bracket_probes_every_point():
+    search = SearchParams()
+    xs = log_grid(search.x_min, search.x_max, classifier._COARSE_COUNT)
+    # certified positive below 1, inconclusive from 1 to 2, negative above:
+    # opposite signs never sit on adjacent coarse points
+    def step(x):
+        return 1.0 if x < 1.0 else 0.0 if x < 2.0 else -1.0
+
+    messages = []
+    for search_fn in (classifier._witness_search, _full_scan_search):
+        probe = _CountingProbe(step)
+        with pytest.raises(SearchExhaustedError) as exc:
+            search_fn(probe, "sign_change", "synthetic", search)
+        assert probe.xs == xs
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "64 certified positive, 58 certified negative" in messages[0]
+
+
+def test_witness_scan_ignores_probes_past_the_bracket():
+    search = SearchParams()
+    # every probe past x = 10 raises, which a full scan reaches and the
+    # early exit, bracketing the first sign change, never does
+    with pytest.raises(CapabilityError):
+        _full_scan_search(_CountingProbe(_waves, 10.0), "sign_change", "synthetic", search)
+    probe = _CountingProbe(_waves, 10.0)
+    w = classifier._witness_search(probe, "sign_change", "synthetic", search)
+    assert w == _full_scan_search(_CountingProbe(_waves), "sign_change", "synthetic", search)
+    assert max(probe.xs) < 10.0
 
 
 # -- classification --------------------------------------------------------------

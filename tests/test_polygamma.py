@@ -10,6 +10,9 @@ from __future__ import annotations
 import importlib
 import math
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from polycm import (
     ConvergenceError,
     DomainError,
     EULER_GAMMA,
+    EvalResult,
     PrecisionConfig,
     digamma,
     log_grid,
@@ -33,6 +37,8 @@ from polycm.crosscheck import (
     reference_digamma,
     reference_polygamma,
 )
+
+psi_mod = importlib.import_module("polycm.polygamma")
 
 GAMMA_40 = 0.5772156649015328606065120900824024310422
 PI2_OVER_6 = 1.644934066848226436472415166646025189219
@@ -303,3 +309,122 @@ def test_property_recurrence_residual_within_bound(n, x):
     if x >= 1.0:
         # moderate magnitudes: the defect is absolutely tiny as well
         assert r.value <= 1e-11
+
+
+# -- bit identity with the per-call series the order table replaced -------------
+#
+# The series as it was before its per-order constants were tabled, kept
+# unchanged as a reference: every factorial, coefficient and tail power is
+# recomputed on every attempt.  The production core must reproduce its
+# value and abs_error to the bit, and raise the same exception class.
+
+_REF_EPS = 2.0 ** -52
+_REF_TINY = sys.float_info.min
+
+
+def _ref_em_coeff(n: int, i: int) -> float:
+    f = psi_mod._BERNOULLI[2 * i] * Fraction(math.factorial(n + 2 * i - 1), math.factorial(2 * i))
+    return float(f)
+
+
+def _ref_polygamma_tail(n: int, y: float) -> tuple[list[float], float]:
+    inv_pow = y ** (-float(n))
+    if inv_pow < _REF_TINY:
+        raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
+    inv_y = 1.0 / y
+    base = [
+        math.factorial(n - 1) * inv_pow,
+        math.factorial(n) * inv_pow * inv_y / 2.0,
+    ]
+    best_p, best_bound = 1, abs(_ref_em_coeff(n, 1)) * max(y ** (-(n + 2.0)), _REF_TINY)
+    for p in range(2, psi_mod._MAX_EM_PAIRS + 1):
+        power = y ** (-(n + 2.0 * p))
+        if power < _REF_TINY:
+            break
+        b = abs(_ref_em_coeff(n, p)) * power
+        if b < best_bound:
+            best_p, best_bound = p, b
+    if inv_pow * inv_y < _REF_TINY:
+        best_bound += math.factorial(n) * _REF_TINY / 2.0
+    terms = base + [
+        _ref_em_coeff(n, i) * y ** (-(n + 2.0 * i)) for i in range(1, best_p)
+    ]
+    return terms, best_bound
+
+
+def _ref_explicit_polygamma_sum(n: int, x: float, K: int, fact_f: float) -> tuple[float, float]:
+    if K == 0:
+        return 0.0, 0.0
+    s = math.fsum(fact_f * (x + k) ** (-(n + 1.0)) for k in range(K))
+    charge = ((n + 1.0) / 2.0 + 3.0) * _REF_EPS * s
+    return s, charge
+
+
+def _ref_polygamma(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
+    fact_f = float(math.factorial(n))
+    try:
+        probe = fact_f * x ** (-(n + 1.0))
+    except OverflowError as exc:
+        raise CapabilityError(f"|psi^({n})({x})| overflows double precision") from exc
+    if not math.isfinite(probe):
+        raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
+
+    def attempt(K: int) -> tuple[float, float, float]:
+        s_expl, charge_expl = _ref_explicit_polygamma_sum(n, x, K, fact_f)
+        tail_terms, remainder = _ref_polygamma_tail(n, x + K)
+        tail_abs = math.fsum(abs(t) for t in tail_terms)
+        total = math.fsum([s_expl] + tail_terms)
+        rounding = (
+            charge_expl
+            + ((n + 16.0) / 2.0 + 4.0) * _REF_EPS * tail_abs
+            + 2.0 * math.ulp(total)
+        )
+        return total, remainder, rounding
+
+    K = max(0, math.ceil(24.0 + 0.55 * n - x))
+    total, abs_error = psi_mod._converge(f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
+    sign = 1.0 if n % 2 == 1 else -1.0
+    return EvalResult(sign * total, abs_error)
+
+
+def _bits_or_error(f, n, x, cfg):
+    try:
+        r = f(n, x, cfg)
+    except (CapabilityError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return r.value.hex(), r.abs_error.hex()
+
+
+def test_polygamma_bit_identical_to_per_call_series(monkeypatch):
+    # both routes share _converge and its term cap; a lower cap keeps the
+    # unreachable 1e-300 budgets at large x from summing millions of terms
+    monkeypatch.setattr(psi_mod, "_MAX_SERIES_TERMS", 100_000)
+    rng = random.Random(2409)
+    cases = [
+        # the remainder sits at the subnormal floor: ConvergenceError at once
+        (29, 1.7782794100389e10, PrecisionConfig(1e-300).for_magnitude(
+            magnitude_lower_bound(29, 1.7782794100389e10))),
+        (61, 421413.5942223906, PrecisionConfig(1e-12)),  # y^-61 underflows
+        (1, 1e200, PrecisionConfig(1e-12)),  # underflowed half-sample term
+        (8, 0.01, PrecisionConfig(1e-12)),  # below the rounding floor
+    ]
+    for _ in range(2400):
+        n = rng.randint(1, 120)
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(1e12)))
+        cfg = PrecisionConfig(rng.choice((1e-12, 1e-300, 1e3)))
+        if rng.random() < 0.5:
+            try:
+                cfg = cfg.for_magnitude(magnitude_lower_bound(n, x))
+            except CapabilityError:
+                pass
+        cases.append((n, x, cfg))
+    outcomes = Counter()
+    for n, x, cfg in cases:
+        expected = _bits_or_error(_ref_polygamma, n, x, cfg)
+        assert _bits_or_error(polygamma, n, x, cfg) == expected, (n, x, cfg)
+        if expected[0] in ("CapabilityError", "ConvergenceError"):
+            outcomes[expected[0]] += 1
+        else:
+            outcomes["K = 0" if x >= 24.0 + 0.55 * n else "K > 0"] += 1
+    assert outcomes["K = 0"] > 100 and outcomes["K > 0"] > 100
+    assert outcomes["CapabilityError"] > 100 and outcomes["ConvergenceError"] > 100
