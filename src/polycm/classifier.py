@@ -74,15 +74,6 @@ class IntPolynomial:
             total += coeff * x**power
         return total
 
-    def evaluate(self, x: float) -> EvalResult:
-        """Exact rational evaluation, rounded once to float."""
-        exact = self.evaluate_exact(Fraction(x))
-        try:
-            value = float(exact)
-        except OverflowError as exc:
-            raise CapabilityError(f"polynomial value overflows at x={x}") from exc
-        return EvalResult(value, ulp(value))
-
     def leading(self) -> tuple[int, int]:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading term")
@@ -169,6 +160,10 @@ def leading_term_sign(poly: IntPolynomial, end: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Status of a bound at a point by the certified sign of its margin.
+_AUDIT_STATUS = {1: "holds", 0: "inconclusive", -1: "fails"}
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     x: float
@@ -224,13 +219,7 @@ def bound_check(
             b = float(poly.evaluate_exact(X) / ((2 if lower else 4) * power))
             bounds[name] = b
             margin = (fp.value - b) if lower else (b - fp.value)
-            err = fp.abs_error + ulp(b)
-            if margin > err:
-                status = "holds"
-            elif margin < -err:
-                status = "fails"
-            else:
-                status = "inconclusive"
+            status = _AUDIT_STATUS[EvalResult(margin, fp.abs_error + ulp(b)).certified_sign()]
             statuses[name] = status
             margins[name] = margin
             if status != "holds":
@@ -370,14 +359,6 @@ class Witness:
     margin_negative: float
 
 
-def _certified_sign(ev: EvalResult) -> int:
-    if ev.certainly_positive(_CERTIFY_FACTOR):
-        return 1
-    if ev.certainly_negative(_CERTIFY_FACTOR):
-        return -1
-    return 0
-
-
 def _witness_search(
     probe,
     kind: str,
@@ -394,7 +375,7 @@ def _witness_search(
     signs: list[int] = []
     for x in log_grid(search.x_min, search.x_max, _COARSE_COUNT):
         ev = probe(x)
-        s = _certified_sign(ev)
+        s = ev.certified_sign(_CERTIFY_FACTOR)
         if signs and s * signs[-1] < 0:
             hi, ehi = x, ev
             break
@@ -412,7 +393,7 @@ def _witness_search(
             break
         mid = math.sqrt(lo * hi)
         emid = probe(mid)
-        smid = _certified_sign(emid)
+        smid = emid.certified_sign(_CERTIFY_FACTOR)
         if smid == 0:
             break  # keep the last certified bracket
         if smid == slo:

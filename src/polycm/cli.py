@@ -46,12 +46,16 @@ def _add_common(p: argparse.ArgumentParser, gmin: float, gmax: float, gcount: in
     p.add_argument("--grid-max", type=float, default=gmax)
     p.add_argument("--grid-count", type=int, default=gcount)
     p.add_argument("--grid-scale", choices=("log", "linear"), default="log")
-    p.add_argument("--precision", type=float, default=1e-12,
-                   help="target absolute error per evaluation; each evaluation's "
-                        f"budget is max(PRECISION, {REL_BUDGET_FLOOR:g} * |magnitude|)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
                    dest="fmt")
     p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_precision(p: argparse.ArgumentParser) -> None:
+    """The error budget, for the subcommands whose evaluations take one."""
+    p.add_argument("--precision", type=float, default=1e-12,
+                   help="target absolute error per evaluation; each evaluation's "
+                        f"budget is max(PRECISION, {REL_BUDGET_FLOOR:g} * |magnitude|)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=int, default=4,
                    help="max derivative order for CM evidence")
     _add_common(p, 0.01, 100.0, 40)
+    _add_precision(p)
 
     p = sub.add_parser("check-cm", help="CM grid check for one index")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--orders", type=int, default=8)
     _add_common(p, 0.01, 100.0, 200)
+    _add_precision(p)
 
     p = sub.add_parser("kernels", help="kernel monotonicity/limits/range")
     p.add_argument("--kernel", choices=("h", "omega", "tanh", "kappa"),
@@ -83,12 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inequalities", help="double-bound suite")
     p.add_argument("--k-max", type=int, default=8)
     _add_common(p, 0.05, 100.0, 100)
+    _add_precision(p)
 
     p = sub.add_parser("bounds", help="bounding-polynomial audit for f'")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1,
                    help="half of the (even) second family index")
     _add_common(p, 0.05, 100.0, 50)
+    _add_precision(p)
 
     return parser
 
@@ -115,61 +123,34 @@ def _config_doc(args: argparse.Namespace, **extra) -> dict:
         "grid_max": args.grid_max,
         "grid_count": args.grid_count,
         "grid_scale": args.grid_scale,
-        "precision": args.precision,
-        "precision_rel_floor": REL_BUDGET_FLOOR,
     }
+    if "precision" in args:  # kernels take no error budget
+        doc.update(precision=args.precision, precision_rel_floor=REL_BUDGET_FLOOR)
     doc.update(extra)
     return doc
 
 
 def _classification_row(entry: ClassificationEntry) -> dict:
-    row: dict = {
-        "m": entry.index.m,
-        "n": entry.index.n,
-        "verdict": entry.verdict,
-        "cm_verdict": None,
-        "cm_inconclusive_points": None,
-        "cm_min_margin": None,
-        "sign_x_positive": None,
-        "sign_value_positive": None,
-        "sign_error_positive": None,
-        "sign_x_negative": None,
-        "sign_value_negative": None,
-        "sign_error_negative": None,
-        "mono_x_up": None,
-        "mono_value_up": None,
-        "mono_error_up": None,
-        "mono_x_down": None,
-        "mono_value_down": None,
-        "mono_error_down": None,
-    }
-    if entry.cm_report is not None:
-        rep = entry.cm_report
-        row["cm_verdict"] = rep.verdict
-        row["cm_inconclusive_points"] = len(rep.inconclusive_points)
-        row["cm_min_margin"] = min(
-            e.signed_value.value - e.signed_value.abs_error for e in rep.entries
+    row: dict = {"m": entry.index.m, "n": entry.index.n, "verdict": entry.verdict}
+    rep = entry.cm_report
+    cm = (None,) * 3 if rep is None else (
+        rep.verdict,
+        len(rep.inconclusive_points),
+        min(e.signed_value.value - e.signed_value.abs_error for e in rep.entries),
+    )
+    row.update(zip(("cm_verdict", "cm_inconclusive_points", "cm_min_margin"), cm))
+    for prefix, w, sides in (
+        ("sign", entry.sign_witness, ("positive", "negative")),
+        ("mono", entry.monotonicity_witness, ("up", "down")),
+    ):
+        ends = ((None,) * 3,) * 2 if w is None else (
+            (w.x_positive, w.positive.value, w.positive.abs_error),
+            (w.x_negative, w.negative.value, w.negative.abs_error),
         )
-    if entry.sign_witness is not None:
-        w = entry.sign_witness
-        row.update(
-            sign_x_positive=w.x_positive,
-            sign_value_positive=w.positive.value,
-            sign_error_positive=w.positive.abs_error,
-            sign_x_negative=w.x_negative,
-            sign_value_negative=w.negative.value,
-            sign_error_negative=w.negative.abs_error,
-        )
-    if entry.monotonicity_witness is not None:
-        w = entry.monotonicity_witness
-        row.update(
-            mono_x_up=w.x_positive,
-            mono_value_up=w.positive.value,
-            mono_error_up=w.positive.abs_error,
-            mono_x_down=w.x_negative,
-            mono_value_down=w.negative.value,
-            mono_error_down=w.negative.abs_error,
-        )
+        for side, (x, value, error) in zip(sides, ends):
+            row[f"{prefix}_x_{side}"] = x
+            row[f"{prefix}_value_{side}"] = value
+            row[f"{prefix}_error_{side}"] = error
     return row
 
 
@@ -231,7 +212,6 @@ def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
-    _precision(args)  # kernels take no budget, but a bad --precision is still rejected
     kid = KernelId("h", args.k) if args.kernel == "h" else KernelId(args.kernel)
     report = kernel_report(kid, _grid(args))
     entries = [

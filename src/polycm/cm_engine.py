@@ -16,13 +16,13 @@ magnitude, a function of (k, x, target) alone, so small-x points do not
 demand absolute tolerances below the floating point floor of quantities like
 psi^(8)(0.01) ~ 1e22.
 
-A CM check evaluates (-1)^l f^(l) over a grid and classifies each point:
-certified positive, certified violation (value < -abs_error), or
-inconclusive (|value| <= abs_error).  Violations are never declared inside
-the error band; analytic claims must not be refuted by rounding.  A Leibniz
-sum that leaves the double range raises CapabilityError.  The identity
-checks on f (finite differences, telescoping, the shift difference) live in
-polycm.crosscheck.
+A CM check evaluates (-1)^l f^(l) over a grid and classifies each point by
+EvalResult.certified_sign: certified positive, certified violation
+(value < -abs_error), or inconclusive (|value| <= abs_error).  Violations are
+never declared inside the error band; analytic claims must not be refuted by
+rounding.  A Leibniz sum that leaves the double range raises
+CapabilityError.  The identity checks on f (finite differences, telescoping,
+the shift difference) live in polycm.crosscheck.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ DEFAULT_ORDER_CAP = 64
 
 # Largest share of unresolved entries a consistent_with_CM verdict allows.
 _INCONCLUSIVE_CAP = 0.01
+
+# Status of a CM entry by the certified sign of (-1)^l f^(l)(x).
+_STATUS = {1: "positive", 0: "inconclusive", -1: "violation"}
 
 # Rows kept by the psi row table; least recently used rows are dropped first.
 _ROW_TABLE_SIZE = 50_000
@@ -203,13 +206,7 @@ def cm_check(
         for x, row in zip(pts, rows):
             _fill(row, (idx.n + order, idx.m + order), x, cfg)
             sv = _assemble(idx, order, row, (-1.0) ** order)
-            if sv.certainly_negative():
-                status = "violation"
-            elif sv.certainly_positive():
-                status = "positive"
-            else:
-                status = "inconclusive"
-            entries.append(CMEntry(order, x, sv, status))
+            entries.append(CMEntry(order, x, sv, _STATUS[sv.certified_sign()]))
     violations = tuple(e for e in entries if e.status == "violation")
     inconclusive = tuple(e for e in entries if e.status == "inconclusive")
     if violations:

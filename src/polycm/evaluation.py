@@ -86,23 +86,22 @@ class EvalResult:
     def __neg__(self) -> "EvalResult":
         return EvalResult(-self.value, self.abs_error)
 
-    def square(self) -> "EvalResult":
-        return self * self
-
     def scaled(self, c: float) -> "EvalResult":
         """Multiply by an exact scalar (integer-valued floats stay exact)."""
         return EvalResult(*scale(self.value, self.abs_error, c))
 
     # -- sign certification -------------------------------------------------
 
-    def certainly_positive(self, factor: float = 1.0) -> bool:
-        return self.value > factor * self.abs_error
-
-    def certainly_negative(self, factor: float = 1.0) -> bool:
-        return self.value < -factor * self.abs_error
-
-    def sign_inconclusive(self, factor: float = 1.0) -> bool:
-        return abs(self.value) <= factor * self.abs_error
+    def certified_sign(self, factor: float = 1.0) -> int:
+        """+1 when value > factor * abs_error, -1 when value < -factor *
+        abs_error, 0 otherwise.  The one rule by which polycm issues a
+        verdict: a sign counts only when the value clears its bound."""
+        bound = factor * self.abs_error
+        if self.value > bound:
+            return 1
+        if self.value < -bound:
+            return -1
+        return 0
 
 
 def as_result(x: "EvalResult | float | int") -> EvalResult:

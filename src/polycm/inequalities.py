@@ -46,6 +46,12 @@ class InequalityResult:
     passed: bool
 
 
+def _strict(margin_lo: float, margin_hi: float, margin_error: float) -> bool:
+    """Both margins certified positive, each clearing twice its error."""
+    return all(EvalResult(margin, margin_error).certified_sign(2.0) == 1
+               for margin in (margin_lo, margin_hi))
+
+
 def psi_log_bounds_check(
     x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> InequalityResult:
@@ -66,7 +72,6 @@ def psi_log_bounds_check(
     margin_hi = math.fsum([lnx, -0.5 * inv, -mid.value])
     bound_rounding = 3.0 * _EPS * (abs(lnx) + inv) + 2.0 * ulp(max(abs(mid.value), 1.0))
     margin_error = mid.abs_error + bound_rounding
-    passed = margin_lo > 2.0 * margin_error and margin_hi > 2.0 * margin_error
     return InequalityResult(
         k=0,
         x=x,
@@ -75,7 +80,7 @@ def psi_log_bounds_check(
         upper=upper,
         margins=(margin_lo, margin_hi),
         margin_error=margin_error,
-        passed=passed,
+        passed=_strict(margin_lo, margin_hi, margin_error),
     )
 
 
@@ -98,7 +103,6 @@ def polygamma_bounds_check(
     margin_lo = float(Fraction(mid.value) - lower_exact)
     margin_hi = float(upper_exact - Fraction(mid.value))
     margin_error = mid.abs_error + 2.0 * ulp(upper)
-    passed = margin_lo > 2.0 * margin_error and margin_hi > 2.0 * margin_error
     return InequalityResult(
         k=k,
         x=x,
@@ -107,7 +111,7 @@ def polygamma_bounds_check(
         upper=upper,
         margins=(margin_lo, margin_hi),
         margin_error=margin_error,
-        passed=passed,
+        passed=_strict(margin_lo, margin_hi, margin_error),
     )
 
 

@@ -201,10 +201,6 @@ def _facts(kernel: KernelId) -> _Facts:
     return _Facts(value, None, "increasing", (0.0, None), "(0, inf)", lambda t, v: [v])
 
 
-def kernel_value(kernel: KernelId, t: float) -> EvalResult:
-    return _facts(kernel).value(t)
-
-
 # ---------------------------------------------------------------------------
 # Report machinery
 # ---------------------------------------------------------------------------
@@ -264,16 +260,17 @@ def kernel_report(
     # monotonicity: signed differences of adjacent compared values
     compared = values if facts.compared is None else [facts.compared(t) for t in grid]
     diffs = [b - a for a, b in zip(compared, compared[1:])]
-    ups = sum(1 for d in diffs if d.certainly_positive())
-    downs = sum(1 for d in diffs if d.certainly_negative())
+    signs = [d.certified_sign() for d in diffs]
+    ups = signs.count(1)
+    downs = signs.count(-1)
     if ups == len(diffs):
         verdict = "increasing"
     elif downs == len(diffs):
         verdict = "decreasing"
     else:
         verdict = "none"
-        for i, d in enumerate(diffs):
-            if not (d.certainly_positive() or d.certainly_negative()):
+        for i, (d, s) in enumerate(zip(diffs, signs)):
+            if s == 0:
                 diagnostics.append(
                     f"inconclusive step at t={grid[i]:.6g}..{grid[i+1]:.6g}: "
                     f"diff={d.value:.3e} within error {d.abs_error:.3e}"
@@ -287,27 +284,23 @@ def kernel_report(
         v_end = values[idx]
         v_prev = values[1] if end == "zero" else values[-2]
         if expected is None:
-            # divergent endpoint: require certified growth toward it
-            d_outer = diffs[idx - 1] if end == "infinity" else diffs[0]
-            if end == "infinity":
-                grew = d_outer.certainly_positive()
-            else:
-                grew = d_outer.certainly_negative()  # value falls moving inward
-            limits.append(
-                LimitCheck(end, None, abs(v_end.value), None, bool(grew), bool(grew))
-            )
+            # divergent endpoint: require certified growth toward it, a
+            # falling first step at zero and a rising last step at infinity
+            grew = (signs[-1] if end == "infinity" else -signs[0]) == 1
+            limits.append(LimitCheck(end, None, abs(v_end.value), None, grew, grew))
             continue
         achieved = abs(v_end.value - expected)
         gap_prev = abs(v_prev.value - expected)
-        approach = (gap_prev - achieved) > (v_end.abs_error + v_prev.abs_error)
+        closer = EvalResult(gap_prev - achieved, v_end.abs_error + v_prev.abs_error)
+        approach = closer.certified_sign() == 1
         limits.append(
             LimitCheck(
                 end,
                 expected,
                 achieved,
                 _LIMIT_TOLERANCE,
-                bool(approach),
-                achieved <= _LIMIT_TOLERANCE or bool(approach),
+                approach,
+                achieved <= _LIMIT_TOLERANCE or approach,
             )
         )
 
@@ -317,7 +310,7 @@ def kernel_report(
     for t, v in zip(grid, values):
         for margin in facts.range_margins(t, v):
             min_margin = min(min_margin, margin.value - margin.abs_error)
-            if not margin.certainly_positive():
+            if margin.certified_sign() != 1:
                 if abs(margin.value) + margin.abs_error < sys.float_info.min:
                     # e.g. E(t) past t ~ 745: the margin left the double range
                     raise CapabilityError(

@@ -123,7 +123,7 @@ def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
 _MAX_SERIES_TERMS = 5_000_000
 
 
-def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]:
+def _converge(label, budget: float, K: int, attempt) -> tuple[float, float]:
     """(value, abs_error) of the first series closed at K terms within budget.
 
     attempt(K) sums the first K terms, closes the series with its
@@ -132,13 +132,14 @@ def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]
     when K passes the term cap, or when more terms cannot lower the bound:
     the remainder is already negligible against the rounding floor, or it
     did not change from the previous attempt (the tail power it scales sits
-    at the subnormal floor _TINY, where it stays as K grows).
+    at the subnormal floor _TINY, where it stays as K grows).  label() names
+    the quantity in those errors; it is formatted only when one is raised.
     """
     best_bound = last_remainder = math.inf
     while True:
         if K > _MAX_SERIES_TERMS:
             raise ConvergenceError(
-                f"{label}: budget {budget:g} unreachable within "
+                f"{label()}: budget {budget:g} unreachable within "
                 f"{_MAX_SERIES_TERMS} series terms",
                 best_bound=best_bound,
             )
@@ -149,7 +150,7 @@ def _converge(label: str, budget: float, K: int, attempt) -> tuple[float, float]
             return total, abs_error
         if remainder <= 0.05 * rounding or remainder == last_remainder:
             raise ConvergenceError(
-                f"{label}: budget {budget:g} below the double-precision floor; "
+                f"{label()}: budget {budget:g} below the double-precision floor; "
                 f"best achievable bound {abs_error:g}",
                 best_bound=best_bound,
             )
@@ -221,7 +222,7 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
         return total, remainder, rounding
 
     K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    total, abs_error = _converge(f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
+    total, abs_error = _converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * total, abs_error)
 
@@ -250,4 +251,4 @@ def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
         )
         return total, remainder, rounding
 
-    return EvalResult(*_converge(f"psi({x})", cfg.target_abs_error, 32, attempt))
+    return EvalResult(*_converge(lambda: f"psi({x})", cfg.target_abs_error, 32, attempt))

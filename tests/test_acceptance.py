@@ -118,7 +118,7 @@ def test_criterion_4_kernel_suite():
         assert rep.range_passed, k
 
     for t in grid:
-        assert tanh_kernel(t).certainly_positive()
+        assert tanh_kernel(t).certified_sign() == 1
     for t in log_grid(2.0**-10, 50.0, 64):
         lhs = tanh_kernel(t).value / t
         rhs = kappa(t).value - 0.5 - 1.0 / t

@@ -136,6 +136,25 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_precision_only_on_budgeted_subcommands(capsys):
+    # kernels evaluate closed forms with no error budget, so they take none
+    with pytest.raises(SystemExit) as exc:
+        main(["kernels", "--precision", "1e-9"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, ["kernels", "--grid-count", "4"])
+    assert code == 0
+    assert not {"precision", "precision_rel_floor"} & set(json.loads(out)["config"])
+    for argv in (
+        CLASSIFY_SMALL,
+        ["check-cm", "--orders", "1", "--grid-count", "4"],
+        ["inequalities", "--k-max", "1", "--grid-count", "4"],
+        ["bounds", "--grid-count", "4"],
+    ):
+        code, out, _ = run(capsys, argv + ["--precision", "1e-9"])
+        assert code == 0
+        assert json.loads(out)["config"]["precision"] == 1e-9
+
+
 def _fresh_python(code: str) -> str:
     """stdout of code run in a fresh interpreter that imports this polycm."""
     src = os.path.dirname(os.path.dirname(polycm.__file__))

@@ -62,14 +62,14 @@ def test_value_is_order_zero_derivative(cfg):
 
 def test_first_derivative_negative_for_nontrivial_member(cfg):
     d = f_derivative(FamilyIndex(1, 2), 1, 1.0, cfg)
-    assert d.certainly_negative()
+    assert d.certified_sign() == -1
 
 
 def test_signed_derivative_alternation(cfg):
     idx = FamilyIndex(1, 2)
     for order in range(5):
         s = signed_derivative(idx, order, 1.0, cfg)
-        assert s.certainly_positive()
+        assert s.certified_sign() == 1
         d = f_derivative(idx, order, 1.0, cfg)
         assert s.value == (-1.0) ** order * d.value
 
@@ -104,7 +104,7 @@ def test_cm_check_flags_certified_violation(cfg):
     rep = cm_check(FamilyIndex(2, 2), 0, [1.0, 3.0, 10.0], cfg)
     assert rep.verdict == "violation"
     worst = rep.violations[0]
-    assert worst.signed_value.certainly_negative()
+    assert worst.signed_value.certified_sign() == -1
     assert worst.x in (3.0, 10.0)
 
 
@@ -254,7 +254,7 @@ def test_telescoping_identity_and_remainders(cfg):
         remainders[N] = dict(zip(rep.xs, rep.remainders))
     for x in (0.5, 1.0, 2.0):
         assert remainders[100][x].value < remainders[10][x].value
-        assert remainders[100][x].certainly_positive()
+        assert remainders[100][x].certified_sign() == 1
 
 
 def test_telescoping_validation(cfg):
@@ -304,7 +304,7 @@ def test_property_cm_members_have_alternating_signs(m, half_n, order, x):
     s = signed_derivative(idx, order, x)
     # members with odd second index are completely monotonic: never certified
     # negative at any derivative order
-    assert not s.certainly_negative()
+    assert s.certified_sign() != -1
 
 
 @given(x=st.floats(min_value=0.3, max_value=20.0, allow_nan=False))

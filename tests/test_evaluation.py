@@ -85,9 +85,6 @@ def test_mul_bound_covers_true_interval(a, b, ea, eb):
 
 def test_square_and_neg():
     r = EvalResult(-3.0, 1e-6)
-    sq = r.square()
-    assert sq.value == 9.0
-    assert sq.abs_error >= 6e-6
     assert (-r).value == 3.0 and (-r).abs_error == r.abs_error
 
 
@@ -116,14 +113,25 @@ def test_result_sum_matches_exact_rational_sum(vals):
 
 def test_sign_certification_thresholds():
     r = EvalResult(1.0, 0.4)
-    assert r.certainly_positive()
-    assert not r.certainly_positive(factor=3.0)
-    assert not r.certainly_negative()
-    assert r.sign_inconclusive(factor=3.0)
+    assert r.certified_sign() == 1
+    assert r.certified_sign(factor=3.0) != 1
+    assert r.certified_sign() != -1
+    assert r.certified_sign(factor=3.0) == 0
     n = EvalResult(-1.0, 0.4)
-    assert n.certainly_negative()
+    assert n.certified_sign() == -1
     z = EvalResult(0.0, 0.0)
-    assert z.sign_inconclusive()
+    assert z.certified_sign() == 0
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0, 10.0])
+def test_sign_certification_boundaries(factor):
+    # a value exactly at +-factor*abs_error is not certified: both tests are strict
+    err = 0.375  # factor * err is exact for every factor here
+    assert EvalResult(factor * err, err).certified_sign(factor) == 0
+    assert EvalResult(-factor * err, err).certified_sign(factor) == 0
+    assert EvalResult(math.nextafter(factor * err, math.inf), err).certified_sign(factor) == 1
+    assert EvalResult(math.nextafter(-factor * err, -math.inf), err).certified_sign(factor) == -1
+    assert EvalResult(0.0, 0.0).certified_sign(factor) == 0
 
 
 def test_precision_config_validation():

@@ -25,7 +25,7 @@ from polycm import (
     tanh_kernel,
 )
 from polycm.crosscheck import laplace_power_identity
-from polycm.kernels import half_shifted_kappa, kernel_value, reciprocal_expm1
+from polycm.kernels import half_shifted_kappa, reciprocal_expm1
 
 KAPPA_AT_1 = 1.581976706869326424385002005109011558547
 H1_AT_1 = 1.081976706869326424385002005109011558547
@@ -93,7 +93,7 @@ def test_tanh_kernel_small_t_quadratic():
     r = tanh_kernel(t)
     expected = t * t / 12.0 - t**4 / 720.0
     assert abs(r.value - expected) <= r.abs_error + 1e-30
-    assert r.certainly_positive()
+    assert r.certified_sign() == 1
 
 
 def test_identity_tanh_equals_kappa_combination():
@@ -108,17 +108,9 @@ def test_omega_range_and_complement():
     for t in log_grid(1e-6, 50.0, 32):
         w = omega(t)
         wp = omega_plus_one(t)
-        assert w.certainly_negative()
-        assert wp.certainly_positive()
+        assert w.certified_sign() == -1
+        assert wp.certified_sign() == 1
         assert abs(wp.value - (w.value + 1.0)) <= wp.abs_error + w.abs_error + 1e-16
-
-
-def test_kernel_value_dispatch():
-    t = 0.7
-    assert kernel_value(KernelId("omega"), t) == omega(t)
-    assert kernel_value(KernelId("kappa"), t) == kappa(t)
-    assert kernel_value(KernelId("tanh"), t) == tanh_kernel(t)
-    assert kernel_value(KernelId("h", 2), t) == h(2, t)
 
 
 def test_kernel_id_validation():
