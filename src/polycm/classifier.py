@@ -23,8 +23,8 @@ bound_check audits all four variants and flags printed failures as findings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import checks
 from .errors import (
@@ -42,8 +42,7 @@ from .cm_engine import CMReport, FamilyIndex, cm_check, f_derivative, f_value
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Sparse polynomial with exact integer coefficients.
 
     terms are (coeff, power) pairs, powers strictly decreasing, no zeros.
@@ -164,8 +163,7 @@ def leading_term_sign(poly: IntPolynomial, end: str) -> int:
 _AUDIT_STATUS = {1: "holds", 0: "inconclusive", -1: "fails"}
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     x: float
     f_prime: EvalResult
     bounds: dict[str, float]     # bound name -> exact-rounded bound value
@@ -173,15 +171,15 @@ class BoundEntry:
     margins: dict[str, float]    # signed margin in the direction that should hold
 
 
-@dataclass(frozen=True)
-class BoundAuditReport:
+class BoundAuditReport(NamedTuple):
     m: int
     n: int
     grid: tuple[float, ...]
     entries: tuple[BoundEntry, ...]
     findings: tuple[str, ...]    # printed-bound failures, documented not fatal
-    derived_ok: bool
+    derived_ok: bool             # no derived bound certified to fail
     printed_p_ok: bool
+    derived_unresolved: tuple[float, ...]  # x where a derived bound is inconclusive
 
 
 def bound_check(
@@ -195,7 +193,8 @@ def bound_check(
     Lower bounds should satisfy f' >= bound, upper bounds f' <= bound; a
     status is only "fails" when the violation clears the combined error
     margin.  Printed-bound failures become findings; derived-bound failures
-    make derived_ok false (and should never happen).
+    make derived_ok false (and should never happen).  A derived bound that
+    rounding cannot resolve is no failure: its x joins derived_unresolved.
     """
     m = checks.integer("m", m, 1)
     n = checks.integer("n", n, 1)
@@ -224,7 +223,8 @@ def bound_check(
             margins[name] = margin
             if status != "holds":
                 if name.endswith("derived"):
-                    derived_ok = False
+                    if status == "fails":
+                        derived_ok = False
                 elif name == "p_printed":
                     printed_p_ok = False
                     findings.append(
@@ -245,6 +245,10 @@ def bound_check(
         findings=tuple(findings),
         derived_ok=derived_ok,
         printed_p_ok=printed_p_ok,
+        derived_unresolved=tuple(
+            e.x for e in entries
+            if "inconclusive" in (e.statuses["q_derived"], e.statuses["p_derived"])
+        ),
     )
 
 
@@ -324,24 +328,27 @@ _CERTIFY_FACTOR = 10.0
 _REL_WIDTH = 1e-6
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class _SearchParamsFields(NamedTuple):
+    x_min: float
+    x_max: float
+
+
+class SearchParams(_SearchParamsFields):
     """The window [x_min, x_max] the witness search scans."""
 
-    x_min: float = 1e-3
-    x_max: float = 1e3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        checks.finite("x_max", self.x_max)
-        if not (0.0 < self.x_min < self.x_max):
+    def __new__(cls, x_min: float = 1e-3, x_max: float = 1e3) -> "SearchParams":
+        checks.finite("x_max", x_max)
+        if not (0.0 < x_min < x_max):
             raise DomainError("need 0 < x_min < x_max")
+        return tuple.__new__(cls, (x_min, x_max))
 
 
 DEFAULT_SEARCH = SearchParams()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Certified pair of points with opposite signs of the probed quantity.
 
     kind "sign_change": quantity is f itself, x_positive/x_negative carry
@@ -464,8 +471,7 @@ def find_nonmonotonic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(NamedTuple):
     index: FamilyIndex
     verdict: str  # "CM_trivial" | "CM_nontrivial" | "sign_changing_nonmonotonic"
     cm_report: CMReport | None

@@ -11,7 +11,8 @@ Every numeric value in JSON output is paired with its abs_error; CSV
 flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 numeric capability/convergence error (an order
-cap, an unreachable budget, or a computed magnitude that overflows).
+cap, an unreachable budget, or a computed magnitude that overflows) or a
+bound audit that rounding leaves undecided at some points.
 """
 
 from __future__ import annotations
@@ -307,7 +308,14 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
             "printed_findings": len(report.findings),
         },
     }
-    return (0 if report.derived_ok else 1), doc
+    if not report.derived_ok:
+        return 1, doc
+    if report.derived_unresolved:
+        # no failure, but rounding leaves these points undecided
+        print("polycm: numeric capability limit: derived bounds inconclusive at x = "
+              + ", ".join(f"{x:.6g}" for x in report.derived_unresolved), file=sys.stderr)
+        return 3, doc
+    return 0, doc
 
 
 _COMMANDS = {

@@ -28,8 +28,8 @@ the shift difference) live in polycm.crosscheck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import checks
 from .errors import CapabilityError
@@ -54,16 +54,18 @@ _STATUS = {1: "positive", 0: "inconclusive", -1: "violation"}
 _ROW_TABLE_SIZE = 50_000
 
 
-@dataclass(frozen=True)
-class FamilyIndex:
-    """Indices (m, n) of f = [psi^(m)]^2 + psi^(n); both at least 1."""
-
+class _FamilyIndexFields(NamedTuple):
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", checks.integer("m", self.m, 1))
-        object.__setattr__(self, "n", checks.integer("n", self.n, 1))
+
+class FamilyIndex(_FamilyIndexFields):
+    """Indices (m, n) of f = [psi^(m)]^2 + psi^(n); both at least 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int) -> "FamilyIndex":
+        return tuple.__new__(cls, (checks.integer("m", m, 1), checks.integer("n", n, 1)))
 
     def label(self) -> str:
         return f"f[{self.m},{self.n}]"
@@ -162,16 +164,14 @@ def signed_derivative(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CMEntry:
+class CMEntry(NamedTuple):
     order: int
     x: float
     signed_value: EvalResult  # (-1)^order f^(order)(x)
     status: str  # "positive" | "inconclusive" | "violation"
 
 
-@dataclass(frozen=True)
-class CMReport:
+class CMReport(NamedTuple):
     index: FamilyIndex
     max_order: int
     grid: tuple[float, ...]

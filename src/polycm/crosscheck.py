@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -199,8 +199,7 @@ def finite_difference_crosscheck(
     return abs(fd - f_derivative(idx, order, x, cfg).value)
 
 
-@dataclass(frozen=True)
-class TelescopeReport:
+class TelescopeReport(NamedTuple):
     index: FamilyIndex
     N: int
     xs: tuple[float, ...]

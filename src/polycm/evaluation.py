@@ -11,7 +11,7 @@ overestimate can only make a check inconclusive, never wrongly "pass".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import checks
 from .errors import CapabilityError, DomainError
@@ -47,18 +47,36 @@ def bounded_sum(values, errors) -> tuple[float, float]:
     return v, math.fsum(errors) + ulp(v)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """A computed float plus a guaranteed absolute error bound."""
-
+class _EvalResultFields(NamedTuple):
     value: float
     abs_error: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"non-finite value {self.value!r}")
-        if not (self.abs_error >= 0.0) or not math.isfinite(self.abs_error):
-            raise DomainError(f"invalid abs_error {self.abs_error!r}")
+
+class EvalResult(_EvalResultFields):
+    """A computed float plus a guaranteed absolute error bound.
+
+    An immutable named tuple: it unpacks as (value, abs_error) and compares
+    equal to a plain tuple of the two, but refuses ordering, which would
+    compare values and bounds lexicographically.  The constructor rejects a
+    non-finite value or a negative or non-finite bound; _replace and _make
+    skip that check, and nothing in polycm uses them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: float, abs_error: float) -> "EvalResult":
+        if not math.isfinite(value):
+            raise DomainError(f"non-finite value {value!r}")
+        if not (abs_error >= 0.0) or not math.isfinite(abs_error):
+            raise DomainError(f"invalid abs_error {abs_error!r}")
+        return tuple.__new__(cls, (value, abs_error))
+
+    def __lt__(self, other):
+        # raised, not NotImplemented: tuple's reflected comparison would
+        # then order an EvalResult against a plain tuple
+        raise TypeError("EvalResult is not ordered; compare values or use certified_sign")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -116,8 +134,11 @@ def result_sum(parts: list[EvalResult]) -> EvalResult:
     return EvalResult(*bounded_sum([p.value for p in parts], [p.abs_error for p in parts]))
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class _PrecisionConfigFields(NamedTuple):
+    target_abs_error: float
+
+
+class PrecisionConfig(_PrecisionConfigFields):
     """The error budget of one evaluation.
 
     target_abs_error: absolute error bound a single evaluation must meet
@@ -128,11 +149,11 @@ class PrecisionConfig:
         series; one the series cannot reach raises ConvergenceError.
     """
 
-    target_abs_error: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "target_abs_error", checks.positive_real("target_abs_error", self.target_abs_error)
+    def __new__(cls, target_abs_error: float = 1e-12) -> "PrecisionConfig":
+        return tuple.__new__(
+            cls, (checks.positive_real("target_abs_error", target_abs_error),)
         )
 
     def for_magnitude(self, magnitude: float) -> "PrecisionConfig":

@@ -13,8 +13,8 @@ of subtractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import checks
 from .evaluation import DEFAULT_PRECISION, EvalResult, PrecisionConfig, ulp
@@ -28,8 +28,7 @@ from .polygamma import (
 _EPS = 2.0 ** -52
 
 
-@dataclass(frozen=True)
-class InequalityResult:
+class InequalityResult(NamedTuple):
     """One bound check at (k, x); k = 0 is the digamma log-bound pair.
 
     margins are (middle - lower, upper - middle); passed requires both to
@@ -115,8 +114,7 @@ def polygamma_bounds_check(
     )
 
 
-@dataclass(frozen=True)
-class BoundsSuiteReport:
+class BoundsSuiteReport(NamedTuple):
     k_max: int
     grid: tuple[float, ...]
     results: tuple[InequalityResult, ...]

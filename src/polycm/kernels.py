@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import checks
 from .errors import CapabilityError, DomainError
@@ -34,20 +33,24 @@ _LIMIT_TOLERANCE = 1e-5
 _KINDS = ("h", "omega", "tanh", "kappa")
 
 
-@dataclass(frozen=True)
-class KernelId:
+class _KernelIdFields(NamedTuple):
+    kind: str
+    k: int | None
+
+
+class KernelId(_KernelIdFields):
     """Names one kernel; k selects the power weight and only applies to h."""
 
-    kind: str
-    k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "h":
-            object.__setattr__(self, "k", checks.integer("h power k", self.k))
-        elif self.k is not None:
-            raise DomainError(f"{self.kind} takes no power parameter")
+    def __new__(cls, kind: str, k: int | None = None) -> "KernelId":
+        if kind not in _KINDS:
+            raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if kind == "h":
+            k = checks.integer("h power k", k)
+        elif k is not None:
+            raise DomainError(f"{kind} takes no power parameter")
+        return tuple.__new__(cls, (kind, k))
 
     def label(self) -> str:
         return f"h[{self.k}]" if self.kind == "h" else self.kind
@@ -155,8 +158,7 @@ def omega_plus_one(t: float) -> EvalResult:
     return EvalResult(value, err)
 
 
-@dataclass(frozen=True)
-class _Facts:
+class _Facts(NamedTuple):
     """What the report certifies about one kernel.
 
     compared: the quantity whose adjacent differences decide monotonicity,
@@ -206,8 +208,7 @@ def _facts(kernel: KernelId) -> _Facts:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitCheck:
+class LimitCheck(NamedTuple):
     """One endpoint check.
 
     For a finite limit, achieved is |value - limit|; the check passes when
@@ -227,8 +228,7 @@ class LimitCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     kernel: KernelId
     grid: tuple[float, ...]
     values: tuple[EvalResult, ...]
@@ -238,7 +238,7 @@ class KernelReport:
     range_description: str
     range_passed: bool
     min_range_margin: float
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
+    diagnostics: tuple[str, ...] = ()
 
 
 def kernel_report(

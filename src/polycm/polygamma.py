@@ -123,7 +123,8 @@ def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
 _MAX_SERIES_TERMS = 5_000_000
 
 
-def _converge(label, budget: float, K: int, attempt) -> tuple[float, float]:
+def _converge(label, budget: float, K: int, attempt,
+              floor_rate: float = 0.0) -> tuple[float, float]:
     """(value, abs_error) of the first series closed at K terms within budget.
 
     attempt(K) sums the first K terms, closes the series with its
@@ -132,8 +133,13 @@ def _converge(label, budget: float, K: int, attempt) -> tuple[float, float]:
     when K passes the term cap, or when more terms cannot lower the bound:
     the remainder is already negligible against the rounding floor, or it
     did not change from the previous attempt (the tail power it scales sits
-    at the subnormal floor _TINY, where it stays as K grows).  label() names
-    the quantity in those errors; it is formatted only when one is raised.
+    at the subnormal floor _TINY, where it stays as K grows), or the budget
+    is below half of floor_rate * (|value| - abs_error).  floor_rate is a
+    rate r such that every attempt, whatever its K, charges at least
+    r * |value| of rounding up to a few ulps, and |value| - abs_error bounds
+    the magnitude of the quantity from below, so no K can meet that budget.
+    label() names the quantity in those errors; it is formatted only when
+    one is raised.
     """
     best_bound = last_remainder = math.inf
     while True:
@@ -148,7 +154,8 @@ def _converge(label, budget: float, K: int, attempt) -> tuple[float, float]:
         best_bound = min(best_bound, abs_error)
         if abs_error <= budget:
             return total, abs_error
-        if remainder <= 0.05 * rounding or remainder == last_remainder:
+        if (remainder <= 0.05 * rounding or remainder == last_remainder
+                or budget < 0.5 * floor_rate * (abs(total) - abs_error)):
             raise ConvergenceError(
                 f"{label()}: budget {budget:g} below the double-precision floor; "
                 f"best achievable bound {abs_error:g}",
@@ -221,8 +228,11 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
         rounding = expl_charge * s_expl + tail_charge * tail_abs + 2.0 * ulp(total)
         return total, remainder, rounding
 
+    # every attempt charges expl_charge * s_expl + tail_charge * tail_abs, and
+    # tail_charge > expl_charge, so its rounding is at least expl_charge * |total|
     K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    total, abs_error = _converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
+    total, abs_error = _converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K, attempt,
+                                 expl_charge)
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * total, abs_error)
 

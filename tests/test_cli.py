@@ -120,6 +120,20 @@ def test_bounds_command_reports_findings_without_failing(capsys):
     assert doc["findings"]
 
 
+def test_bounds_unresolved_derived_points_exit_3(capsys):
+    # at x = 1e-60 and 1e-29 rounding cannot resolve q_derived: no failure,
+    # so derived_ok holds, but the audit is incomplete there (exit 3)
+    argv = ["bounds", "--m", "1", "--n", "1", "--grid-min", "1e-60", "--grid-count", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err == ("polycm: numeric capability limit: "
+                   "derived bounds inconclusive at x = 1e-60, 1e-29\n")
+    doc = json.loads(out)
+    assert doc["summary"]["derived_ok"] is True
+    derived = [e[f"{name}_status"] for e in doc["entries"] for name in ("q_derived", "p_derived")]
+    assert "fails" not in derived and derived.count("inconclusive") == 2
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, ["classify", "--grid-min", "-1"])
     assert code == 2
@@ -174,6 +188,15 @@ def test_import_does_not_load_scipy():
         "'polycm.crosscheck' in sys.modules)"
     )
     assert out.strip() == "False False False"
+
+
+def test_import_does_not_load_dataclasses():
+    # polycm's records are named tuples: dataclasses (and the inspect module
+    # it loads) took about half of a CLI call's import time
+    out = _fresh_python(
+        "import sys, polycm, polycm.cli; print('dataclasses' in sys.modules)"
+    )
+    assert out.strip() == "False"
 
 
 def test_cli_runs_without_numpy_or_scipy():

@@ -279,6 +279,69 @@ def test_convergence_failure_modes(cfg, monkeypatch):
         polygamma(29, x, tight)
 
 
+_CONVERGE = psi_mod._converge
+
+
+def _recorded_converge(monkeypatch, floored: bool) -> list[tuple]:
+    """Patch polygamma's series loop to record (K, total, remainder,
+    rounding, floor_rate) for every attempt; floored=False drops the
+    rounding-floor check, so the loop runs on to its other stops."""
+    attempts: list[tuple] = []
+
+    def recording(label, budget, K, attempt, floor_rate=0.0):
+        def recorded(k):
+            r = attempt(k)
+            attempts.append((k, *r, floor_rate))
+            return r
+        return _CONVERGE(label, budget, K, recorded, floor_rate if floored else 0.0)
+
+    monkeypatch.setattr(psi_mod, "_converge", recording)
+    return attempts
+
+
+def test_budget_below_rounding_floor_fails_at_first_attempt(monkeypatch):
+    # the first attempt already charges ~9e-255 of rounding, which no longer
+    # series lowers below ~3e-255: no lengthening of the series to 1.8M terms
+    attempts = _recorded_converge(monkeypatch, floored=True)
+    with pytest.raises(ConvergenceError, match="below the double-precision floor"):
+        polygamma(40, 14300856.713891061, PrecisionConfig(1e-300))
+    assert [a[0] for a in attempts] == [0]
+
+
+def test_rounding_floor_refuses_no_reachable_budget(monkeypatch):
+    # The floor check refuses a budget below floor_rate/2 * (|total| -
+    # abs_error) of some attempt.  Every attempt of the unfloored loop, at
+    # any K, must charge more rounding than that floor of every other
+    # attempt, and each bound a longer series reaches must still be
+    # returned, bit for bit, with the check on.  Large orders at moderate x
+    # start remainder-dominated and reach the rounding floor within a few
+    # attempts, where a floor set too high would refuse.
+    monkeypatch.setattr(psi_mod, "_MAX_SERIES_TERMS", 3000)
+    rng = random.Random(1103)
+    cases = [(40, 50.0), (60, 50.0), (120, 200.0), (40, 14300856.713891061), (8, 0.01)]
+    cases += [(rng.randint(1, 120), math.exp(rng.uniform(0.0, math.log(1e4))))
+              for _ in range(150)]
+    reached = 0
+    for n, x in cases:
+        attempts = _recorded_converge(monkeypatch, floored=False)
+        try:
+            polygamma(n, x, PrecisionConfig(5e-324))
+        except (CapabilityError, ConvergenceError):
+            pass
+        floor = max((0.5 * r * (abs(t) - (rem + rnd)) for _, t, rem, rnd, r in attempts),
+                    default=0.0)
+        assert all(rnd > floor for _, _, _, rnd, _ in attempts), (n, x)
+        _recorded_converge(monkeypatch, floored=True)
+        best = math.inf
+        for i, (_, total, rem, rnd, _) in enumerate(attempts):
+            if rem + rnd < best and i > 0:
+                r = polygamma(n, x, PrecisionConfig(rem + rnd))
+                assert (abs(r.value), r.abs_error) == (total, rem + rnd), (n, x, i)
+                reached += 1
+            best = min(best, rem + rnd)
+    assert reached > 20
+
+
 def test_magnitude_lower_bound_is_a_lower_bound(cfg):
     for n in (1, 2, 5):
         for x in (0.1, 1.0, 8.0):
@@ -382,7 +445,9 @@ def _ref_polygamma(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
         return total, remainder, rounding
 
     K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    total, abs_error = psi_mod._converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K, attempt)
+    floor_rate = ((n + 1.0) / 2.0 + 3.0) * _REF_EPS
+    total, abs_error = psi_mod._converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K,
+                                         attempt, floor_rate)
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * total, abs_error)
 
@@ -395,10 +460,7 @@ def _bits_or_error(f, n, x, cfg):
     return r.value.hex(), r.abs_error.hex()
 
 
-def test_polygamma_bit_identical_to_per_call_series(monkeypatch):
-    # both routes share _converge and its term cap; a lower cap keeps the
-    # unreachable 1e-300 budgets at large x from summing millions of terms
-    monkeypatch.setattr(psi_mod, "_MAX_SERIES_TERMS", 100_000)
+def test_polygamma_bit_identical_to_per_call_series():
     rng = random.Random(2409)
     cases = [
         # the remainder sits at the subnormal floor: ConvergenceError at once
