@@ -23,7 +23,6 @@ bound_check audits all four variants and flags printed failures as findings.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import checks
@@ -67,11 +66,10 @@ class IntPolynomial(NamedTuple):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate_exact(self, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for coeff, power in self.terms:
-            total += coeff * x**power
-        return total
+    def homogenized(self, a: int, b: int, degree: int) -> int:
+        """b^degree * p(a/b), exactly: an integer when degree is at least
+        the highest power."""
+        return sum(coeff * a**power * b ** (degree - power) for coeff, power in self.terms)
 
     def leading(self) -> tuple[int, int]:
         if self.is_zero():
@@ -205,17 +203,19 @@ def bound_check(
     findings: list[str] = []
     derived_ok = True
     printed_p_ok = True
+    degree = 2 * m + 2 * n + 3  # above every numerator power
     for x in pts:
         fp = f_derivative(idx, 1, x, cfg)
-        X = Fraction(x)
-        power = X ** (2 * m + 2 * n + 3)
+        xn, xd = x.as_integer_ratio()
+        power = xn**degree  # x^degree = xn^degree / xd^degree
         bounds: dict[str, float] = {}
         statuses: dict[str, str] = {}
         margins: dict[str, float] = {}
         for name, poly in numerators.items():
             lower = name.startswith("q")
-            # q/(2 x^(2m+2n+3)) bounds f' from below, p/(4 x^(2m+2n+3)) from above
-            b = float(poly.evaluate_exact(X) / ((2 if lower else 4) * power))
+            # q/(2 x^(2m+2n+3)) bounds f' from below, p/(4 x^(2m+2n+3)) from
+            # above; int / int rounds the exact quotient once
+            b = poly.homogenized(xn, xd, degree) / ((2 if lower else 4) * power)
             bounds[name] = b
             margin = (fp.value - b) if lower else (b - fp.value)
             status = _AUDIT_STATUS[EvalResult(margin, fp.abs_error + ulp(b)).certified_sign()]
@@ -286,7 +286,7 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
     infinity: [(m-1)!]^2/x^(2m) * (1 - (2v-1)!/[(m-1)!]^2 * x^(2(m-v)))
     zero:     (m!)^2/x^(2(m+1)) * (1 - (2v)!/(m!)^2 * x^(2(m-v)+1))
 
-    Exact rational arithmetic, rounded once; the sign of the envelope
+    Exact integer arithmetic, rounded once; the sign of the envelope
     predicts the sign of f at that end (degenerate at m = v = 1, where the
     infinity-end leading coefficients cancel).
     """
@@ -295,17 +295,16 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
         raise DomainError(f"envelope applies to even second index, got {idx.n}")
     x = checks.positive_real("x", x)
     m, v = idx.m, idx.n // 2
-    X = Fraction(x)
+    # both ends are c1/x^e1 - c2/x^e2 = p(x)/x^e with e = max(e1, e2)
     if end == "infinity":
-        A = Fraction(math.factorial(m - 1) ** 2)
-        inner = 1 - Fraction(math.factorial(2 * v - 1)) / A * X ** (2 * (m - v))
-        exact = A / X ** (2 * m) * inner
+        c1, e1, c2, e2 = math.factorial(m - 1) ** 2, 2 * m, math.factorial(2 * v - 1), 2 * v
     else:
-        B = Fraction(math.factorial(m) ** 2)
-        inner = 1 - Fraction(math.factorial(2 * v)) / B * X ** (2 * (m - v) + 1)
-        exact = B / X ** (2 * (m + 1)) * inner
+        c1, e1, c2, e2 = math.factorial(m) ** 2, 2 * m + 2, math.factorial(2 * v), 2 * v + 1
+    e = max(e1, e2)
+    p = IntPolynomial.from_pairs([(c1, e - e1), (-c2, e - e2)])
+    a, b = x.as_integer_ratio()
     try:
-        value = float(exact)
+        value = p.homogenized(a, b, e) / a**e
     except OverflowError as exc:
         raise CapabilityError(
             f"envelope overflows at {idx.label()}, x={x}, end={end}"

@@ -6,12 +6,20 @@ The l-th derivative in closed form, by the product rule:
 
 _assemble computes f^(l)(x) from a psi row, {k: (value, abs_error) of
 psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
-arithmetic.  One bounded module-level table holds a row per (x, target
-budget) and is shared by every call: f_derivative adds {n+l} and {m..m+l} to
-the row of its point, cm_check adds {m..m+L} and {n..n+L} to the row of each
-grid point, and polygamma runs only for an order the row lacks.  So one call
-evaluates each psi^(k)(x) at most once, and members and scans that share
-points share the evaluations.  Each entry's budget is adapted to its own
+arithmetic.  Rows are kept only while later calls share them, in two
+bounded module-level tables (least recently used dropped first):
+
+- _grid_rows keeps the rows of the last _GRIDS_KEPT (grid, target budget)
+  pairs, one row per grid point.  cm_check adds {m..m+L} and {n..n+L} to
+  each, so consecutive members on one grid (a CM sweep, the CM members of a
+  classification) share the evaluations.
+- _row keeps the rows of the last _POINTS_KEPT (x, target budget) pairs.
+  f_derivative adds {n+l} and {m..m+l} to the row of its point, so the two
+  witness searches of a member and the members after it share the coarse
+  scan points and the bisection midpoints the two searches have in common.
+
+polygamma runs only for an order the row lacks, so one call evaluates each
+psi^(k)(x) at most once.  Each entry's budget is adapted to its own
 magnitude, a function of (k, x, target) alone, so small-x points do not
 demand absolute tolerances below the floating point floor of quantities like
 psi^(8)(0.01) ~ 1e22.
@@ -50,8 +58,14 @@ _INCONCLUSIVE_CAP = 0.01
 # Status of a CM entry by the certified sign of (-1)^l f^(l)(x).
 _STATUS = {1: "positive", 0: "inconclusive", -1: "violation"}
 
-# Rows kept by the psi row table; least recently used rows are dropped first.
-_ROW_TABLE_SIZE = 50_000
+# Grids kept by the grid row table: consecutive cm_check calls share one
+# grid (the 25 members of a CM sweep, the CM members of a classification).
+_GRIDS_KEPT = 4
+
+# Points kept by the point row table: the two witness searches of one member
+# touch at most 128 coarse points and 2 x 80 bisection midpoints, and the
+# members after it reuse the coarse points.
+_POINTS_KEPT = 1024
 
 
 class _FamilyIndexFields(NamedTuple):
@@ -78,11 +92,18 @@ def _check_cap(idx: FamilyIndex, order: int) -> None:
                               f"order {needed} beyond the cap {DEFAULT_ORDER_CAP}")
 
 
-@lru_cache(maxsize=_ROW_TABLE_SIZE)
+@lru_cache(maxsize=_POINTS_KEPT)
 def _row(x: float, target_abs_error: float) -> dict:
     """The shared psi row of x under the target budget: the same dict for
     the same key until evicted, so callers fill it in place."""
     return {}
+
+
+@lru_cache(maxsize=_GRIDS_KEPT)
+def _grid_rows(grid: tuple[float, ...], target_abs_error: float) -> tuple[dict, ...]:
+    """The shared psi rows of a validated grid under the target budget, one
+    per point: the same dicts for the same key until evicted."""
+    return tuple({} for _ in grid)
 
 
 def _fill(row: dict, orders, x: float, cfg: PrecisionConfig) -> None:
@@ -200,7 +221,7 @@ def cm_check(
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
     _check_cap(idx, max_order)
-    rows = [_row(x, cfg.target_abs_error) for x in pts]
+    rows = _grid_rows(pts, cfg.target_abs_error)
     entries: list[CMEntry] = []
     for order in range(max_order + 1):
         for x, row in zip(pts, rows):

@@ -13,7 +13,6 @@ of subtractions.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import checks
@@ -92,15 +91,19 @@ def polygamma_bounds_check(
     eff = cfg.for_magnitude(magnitude_lower_bound(k, x))
     raw = polygamma(k, x, eff)
     mid = EvalResult(abs(raw.value), raw.abs_error)
-    X = Fraction(x)
-    base = Fraction(math.factorial(k - 1)) / X**k
-    step = Fraction(math.factorial(k)) / X ** (k + 1)
-    lower_exact = base + step / 2
-    upper_exact = base + step
-    lower = float(lower_exact)
-    upper = float(upper_exact)
-    margin_lo = float(Fraction(mid.value) - lower_exact)
-    margin_hi = float(upper_exact - Fraction(mid.value))
+    # exact over one integer denominator den = 2 a^(k+1), where x = a/b:
+    # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den;
+    # int / int rounds each exact quotient once
+    a, b = x.as_integer_ratio()
+    c, d = mid.value.as_integer_ratio()
+    den = 2 * a ** (k + 1)
+    half_step = math.factorial(k) * b ** (k + 1)
+    lower_num = 2 * math.factorial(k - 1) * a * b**k + half_step
+    upper_num = lower_num + half_step
+    lower = lower_num / den
+    upper = upper_num / den
+    margin_lo = (c * den - lower_num * d) / (d * den)
+    margin_hi = (upper_num * d - c * den) / (d * den)
     margin_error = mid.abs_error + 2.0 * ulp(upper)
     return InequalityResult(
         k=k,

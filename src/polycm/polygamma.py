@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from . import checks
@@ -29,16 +28,16 @@ EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 
 _EPS = 2.0 ** -52
 
-# Bernoulli numbers B_2 .. B_16 (exact).
+# Bernoulli numbers B_2 .. B_16, exact, as (numerator, denominator).
 _BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
+    2: (1, 6),
+    4: (-1, 30),
+    6: (1, 42),
+    8: (-1, 30),
+    10: (5, 66),
+    12: (-691, 2730),
+    14: (7, 6),
+    16: (-3617, 510),
 }
 _MAX_EM_PAIRS = 8  # remainder bound uses B_16 at most
 
@@ -85,8 +84,10 @@ def _order_constants(n: int) -> tuple:
     """
     fact_f = float(math.factorial(n))
     pairs = range(1, _MAX_EM_PAIRS + 1)
+    # int / int rounds the exact quotient once, as float(Fraction) would
     coeffs = tuple(
-        float(_BERNOULLI[2 * p] * Fraction(math.factorial(n + 2 * p - 1), math.factorial(2 * p)))
+        _BERNOULLI[2 * p][0] * math.factorial(n + 2 * p - 1)
+        / (_BERNOULLI[2 * p][1] * math.factorial(2 * p))
         for p in pairs
     )
     # explicit-sum charge, per term: pow amplification (n+1)/2 eps on the
@@ -104,13 +105,14 @@ def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
     integral = math.log1p((x - 1.0) / a)
     terms = [integral, (1.0 / a - 1.0 / b) / 2.0]
     inner = min(a, b)
-    best_p, best_bound = 1, abs(float(_BERNOULLI[2])) / 2.0 * inner**-2
+    bernoulli = [num / den for num, den in _BERNOULLI.values()]  # B_2, B_4, ...
+    best_p, best_bound = 1, abs(bernoulli[0]) / 2.0 * inner**-2
     for p in range(2, _MAX_EM_PAIRS + 1):
-        bd = abs(float(_BERNOULLI[2 * p])) / (2 * p) * inner ** (-2.0 * p)
+        bd = abs(bernoulli[p - 1]) / (2 * p) * inner ** (-2.0 * p)
         if bd < best_bound:
             best_p, best_bound = p, bd
     for i in range(1, best_p):
-        c = float(_BERNOULLI[2 * i]) / (2 * i)
+        c = bernoulli[i - 1] / (2 * i)
         terms.append(c * (a ** (-2.0 * i) - b ** (-2.0 * i)))
     return terms, best_bound
 
@@ -137,9 +139,10 @@ def _converge(label, budget: float, K: int, attempt,
     is below half of floor_rate * (|value| - abs_error).  floor_rate is a
     rate r such that every attempt, whatever its K, charges at least
     r * |value| of rounding up to a few ulps, and |value| - abs_error bounds
-    the magnitude of the quantity from below, so no K can meet that budget.
-    label() names the quantity in those errors; it is formatted only when
-    one is raised.
+    the magnitude of the quantity from below, so no K can meet that budget;
+    that error states the floor beside the best bound reached.  label()
+    names the quantity in those errors; it is formatted only when one is
+    raised.
     """
     best_bound = last_remainder = math.inf
     while True:
@@ -154,8 +157,14 @@ def _converge(label, budget: float, K: int, attempt,
         best_bound = min(best_bound, abs_error)
         if abs_error <= budget:
             return total, abs_error
-        if (remainder <= 0.05 * rounding or remainder == last_remainder
-                or budget < 0.5 * floor_rate * (abs(total) - abs_error)):
+        floor = 0.5 * floor_rate * (abs(total) - abs_error)
+        if budget < floor:
+            raise ConvergenceError(
+                f"{label()}: budget {budget:g} below the double-precision floor "
+                f"{floor:g} of any series length; best bound reached {best_bound:g}",
+                best_bound=best_bound,
+            )
+        if remainder <= 0.05 * rounding or remainder == last_remainder:
             raise ConvergenceError(
                 f"{label()}: budget {budget:g} below the double-precision floor; "
                 f"best achievable bound {abs_error:g}",

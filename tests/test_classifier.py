@@ -135,7 +135,7 @@ def test_bound_audit_reports_printed_q_discrepancy(cfg):
     assert entry.statuses["q_printed"] == "fails"
     assert rep.findings
     # the lower bound evaluates to 16/256 = 0.0625 while f' is negative there
-    bound = q_printed(1, 1).evaluate_exact(Fraction(2)) / (2 * Fraction(2) ** 7)
+    bound = Fraction(q_printed(1, 1).homogenized(2, 1, 7), 2 * 2**7)
     assert bound == Fraction(1, 16)
     assert entry.f_prime.value < float(bound)
     assert entry.f_prime.certified_sign() == -1

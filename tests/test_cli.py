@@ -199,6 +199,16 @@ def test_import_does_not_load_dataclasses():
     assert out.strip() == "False"
 
 
+def test_import_does_not_load_fractions_or_decimal():
+    # exact rationals are integer pairs rounded once by int / int, so the
+    # production path needs neither module (fractions imports decimal)
+    out = _fresh_python(
+        "import sys, polycm, polycm.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    assert out.strip() == "[]"
+
+
 def test_cli_runs_without_numpy_or_scipy():
     # None in sys.modules makes any import of them fail, also one made
     # lazily inside a function, so each subcommand runs on the stdlib alone

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycm import cm_engine
+from polycm import cli, cm_engine
 from polycm import (
     CapabilityError,
     DomainError,
     FamilyIndex,
     PrecisionConfig,
+    SearchParams,
+    classify,
     cm_check,
     f_derivative,
     f_value,
@@ -121,8 +123,9 @@ def test_cm_check_entries_match_signed_derivative(cfg, m, n):
 @pytest.fixture
 def psi_calls(monkeypatch) -> list[tuple[int, float]]:
     """Every (order, x) that cm_engine asks polygamma for during the test,
-    starting from an empty psi row table."""
+    starting from empty psi row tables."""
     cm_engine._row.cache_clear()
+    cm_engine._grid_rows.cache_clear()
     calls = []
     real = cm_engine.polygamma
 
@@ -174,13 +177,18 @@ def test_row_table_cold_and_warm_agree(cfg):
     grid = log_grid(0.01, 100.0, 25)
     members = [FamilyIndex(1, 2), FamilyIndex(3, 5), FamilyIndex(2, 2)]
     cm_engine._row.cache_clear()
+    cm_engine._grid_rows.cache_clear()
     cold = [_entries(cm_check(idx, 8, grid, cfg)) for idx in members]
     warm = [_entries(cm_check(idx, 8, grid, cfg)) for idx in members]
-    assert cm_engine._row.cache_info().currsize == len(grid)
+    # one kept grid with a row per point; no single-point rows
+    assert cm_engine._grid_rows.cache_info().currsize == 1
+    assert len(cm_engine._grid_rows(tuple(grid), cfg.target_abs_error)) == len(grid)
+    assert cm_engine._row.cache_info().currsize == 0
     assert warm == cold
-    # each member alone on a cleared table, against the warm, uncleared one
+    # each member alone on cleared tables, against the warm, uncleared ones
     for idx, ref in zip(members, cold):
         cm_engine._row.cache_clear()
+        cm_engine._grid_rows.cache_clear()
         assert _entries(cm_check(idx, 8, grid, cfg)) == ref
 
 
@@ -213,6 +221,59 @@ def test_row_table_shares_orders_across_members(cfg, psi_calls):
     cm_check(FamilyIndex(1, 5), 4, grid, cfg)
     # (1,5) needs 1..5 and 5..9; (1,3) already evaluated 1..7
     assert sorted(psi_calls) == sorted((k, x) for k in (8, 9) for x in grid)
+
+
+def test_grid_rows_do_not_thrash_past_the_point_table(cfg, psi_calls):
+    # a grid larger than the point table keeps every row between members
+    grid = log_grid(0.01, 100.0, cm_engine._POINTS_KEPT + 1)
+    cm_check(FamilyIndex(1, 3), 1, grid, cfg)
+    cm_check(FamilyIndex(1, 5), 1, grid, cfg)
+    assert len(psi_calls) == len(set(psi_calls))
+    orders = {1, 2, 3, 4, 5, 6}
+    assert set(psi_calls) == {(k, x) for k in orders for x in grid}
+
+
+def test_witness_searches_evaluate_each_psi_once(cfg, psi_calls):
+    # both searches of one sign-changing member share coarse points and
+    # bisection midpoints through the point table
+    entry = classify(2, 4, cfg)
+    assert entry.sign_witness is not None and entry.monotonicity_witness is not None
+    assert psi_calls
+    assert len(psi_calls) == len(set(psi_calls))
+
+
+def test_default_classify_run_evaluates_each_psi_once(psi_calls, capsys):
+    assert cli.main(["classify"]) == 0
+    assert capsys.readouterr().out
+    assert psi_calls
+    assert len(psi_calls) == len(set(psi_calls))
+
+
+def test_row_tables_stay_within_their_caps(cfg):
+    # fresh search windows and CM grids per 6x6 matrix: both tables fill,
+    # evict, and still give the results of a cold start
+    cm_engine._row.cache_clear()
+    cm_engine._grid_rows.cache_clear()
+
+    def matrix(i):
+        search = SearchParams(x_min=1e-3 * 1.1**i, x_max=1e3 * 1.3**i)
+        grid = log_grid(0.01 * 1.2**i, 100.0, 40)
+        return [_classify_fields(classify(m, n, cfg, cm_grid=grid, search=search))
+                for m in range(1, 7) for n in range(1, 7)]
+
+    first = matrix(0)
+    for i in range(1, cm_engine._GRIDS_KEPT + 1):
+        matrix(i)
+    rows, grids = cm_engine._row.cache_info(), cm_engine._grid_rows.cache_info()
+    assert (rows.maxsize, rows.currsize) == (cm_engine._POINTS_KEPT,) * 2
+    assert (grids.maxsize, grids.currsize) == (cm_engine._GRIDS_KEPT,) * 2
+    assert matrix(0) == first
+
+
+def _classify_fields(entry):
+    if entry.cm_report is not None:
+        return entry.verdict, _entries(entry.cm_report)
+    return entry.verdict, entry.sign_witness, entry.monotonicity_witness
 
 
 def test_cm_check_inconclusive_cap(cfg):

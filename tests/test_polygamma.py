@@ -308,6 +308,22 @@ def test_budget_below_rounding_floor_fails_at_first_attempt(monkeypatch):
     assert [a[0] for a in attempts] == [0]
 
 
+def test_rounding_floor_error_states_the_floor(monkeypatch):
+    # the message names the floor floor_rate/2 * (|total| - abs_error) that
+    # refused the budget, apart from the bound the one attempt reached
+    attempts = _recorded_converge(monkeypatch, floored=True)
+    with pytest.raises(ConvergenceError) as exc:
+        polygamma(40, 14300856.713891061, PrecisionConfig(1e-300))
+    [(_, total, remainder, rounding, rate)] = attempts
+    floor = 0.5 * rate * (abs(total) - (remainder + rounding))
+    assert exc.value.best_bound == remainder + rounding
+    assert str(exc.value) == (
+        "psi^(40)(14300856.713891061): budget 1e-300 below the double-precision "
+        "floor 3.24774e-255 of any series length; best bound reached 8.41221e-253"
+    )
+    assert f"{floor:g}" == "3.24774e-255"
+
+
 def test_rounding_floor_refuses_no_reachable_budget(monkeypatch):
     # The floor check refuses a budget below floor_rate/2 * (|total| -
     # abs_error) of some attempt.  Every attempt of the unfloored loop, at
@@ -386,7 +402,7 @@ _REF_TINY = sys.float_info.min
 
 
 def _ref_em_coeff(n: int, i: int) -> float:
-    f = psi_mod._BERNOULLI[2 * i] * Fraction(math.factorial(n + 2 * i - 1), math.factorial(2 * i))
+    f = Fraction(*psi_mod._BERNOULLI[2 * i]) * Fraction(math.factorial(n + 2 * i - 1), math.factorial(2 * i))
     return float(f)
 
 
