@@ -12,7 +12,9 @@ flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 numeric capability/convergence error (an order
 cap, an unreachable budget, or a computed magnitude that overflows) or a
-bound audit that rounding leaves undecided at some points.
+bound audit or inequality suite that rounding leaves undecided at some
+points.  ``bounds`` and ``inequalities`` exit 1 only when some margin is
+certified negative.
 """
 
 from __future__ import annotations
@@ -284,7 +286,15 @@ def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
             "min_upper_margin": report.min_upper_margin,
         },
     }
-    return (0 if report.all_passed else 1), doc
+    if report.violations:
+        return 1, doc
+    if report.failures:
+        # no margin certified negative, but rounding leaves these points undecided
+        print("polycm: numeric capability limit: inequality margins inconclusive at x = "
+              + ", ".join(f"{x:.6g}" for x in sorted({r.x for r in report.failures})),
+              file=sys.stderr)
+        return 3, doc
+    return 0, doc
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:

@@ -1,20 +1,20 @@
 """Verification-only routes that tests check the certified evaluators against.
 
 Nothing in the library or the CLI imports this module, and it is the only
-one that imports scipy, so ``import polycm`` never loads it.  It holds the
+one that imports mpmath, so ``import polycm`` never loads it.  It holds the
 brute-force reference series (with guaranteed bounds), the Laplace
 quadrature estimate of psi^(n) (no bound: it serves only the route-agreement
 tolerance), and residuals of identities the certified routes must satisfy.
+It runs on the standard library and mpmath alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-import numpy as np
-from scipy.integrate import quad
+from mpmath import fp
 
 from . import checks
 from .cm_engine import FamilyIndex, f_derivative, f_value
@@ -30,68 +30,92 @@ from .polygamma import (
 )
 
 _EPS = 2.0 ** -52
+_MAX_TERMS = 60_000_000
 
 # ---------------------------------------------------------------------------
 # Reference series
 # ---------------------------------------------------------------------------
 
 
-def reference_polygamma(n: int, x: float, target: float = 1e-11) -> EvalResult:
-    """Brute-force oracle: direct summation with integral-test midpoint tail.
+def _tail_terms(
+    bracket: Callable[[int], tuple[float, float]], scale: float, target: float
+) -> tuple[int, float, float]:
+    """(K, midpoint, charge) for the first K = 64 * 2^j whose tail bracket
+    meets target.
 
-    sum_{k>=K} (x+k)^-(n+1) lies in [I, I + f(K)] with I = (x+K)^-n / n the
-    tail integral and f(K) the first omitted term; the midpoint I + f(K)/2 is
-    taken, guaranteed error f(K)/2.  No recurrence, no acceleration.
+    bracket(K) gives the two ends of an interval that holds the tail from
+    term K on, in either order.  The charge is scale times half the width
+    plus 4 eps of each end, which covers the rounding of the width and of
+    the midpoint; the caller still charges the ends' relative rounding.
+    """
+    K = 64
+    while True:
+        a, b = bracket(K)
+        charge = scale * (abs(b - a) / 2.0 + 4.0 * _EPS * (abs(a) + abs(b)))
+        if charge <= target:
+            return K, (a + b) / 2.0, charge
+        K *= 2
+        if K > _MAX_TERMS:
+            raise ConvergenceError(
+                f"oracle target {target:g} needs more than {_MAX_TERMS} terms",
+                best_bound=charge,
+            )
+
+
+def reference_polygamma(n: int, x: float, target: float = 1e-11) -> EvalResult:
+    """Brute-force oracle: direct summation with a convexity tail bracket.
+
+    The terms f(k) = (x+k)^-(n+1) are convex in k, so the trapezoid and
+    midpoint (Hermite-Hadamard) inequalities put sum_{k>=K} f(k) in
+    [I(K) + f(K)/2, I(K - 1/2)], with I(a) = (x+a)^-n / n the tail
+    integral.  The midpoint is taken, with half the width as its error, and
+    K doubles from 64 until that meets target.  No recurrence, no
+    acceleration.
     """
     n = checks.integer("order", n, 1)
     x = checks.positive_real("x", x)
-    fact = float(math.factorial(n))
-    yK = (fact / target) ** (1.0 / (n + 1))
-    K = int(max(64.0, math.ceil(yK - x) + 8))
-    if K > 60_000_000:
-        raise ConvergenceError(
-            f"oracle target {target:g} needs {K} terms", best_bound=math.inf
-        )
-    with np.errstate(over="raise"):
-        try:
-            k = np.arange(K, dtype=np.float64)
-            series = float(np.sum((x + k) ** (-(n + 1.0))))
-        except FloatingPointError as exc:
-            raise CapabilityError(f"oracle overflow at n={n}, x={x}") from exc
-    if not math.isfinite(series):
-        raise CapabilityError(f"oracle overflow at n={n}, x={x}")
-    y = x + K
-    integral = y ** (-float(n)) / n
-    first_omitted = y ** (-(n + 1.0))
-    if first_omitted < sys.float_info.min:
+
+    def bracket(K: int) -> tuple[float, float]:
+        y = x + K
+        return y ** -n / n + y ** -(n + 1.0) / 2.0, (x + (K - 0.5)) ** -n / n
+
+    try:
+        fact = float(math.factorial(n))
+        K, tail, tail_err = _tail_terms(bracket, fact, target)
+        series = math.fsum([(x + k) ** -(n + 1.0) for k in range(K)])
+    except OverflowError as exc:
+        raise CapabilityError(f"oracle overflow at n={n}, x={x}") from exc
+    if (x + K) ** -(n + 1.0) < sys.float_info.min:
         # subnormal terms keep too few bits for the relative rounding charge
         raise CapabilityError(f"oracle terms underflow at n={n}, x={x}")
-    total = fact * (series + integral + 0.5 * first_omitted)
-    tail_err = fact * 0.5 * first_omitted
+    total = fact * (series + tail)
+    if not math.isfinite(total):
+        raise CapabilityError(f"oracle overflow at n={n}, x={x}")
     rounding = (math.log2(K) + n / 2.0 + 8.0) * _EPS * total
     sign = 1.0 if n % 2 == 1 else -1.0
     return EvalResult(sign * total, tail_err + rounding)
 
 
 def reference_digamma(x: float, target: float = 1e-11) -> EvalResult:
-    """Brute-force digamma oracle: -gamma + sum (x-1)/((k+1)(k+x)), midpoint tail."""
+    """Brute-force digamma oracle: -gamma + sum (x-1)/((k+1)(k+x)).
+
+    The same convexity bracket as `reference_polygamma`, for the convex
+    g(k) = 1/((k+1)(k+x)), times x - 1: the tail from term K on lies
+    between log1p((x-1)/(K+1)) + t_K/2 and log1p((x-1)/(K+1/2)), with t_K
+    the first omitted term (the ends swap when x < 1).
+    """
     x = checks.positive_real("x", x)
-    spread = max(abs(x - 1.0), 0.125)
-    K = int(max(64.0, math.ceil(math.sqrt(spread / target))))
-    if K > 60_000_000:
-        raise ConvergenceError(
-            f"oracle target {target:g} needs {K} terms", best_bound=math.inf
-        )
-    k = np.arange(K, dtype=np.float64)
-    terms = (x - 1.0) / ((k + 1.0) * (k + x))
-    series = float(np.sum(terms))
-    gross = float(np.sum(np.abs(terms)))
-    integral = math.log1p((x - 1.0) / (K + 1.0))
-    first_omitted = (x - 1.0) / ((K + 1.0) * (K + x))
-    value = series + integral + 0.5 * first_omitted - EULER_GAMMA
-    err = abs(first_omitted) / 2.0 + (math.log2(K) + 8.0) * _EPS * (
-        gross + abs(value) + 1.0
-    )
+    d = x - 1.0
+
+    def bracket(K: int) -> tuple[float, float]:
+        first_omitted = d / ((K + 1.0) * (K + x))
+        return math.log1p(d / (K + 1.0)) + first_omitted / 2.0, math.log1p(d / (K + 0.5))
+
+    K, tail, tail_err = _tail_terms(bracket, 1.0, target)
+    series = math.fsum([d / ((k + 1.0) * (k + x)) for k in range(K)])
+    value = series + tail - EULER_GAMMA
+    # every term has the sign of x - 1, so |series| is their gross sum
+    err = tail_err + (math.log2(K) + 8.0) * _EPS * (abs(series) + abs(value) + 1.0)
     return EvalResult(value, err)
 
 
@@ -100,39 +124,29 @@ def reference_digamma(x: float, target: float = 1e-11) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _t_over_one_minus_exp(t: float) -> float:
-    """t / (1 - e^-t), series-stabilized below the 2^-10 switch point.
-
-    Truncation there is ~t^5/720 < 2^-60, far below the quadrature tolerance.
-    """
-    if t < 2.0**-10:
-        return 1.0 + t / 2.0 + t * t / 12.0 - t**4 / 720.0
-    return t / (-math.expm1(-t))
-
-
 def polygamma_quadrature(n: int, x: float) -> float:
     """Estimate of psi^(n)(x) from its Laplace integral; no error bound.
 
-    In u = x*t the integral is x^-n Integral_0^inf u^(n-1) e^-u kappa(u/x) du,
-    whose peak sits at u = n and whose decay scale is 1 for every x, so the
-    quadrature's sampling cannot miss it.  It is split at the peak and, when
-    that comes first, at t = 1 (u = x); each piece is integrated to a
-    relative tolerance of 1e-13.
+    In u = x*t the integral is Gamma(n) x^-n Integral_0^inf g_n(u)
+    kappa(u/x) du, with g_n the Gamma(n) density, which integrates to one,
+    and kappa >= 1.  So the integral is never small, whatever n and x, and
+    mpmath's absolute tolerance cannot stop early; without the factor
+    Gamma(n) x^-n taken out it does, by 1e-2 relative at (64, 1e3).  The peak
+    sits at u = n with decay scale 1, so the quadrature cannot miss it.  It
+    is split at the peak and, when that comes first, at t = 1 (u = x).
+    mpmath's tanh-sinh rule runs in double precision (``mpmath.fp``).
     """
     n = checks.integer("order", n, 1)
     x = checks.positive_real("x", x)
-    n_log_x = n * math.log(x)
+    log_gamma_n = math.lgamma(n)
 
     def integrand(u: float) -> float:
-        # one exp, so neither u^(n-1) nor x^-n can overflow on its own;
-        # quad never samples u = 0
-        return math.exp((n - 1) * math.log(u) - u - n_log_x) * _t_over_one_minus_exp(u / x)
+        # one exp, so u^(n-1) cannot overflow on its own; u = 0 is never sampled
+        s = u / x
+        return math.exp((n - 1) * math.log(u) - u - log_gamma_n) * s / -math.expm1(-s)
 
-    lo = min(x, float(n))
-    total = 0.0
-    for a, b in ((0.0, lo), (lo, float(n)), (float(n), math.inf)):
-        if a < b:
-            total += quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    points = [0.0, x, n, math.inf] if x < n else [0.0, n, math.inf]
+    total = fp.quad(integrand, points) * math.exp(log_gamma_n - n * math.log(x))
     return total if n % 2 == 1 else -total
 
 
@@ -273,33 +287,13 @@ def shift_difference_kernel_check(
     T = max(2.0, 20.0 / x)
     while math.exp(-x * T) * (T / (2.0 * x) + 1.0 / (2.0 * x * x)) > 1e-13 and T < 1e5:
         T *= 2.0
-    val, est = quad(
-        lambda t: tanh_kernel(t).value * math.exp(-x * t),
-        0.0,
-        T,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=400,
-    )
+    val, est = fp.quad(lambda t: tanh_kernel(t).value * math.exp(-x * t), [0.0, T], error=True)
     if est > 1e-9 * (1.0 + abs(val)):
         raise ConvergenceError(
             f"shift-difference quadrature did not converge at x={x}", best_bound=est
         )
     via_kernel = factor * val
     return max(abs(lhs - closed), abs(lhs - via_kernel))
-
-
-def _gamma_value(r: float) -> float:
-    """Gamma(r): factorial for integer r, else quadrature of the defining
-    integral of t^(r-1) e^-t over (0, inf)."""
-    if float(r).is_integer():
-        return float(math.factorial(int(r) - 1))
-    val, est = quad(lambda t: t ** (r - 1.0) * math.exp(-t), 0.0, math.inf,
-                    epsabs=1e-12, epsrel=1e-12, limit=400)
-    if est > 1e-8 * (1.0 + abs(val)):
-        raise ConvergenceError(f"gamma quadrature did not converge at r={r}",
-                               best_bound=est)
-    return val
 
 
 def laplace_power_identity(r: float, x: float) -> float:
@@ -310,10 +304,8 @@ def laplace_power_identity(r: float, x: float) -> float:
     """
     r = checks.positive_real("exponent r", r)
     x = checks.positive_real("x", x)
-    gamma_r = _gamma_value(r)
-    val, est = quad(lambda t: t ** (r - 1.0) * math.exp(-x * t), 0.0, math.inf,
-                    epsabs=1e-13, epsrel=1e-12, limit=400)
+    val, est = fp.quad(lambda t: t ** (r - 1.0) * math.exp(-x * t), [0.0, math.inf], error=True)
     if est > 1e-8 * (1.0 + abs(val)):
         raise ConvergenceError(f"Laplace quadrature did not converge at r={r}, x={x}",
                                best_bound=est)
-    return abs(x ** (-r) - val / gamma_r)
+    return abs(x ** (-r) - val / math.gamma(r))

@@ -129,6 +129,15 @@ class BoundsSuiteReport(NamedTuple):
     def all_passed(self) -> bool:
         return not self.failures
 
+    @property
+    def violations(self) -> tuple[InequalityResult, ...]:
+        """Failures with a margin certified negative, where the inequality
+        is broken; rounding leaves the other failures unresolved."""
+        return tuple(
+            r for r in self.failures
+            if any(EvalResult(m, r.margin_error).certified_sign() == -1 for m in r.margins)
+        )
+
 
 def bounds_suite(
     k_max: int,

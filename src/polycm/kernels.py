@@ -65,7 +65,11 @@ def reciprocal_expm1(t: float) -> EvalResult:
     """
     t = checks.positive_real("t", t)
     if t < _SERIES_SWITCH:
-        value = math.fsum([1.0 / t, -0.5, t / 12.0, -(t**3) / 720.0])
+        inv = 1.0 / t
+        if inv == math.inf:
+            # t below about 5.6e-309: E(t) ~ 1/t leaves the double range
+            raise CapabilityError(f"E(t) = 1/(e^t - 1) overflows at t={t}")
+        value = math.fsum([inv, -0.5, t / 12.0, -(t**3) / 720.0])
         trunc = 2.0 * t**5 / 30240.0
         return EvalResult(value, trunc + 2.0 * ulp(value))
     e = math.exp(-t)

@@ -134,6 +134,32 @@ def test_bounds_unresolved_derived_points_exit_3(capsys):
     assert "fails" not in derived and derived.count("inconclusive") == 2
 
 
+def test_inequalities_unresolved_margins_exit_3(capsys):
+    # past x ~ 1e149 psi(x) and psi'(x) round onto their bounds: no margin is
+    # certified negative, so this is a capability limit, not a failure
+    argv = ["inequalities", "--k-max", "1", "--grid-max", "1e300", "--grid-count", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err == ("polycm: numeric capability limit: "
+                   "inequality margins inconclusive at x = 2.23607e+149, 1e+300\n")
+    doc = json.loads(out)
+    assert doc["summary"]["failures"] == len(doc["findings"]) == 4
+
+
+def test_inequalities_violated_margin_exits_1(capsys, monkeypatch):
+    # both inequalities hold, so a certified-negative margin must be planted
+    suite = polycm.cli.bounds_suite
+
+    def broken_suite(*args):
+        report = suite(*args)
+        bad = report.results[0]._replace(margins=(1.0, -1.0), passed=False)
+        return report._replace(failures=(bad,))
+
+    monkeypatch.setattr(polycm.cli, "bounds_suite", broken_suite)
+    code, _, err = run(capsys, ["inequalities", "--k-max", "1", "--grid-count", "4"])
+    assert code == 1 and err == ""
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, ["classify", "--grid-min", "-1"])
     assert code == 2
@@ -179,15 +205,25 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_does_not_load_scipy():
-    # numpy and scipy serve only the verification routes in polycm.crosscheck;
-    # every CLI call imports polycm, so loading either there would cost each
-    # call a tenth of a second or more
+    # polycm needs neither numpy nor scipy, and the verification routes in
+    # polycm.crosscheck (which load mpmath) stay off the import path; every
+    # CLI call imports polycm, so loading any of them would slow every call
     out = _fresh_python(
         "import sys, polycm, polycm.cli; "
         "print('scipy' in sys.modules, 'numpy' in sys.modules, "
         "'polycm.crosscheck' in sys.modules)"
     )
     assert out.strip() == "False False False"
+
+
+def test_crosscheck_import_does_not_load_numpy_or_scipy():
+    # the verification routes run on the standard library and mpmath, so the
+    # test extra needs neither package
+    out = _fresh_python(
+        "import sys, polycm.crosscheck; "
+        "print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    assert out.strip() == "False False"
 
 
 def test_import_does_not_load_dataclasses():
@@ -260,6 +296,8 @@ def test_capability_exit_code(capsys):
         ["kernels", "--kernel", "omega", "--grid-max", "1000"],
         ["kernels", "--kernel", "kappa", "--grid-max", "1000"],
         ["kernels", "--kernel", "h", "--k", "0", "--grid-max", "1000"],
+        # E(t) ~ 1/t overflows below t ~ 5.6e-309
+        ["kernels", "--kernel", "kappa", "--grid-min", "1e-310", "--grid-count", "3"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 3

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -340,6 +339,11 @@ def test_family_index_validation():
     with pytest.raises(DomainError):
         FamilyIndex(2.0, 3)
     assert FamilyIndex(2, 3).label() == "f[2,3]"
+
+
+def test_family_index_accepts_numpy_integers():
+    # numpy is no test dependency; check its integers where it is installed
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     assert FamilyIndex(np.int64(2), 3) == FamilyIndex(2, 3)
 
 

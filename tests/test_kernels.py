@@ -203,6 +203,15 @@ def test_report_underflowed_range_margin_is_capability():
         assert kernel_report(kid, [1.0, 700.0, 740.0]).range_passed
 
 
+def test_subnormal_argument_is_capability():
+    # E(t) ~ 1/t overflows below t ~ 5.6e-309: a capability limit, not a
+    # non-finite value handed to EvalResult (a usage error)
+    for evaluate in (reciprocal_expm1, kappa, omega, lambda t: h(0, t), lambda t: h(2, t)):
+        with pytest.raises(CapabilityError, match="t=1e-310"):
+            evaluate(1e-310)
+    assert reciprocal_expm1(1e-300).value == 1.0 / 1e-300  # still in range
+
+
 def test_h_extreme_power_capability():
     with pytest.raises(CapabilityError):
         h(400, 1e-3)
