@@ -32,7 +32,7 @@ from .errors import (
     DomainError,
     SearchExhaustedError,
 )
-from .evaluation import DEFAULT_PRECISION, EvalResult, PrecisionConfig, log_grid, ulp
+from .evaluation import EvalResult, log_grid, ulp
 from .cm_engine import CMReport, FamilyIndex, cm_check, f_derivative, f_value
 
 
@@ -180,12 +180,7 @@ class BoundAuditReport(NamedTuple):
     derived_unresolved: tuple[float, ...]  # x where a derived bound is inconclusive
 
 
-def bound_check(
-    m: int,
-    n: int,
-    grid,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> BoundAuditReport:
+def bound_check(m: int, n: int, grid) -> BoundAuditReport:
     """Audit f'_{m,2n} against all four bound variants over the grid.
 
     Lower bounds should satisfy f' >= bound, upper bounds f' <= bound; a
@@ -205,7 +200,7 @@ def bound_check(
     printed_p_ok = True
     degree = 2 * m + 2 * n + 3  # above every numerator power
     for x in pts:
-        fp = f_derivative(idx, 1, x, cfg)
+        fp = f_derivative(idx, 1, x)
         xn, xd = x.as_integer_ratio()
         power = xn**degree  # x^degree = xn^degree / xd^degree
         bounds: dict[str, float] = {}
@@ -432,12 +427,7 @@ def _validate_even_pair(m: int, even_n: int) -> tuple[int, int]:
     return m, even_n
 
 
-def find_sign_change(
-    m: int,
-    even_n: int,
-    search: SearchParams = DEFAULT_SEARCH,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> Witness:
+def find_sign_change(m: int, even_n: int, search: SearchParams = DEFAULT_SEARCH) -> Witness:
     """Certified sign-change witness for f_{m,even_n}, (m, even_n) != (1,2).
 
     The scan window spans both asymptotic regimes, where the envelope signs
@@ -446,22 +436,17 @@ def find_sign_change(
     m, even_n = _validate_even_pair(m, even_n)
     idx = FamilyIndex(m, even_n)
     return _witness_search(
-        lambda x: f_value(idx, x, cfg), "sign_change", idx.label(), search
+        lambda x: f_value(idx, x), "sign_change", idx.label(), search
     )
 
 
-def find_nonmonotonic(
-    m: int,
-    even_n: int,
-    search: SearchParams = DEFAULT_SEARCH,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> Witness:
+def find_nonmonotonic(m: int, even_n: int, search: SearchParams = DEFAULT_SEARCH) -> Witness:
     """Certified non-monotonicity witness: points where f'_{m,even_n} is
     certified positive resp. negative."""
     m, even_n = _validate_even_pair(m, even_n)
     idx = FamilyIndex(m, even_n)
     return _witness_search(
-        lambda x: f_derivative(idx, 1, x, cfg), "non_monotonic", idx.label(), search
+        lambda x: f_derivative(idx, 1, x), "non_monotonic", idx.label(), search
     )
 
 
@@ -491,7 +476,6 @@ def expected_verdict(m: int, n: int) -> str:
 def classify(
     m: int,
     n: int,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
     cm_max_order: int = 4,
     cm_grid=None,
     search: SearchParams = DEFAULT_SEARCH,
@@ -508,7 +492,7 @@ def classify(
     idx = FamilyIndex(m, n)
     if verdict in ("CM_trivial", "CM_nontrivial"):
         grid = tuple(cm_grid) if cm_grid is not None else log_grid(0.01, 100.0, 40)
-        report = cm_check(idx, cm_max_order, grid, cfg)
+        report = cm_check(idx, cm_max_order, grid)
         if report.verdict == "violation":
             worst = report.violations[0]
             raise ClassificationError(
@@ -517,8 +501,8 @@ def classify(
             )
         return ClassificationEntry(idx, verdict, report, None, None)
     try:
-        sw = find_sign_change(m, n, search, cfg)
-        mw = find_nonmonotonic(m, n, search, cfg)
+        sw = find_sign_change(m, n, search)
+        mw = find_nonmonotonic(m, n, search)
     except SearchExhaustedError as exc:
         raise ClassificationError(
             f"{idx.label()} should change sign and be non-monotonic, "

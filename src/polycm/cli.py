@@ -10,11 +10,13 @@ Subcommands
 Every numeric value in JSON output is paired with its abs_error; CSV
 flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 numeric capability/convergence error (an order
-cap, an unreachable budget, or a computed magnitude that overflows) or a
-bound audit or inequality suite that rounding leaves undecided at some
-points.  ``bounds`` and ``inequalities`` exit 1 only when some margin is
-certified negative.
+failure, 2 usage error (including an --out path that cannot be written),
+3 numeric capability/convergence error (an order cap, or a computed
+magnitude that overflows) or a bound audit or inequality suite that
+rounding leaves undecided at some points.  ``bounds`` and ``inequalities``
+exit 1 only when some margin is certified negative.  No subcommand takes an
+error budget: each evaluation runs under the default budget adapted to its
+own magnitude, which the series meets at its first attempt.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     DomainError,
     PolycmError,
 )
-from .evaluation import REL_BUDGET_FLOOR, PrecisionConfig, linear_grid, log_grid
+from .evaluation import linear_grid, log_grid
 from .inequalities import BoundsSuiteReport, bounds_suite
 from .kernels import KernelId, kernel_report
 
@@ -52,13 +54,6 @@ def _add_common(p: argparse.ArgumentParser, gmin: float, gmax: float, gcount: in
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
                    dest="fmt")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _add_precision(p: argparse.ArgumentParser) -> None:
-    """The error budget, for the subcommands whose evaluations take one."""
-    p.add_argument("--precision", type=float, default=1e-12,
-                   help="target absolute error per evaluation; each evaluation's "
-                        f"budget is max(PRECISION, {REL_BUDGET_FLOOR:g} * |magnitude|)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,32 +69,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=int, default=4,
                    help="max derivative order for CM evidence")
     _add_common(p, 0.01, 100.0, 40)
-    _add_precision(p)
 
     p = sub.add_parser("check-cm", help="CM grid check for one index")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--orders", type=int, default=8)
     _add_common(p, 0.01, 100.0, 200)
-    _add_precision(p)
 
     p = sub.add_parser("kernels", help="kernel monotonicity/limits/range")
     p.add_argument("--kernel", choices=("h", "omega", "tanh", "kappa"),
                    default="omega")
-    p.add_argument("--k", type=int, default=0, help="power for the h kernel")
+    p.add_argument("--k", type=int, default=None,
+                   help="power for the h kernel (default 0); no other kernel takes one")
     _add_common(p, 1e-6, 50.0, 64)
 
     p = sub.add_parser("inequalities", help="double-bound suite")
     p.add_argument("--k-max", type=int, default=8)
     _add_common(p, 0.05, 100.0, 100)
-    _add_precision(p)
 
     p = sub.add_parser("bounds", help="bounding-polynomial audit for f'")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1,
                    help="half of the (even) second family index")
     _add_common(p, 0.05, 100.0, 50)
-    _add_precision(p)
 
     return parser
 
@@ -115,22 +107,15 @@ def _grid(args: argparse.Namespace) -> list[float]:
     return make(args.grid_min, args.grid_max, args.grid_count)
 
 
-def _precision(args: argparse.Namespace) -> PrecisionConfig:
-    return PrecisionConfig(target_abs_error=args.precision)
-
-
 def _config_doc(args: argparse.Namespace, **extra) -> dict:
-    doc = {
+    return {
         "command": args.command,
         "grid_min": args.grid_min,
         "grid_max": args.grid_max,
         "grid_count": args.grid_count,
         "grid_scale": args.grid_scale,
+        **extra,
     }
-    if "precision" in args:  # kernels take no error budget
-        doc.update(precision=args.precision, precision_rel_floor=REL_BUDGET_FLOOR)
-    doc.update(extra)
-    return doc
 
 
 def _classification_row(entry: ClassificationEntry) -> dict:
@@ -160,13 +145,12 @@ def _classification_row(entry: ClassificationEntry) -> dict:
 def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
     m_max = checks.integer("--m-max", args.m_max, 1)
     n_max = checks.integer("--n-max", args.n_max, 1)
-    prec = _precision(args)
     grid = _grid(args)
     entries = []
     counts = {"CM_trivial": 0, "CM_nontrivial": 0, "sign_changing_nonmonotonic": 0}
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            entry = classify(m, n, prec, cm_max_order=args.orders, cm_grid=grid)
+            entry = classify(m, n, cm_max_order=args.orders, cm_grid=grid)
             counts[entry.verdict] += 1
             entries.append(_classification_row(entry))
     doc = {
@@ -179,9 +163,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
-    report: CMReport = cm_check(
-        FamilyIndex(args.m, args.n), args.orders, _grid(args), _precision(args)
-    )
+    report: CMReport = cm_check(FamilyIndex(args.m, args.n), args.orders, _grid(args))
     entries = [
         {
             "order": e.order,
@@ -215,7 +197,8 @@ def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
-    kid = KernelId("h", args.k) if args.kernel == "h" else KernelId(args.kernel)
+    k = 0 if args.k is None and args.kernel == "h" else args.k
+    kid = KernelId(args.kernel, k)
     report = kernel_report(kid, _grid(args))
     entries = [
         {"t": t, "value": v.value, "abs_error": v.abs_error}
@@ -254,7 +237,7 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
-    report: BoundsSuiteReport = bounds_suite(args.k_max, _grid(args), _precision(args))
+    report: BoundsSuiteReport = bounds_suite(args.k_max, _grid(args))
     entries = [
         {
             "k": r.k,
@@ -298,7 +281,7 @@ def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
-    report: BoundAuditReport = bound_check(args.m, args.n, _grid(args), _precision(args))
+    report: BoundAuditReport = bound_check(args.m, args.n, _grid(args))
     entries = []
     for e in report.entries:
         row: dict = {"x": e.x, "f_prime": e.f_prime.value,
@@ -405,8 +388,13 @@ def main(argv=None) -> int:
         return 1
     rendered = _RENDERERS[args.fmt](doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"polycm: usage error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return code

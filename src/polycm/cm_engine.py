@@ -9,20 +9,22 @@ psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
 arithmetic.  Rows are kept only while later calls share them, in two
 bounded module-level tables (least recently used dropped first):
 
-- _grid_rows keeps the rows of the last _GRIDS_KEPT (grid, target budget)
-  pairs, one row per grid point.  cm_check adds {m..m+L} and {n..n+L} to
-  each, so consecutive members on one grid (a CM sweep, the CM members of a
-  classification) share the evaluations.
-- _row keeps the rows of the last _POINTS_KEPT (x, target budget) pairs.
-  f_derivative adds {n+l} and {m..m+l} to the row of its point, so the two
-  witness searches of a member and the members after it share the coarse
-  scan points and the bisection midpoints the two searches have in common.
+- _grid_rows keeps the rows of the last _GRIDS_KEPT grids, one row per grid
+  point.  cm_check adds {m..m+L} and {n..n+L} to each, so consecutive
+  members on one grid (a CM sweep, the CM members of a classification)
+  share the evaluations.
+- _row keeps the rows of the last _POINTS_KEPT points.  f_derivative adds
+  {n+l} and {m..m+l} to the row of its point, so the two witness searches
+  of a member and the members after it share the coarse scan points and
+  the bisection midpoints the two searches have in common.
 
 polygamma runs only for an order the row lacks, so one call evaluates each
-psi^(k)(x) at most once.  Each entry's budget is adapted to its own
-magnitude, a function of (k, x, target) alone, so small-x points do not
-demand absolute tolerances below the floating point floor of quantities like
-psi^(8)(0.01) ~ 1e22.
+psi^(k)(x) at most once.  Each entry is evaluated under DEFAULT_PRECISION
+adapted to its own magnitude, a function of (k, x) alone, so small-x points
+do not demand absolute tolerances below the floating point floor of
+quantities like psi^(8)(0.01) ~ 1e22.  No budget is taken from the caller:
+polygamma's series already meets every magnitude-adapted budget at its first
+attempt, so a caller's budget could change no value or bound.
 
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point by
 EvalResult.certified_sign: certified positive, certified violation
@@ -41,12 +43,7 @@ from typing import NamedTuple
 
 from . import checks
 from .errors import CapabilityError
-from .evaluation import (
-    DEFAULT_PRECISION,
-    EvalResult,
-    PrecisionConfig,
-    ulp,
-)
+from .evaluation import DEFAULT_PRECISION, EvalResult, ulp
 from .polygamma import magnitude_lower_bound, polygamma
 
 # Highest polygamma order a derivative may need.
@@ -93,24 +90,24 @@ def _check_cap(idx: FamilyIndex, order: int) -> None:
 
 
 @lru_cache(maxsize=_POINTS_KEPT)
-def _row(x: float, target_abs_error: float) -> dict:
-    """The shared psi row of x under the target budget: the same dict for
-    the same key until evicted, so callers fill it in place."""
+def _row(x: float) -> dict:
+    """The shared psi row of x: the same dict for the same x until
+    evicted, so callers fill it in place."""
     return {}
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
-def _grid_rows(grid: tuple[float, ...], target_abs_error: float) -> tuple[dict, ...]:
-    """The shared psi rows of a validated grid under the target budget, one
-    per point: the same dicts for the same key until evicted."""
+def _grid_rows(grid: tuple[float, ...]) -> tuple[dict, ...]:
+    """The shared psi rows of a validated grid, one per point: the same
+    dicts for the same grid until evicted."""
     return tuple({} for _ in grid)
 
 
-def _fill(row: dict, orders, x: float, cfg: PrecisionConfig) -> None:
+def _fill(row: dict, orders, x: float) -> None:
     """Add psi^(k)(x) to the row for each order k it does not hold yet."""
     for k in orders:
         if k not in row:
-            r = polygamma(k, x, cfg.for_magnitude(magnitude_lower_bound(k, x)))
+            r = polygamma(k, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(k, x)))
             row[k] = (r.value, r.abs_error)
 
 
@@ -151,32 +148,25 @@ def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> Eva
     return EvalResult(sign * v, e)
 
 
-def f_derivative(
-    idx: FamilyIndex,
-    order: int,
-    x: float,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> EvalResult:
+def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
     """f^(order)(x) in closed form with propagated error bounds."""
     order = checks.integer("derivative order", order, 0)
     x = checks.positive_real("x", x)
     _check_cap(idx, order)
-    row = _row(x, cfg.target_abs_error)
-    _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x, cfg)
+    row = _row(x)
+    _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x)
     return _assemble(idx, order, row)
 
 
-def f_value(idx: FamilyIndex, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
+def f_value(idx: FamilyIndex, x: float) -> EvalResult:
     """f(x) itself; delegates to f_derivative at order 0 so the two agree
     bit-for-bit on identical inputs."""
-    return f_derivative(idx, 0, x, cfg)
+    return f_derivative(idx, 0, x)
 
 
-def signed_derivative(
-    idx: FamilyIndex, order: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> EvalResult:
+def signed_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
     """(-1)^order * f^(order)(x): the quantity whose non-negativity CM asserts."""
-    r = f_derivative(idx, order, x, cfg)
+    r = f_derivative(idx, order, x)
     return -r if order % 2 == 1 else r
 
 
@@ -206,12 +196,7 @@ class CMReport(NamedTuple):
         return len(self.inconclusive_points) / max(1, len(self.entries))
 
 
-def cm_check(
-    idx: FamilyIndex,
-    max_order: int,
-    grid,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> CMReport:
+def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     """Evaluate (-1)^l f^(l) for l = 0..max_order over the grid.
 
     Verdict: violation if any point is certified negative; otherwise
@@ -221,11 +206,11 @@ def cm_check(
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
     _check_cap(idx, max_order)
-    rows = _grid_rows(pts, cfg.target_abs_error)
+    rows = _grid_rows(pts)
     entries: list[CMEntry] = []
     for order in range(max_order + 1):
         for x, row in zip(pts, rows):
-            _fill(row, (idx.n + order, idx.m + order), x, cfg)
+            _fill(row, (idx.n + order, idx.m + order), x)
             sv = _assemble(idx, order, row, (-1.0) ** order)
             entries.append(CMEntry(order, x, sv, _STATUS[sv.certified_sign()]))
     violations = tuple(e for e in entries if e.status == "violation")

@@ -19,7 +19,7 @@ from mpmath import fp
 from . import checks
 from .cm_engine import FamilyIndex, f_derivative, f_value
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .evaluation import DEFAULT_PRECISION, EvalResult, PrecisionConfig, ulp
+from .evaluation import DEFAULT_PRECISION, EvalResult, ulp
 from .kernels import tanh_kernel
 from .polygamma import (
     EULER_GAMMA,
@@ -155,9 +155,7 @@ def polygamma_quadrature(n: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def recurrence_residual(
-    n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> EvalResult:
+def recurrence_residual(n: int, x: float) -> EvalResult:
     """Defect of psi^(n-1)(x+1) = psi^(n-1)(x) + (-1)^(n-1) (n-1)! / x^n.
 
     Returns the residual magnitude as value, with abs_error equal to the two
@@ -168,10 +166,10 @@ def recurrence_residual(
     x = checks.positive_real("x", x)
     order = n - 1
     if order == 0:
-        eff = cfg.for_magnitude(digamma_magnitude_estimate(x))
+        eff = DEFAULT_PRECISION.for_magnitude(digamma_magnitude_estimate(x))
         left, right = digamma(x + 1.0, eff), digamma(x, eff)
     else:
-        eff = cfg.for_magnitude(magnitude_lower_bound(order, x))
+        eff = DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(order, x))
         left, right = polygamma(order, x + 1.0, eff), polygamma(order, x, eff)
     corr = (-1.0) ** (n - 1) * math.factorial(n - 1) * x ** (-float(n))
     resid = abs(left.value - right.value - corr)
@@ -184,13 +182,7 @@ def recurrence_residual(
     return EvalResult(resid, bound)
 
 
-def finite_difference_crosscheck(
-    idx: FamilyIndex,
-    order: int,
-    x: float,
-    step: float,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> float:
+def finite_difference_crosscheck(idx: FamilyIndex, order: int, x: float, step: float) -> float:
     """|central difference of f at the given order - closed-form f^(order)|.
 
     Central stencil: step^-l * sum_i (-1)^i C(l,i) f(x + (l/2 - i)*step),
@@ -206,11 +198,11 @@ def finite_difference_crosscheck(
         )
     nodes = [
         (-1.0) ** i * math.comb(order, i)
-        * f_value(idx, x + (order / 2.0 - i) * step, cfg).value
+        * f_value(idx, x + (order / 2.0 - i) * step).value
         for i in range(order + 1)
     ]
     fd = math.fsum(nodes) / step**order
-    return abs(fd - f_derivative(idx, order, x, cfg).value)
+    return abs(fd - f_derivative(idx, order, x).value)
 
 
 class TelescopeReport(NamedTuple):
@@ -229,7 +221,6 @@ def telescoping_check(
     idx: FamilyIndex,
     N: int,
     grid,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
     tolerance: float = 1e-10,
 ) -> TelescopeReport:
     """Verify sum_{k=0..N} [f(x+k) - f(x+k+1)] = f(x) - f(x+N+1) pointwise.
@@ -244,7 +235,7 @@ def telescoping_check(
     bounds: list[float] = []
     remainders: list[EvalResult] = []
     for x in pts:
-        vals = [f_value(idx, x + k, cfg) for k in range(N + 2)]
+        vals = [f_value(idx, x + k) for k in range(N + 2)]
         diffs = [vals[k].value - vals[k + 1].value for k in range(N + 1)]
         partial = math.fsum(diffs)
         direct = vals[0].value - vals[N + 1].value
@@ -266,9 +257,7 @@ def telescoping_check(
     )
 
 
-def shift_difference_kernel_check(
-    x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> float:
+def shift_difference_kernel_check(x: float) -> float:
     """Residual of the two closed forms for f(x) - f(x+1) at index (1,2).
 
     Route (a): (2/x^2) (psi'(x) - 1/(2x^2) - 1/x).
@@ -277,10 +266,10 @@ def shift_difference_kernel_check(
     """
     x = checks.positive_real("x", x)
     idx = FamilyIndex(1, 2)
-    lhs = f_value(idx, x, cfg).value - f_value(idx, x + 1.0, cfg).value
+    lhs = f_value(idx, x).value - f_value(idx, x + 1.0).value
     factor = 2.0 / (x * x)
 
-    trig = polygamma(1, x, cfg.for_magnitude(magnitude_lower_bound(1, x))).value
+    trig = polygamma(1, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(1, x))).value
     closed = factor * (trig - 1.0 / (2.0 * x * x) - 1.0 / x)
 
     # truncation: integrand <= (t/2) e^(-xt) past T

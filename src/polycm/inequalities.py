@@ -7,7 +7,8 @@ Both are strict on (0, inf); a check passes only when each margin exceeds
 twice the evaluation's abs_error plus the bound's own rounding, so numeric
 noise can never fake strictness.  The upper digamma margin decays like
 1/(12 x^2), which is why margins are assembled with fsum instead of chains
-of subtractions.
+of subtractions.  Each evaluation runs under DEFAULT_PRECISION adapted to
+its own magnitude, as in polycm.cm_engine.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from . import checks
-from .evaluation import DEFAULT_PRECISION, EvalResult, PrecisionConfig, ulp
+from .evaluation import DEFAULT_PRECISION, EvalResult, ulp
 from .polygamma import (
     digamma,
     digamma_magnitude_estimate,
@@ -50,9 +51,7 @@ def _strict(margin_lo: float, margin_hi: float, margin_error: float) -> bool:
                for margin in (margin_lo, margin_hi))
 
 
-def psi_log_bounds_check(
-    x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> InequalityResult:
+def psi_log_bounds_check(x: float) -> InequalityResult:
     """ln x - 1/x < psi(x) < ln x - 1/(2x), margins demanded strict.
 
     The upper margin approaches 1/(12x^2) for large x; computing it as
@@ -60,8 +59,7 @@ def psi_log_bounds_check(
     the shrinking margin still clears the error bar.
     """
     x = checks.positive_real("x", x)
-    eff = cfg.for_magnitude(digamma_magnitude_estimate(x))
-    mid = digamma(x, eff)
+    mid = digamma(x, DEFAULT_PRECISION.for_magnitude(digamma_magnitude_estimate(x)))
     lnx = math.log(x)
     inv = 1.0 / x
     lower = lnx - inv
@@ -82,14 +80,11 @@ def psi_log_bounds_check(
     )
 
 
-def polygamma_bounds_check(
-    k: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> InequalityResult:
+def polygamma_bounds_check(k: int, x: float) -> InequalityResult:
     """(k-1)!/x^k + k!/(2x^(k+1)) < |psi^(k)(x)| < same + k!/x^(k+1)."""
     k = checks.integer("order k", k, 1)
     x = checks.positive_real("x", x)
-    eff = cfg.for_magnitude(magnitude_lower_bound(k, x))
-    raw = polygamma(k, x, eff)
+    raw = polygamma(k, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(k, x)))
     mid = EvalResult(abs(raw.value), raw.abs_error)
     # exact over one integer denominator den = 2 a^(k+1), where x = a/b:
     # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den;
@@ -139,21 +134,17 @@ class BoundsSuiteReport(NamedTuple):
         )
 
 
-def bounds_suite(
-    k_max: int,
-    grid,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> BoundsSuiteReport:
+def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
     """Cross product of both checks: k = 0 rows are the digamma log bounds,
     k = 1..k_max the polygamma bounds, each at every grid point."""
     k_max = checks.integer("k_max", k_max, 1)
     pts = checks.grid(grid)
     results: list[InequalityResult] = []
     for x in pts:
-        results.append(psi_log_bounds_check(x, cfg))
+        results.append(psi_log_bounds_check(x))
     for k in range(1, k_max + 1):
         for x in pts:
-            results.append(polygamma_bounds_check(k, x, cfg))
+            results.append(polygamma_bounds_check(k, x))
     failures = tuple(r for r in results if not r.passed)
     min_lo = min((r.margins[0] for r in results), default=math.inf)
     min_hi = min((r.margins[1] for r in results), default=math.inf)

@@ -1,4 +1,4 @@
-"""Shared fixtures: precision configs and standard grids."""
+"""Shared fixtures: the default precision config and a standard grid."""
 
 from __future__ import annotations
 
@@ -10,11 +10,6 @@ from polycm import DEFAULT_PRECISION, PrecisionConfig, log_grid
 @pytest.fixture(scope="session")
 def cfg() -> PrecisionConfig:
     return DEFAULT_PRECISION
-
-
-@pytest.fixture(scope="session")
-def loose_cfg() -> PrecisionConfig:
-    return PrecisionConfig(target_abs_error=1e-9)
 
 
 @pytest.fixture(scope="session")

@@ -72,7 +72,7 @@ def test_criterion_2_cm_numeric_suite():
     indices = [FamilyIndex(1, 2)]
     indices += [FamilyIndex(m, n) for m in range(1, 7) for n in (1, 3, 5, 7)]
     for idx in indices:
-        rep = cm_check(idx, 8, grid, CFG)
+        rep = cm_check(idx, 8, grid)
         assert rep.verdict == "consistent_with_CM", idx.label()
         assert not rep.violations, idx.label()
         assert rep.inconclusive_fraction <= 0.01, idx.label()
@@ -92,7 +92,7 @@ def test_criterion_3_route_agreement():
     for _ in range(50):
         n = rng.randint(1, 8)
         x = math.exp(rng.uniform(0.0, math.log(10.0)))
-        r = recurrence_residual(n, x, CFG)
+        r = recurrence_residual(n, x)
         worst = max(worst, r.value)
         assert r.value <= 1e-11, (n, x, r.value)
     print(f"criterion 3: PASS - series/quadrature within 1e-9 relative; "
@@ -129,11 +129,11 @@ def test_criterion_4_kernel_suite():
 
 def test_criterion_5_shift_and_telescoping():
     for x in (0.5, 1.0, 2.0, 5.0):
-        assert shift_difference_kernel_check(x, CFG) <= 1e-7, x
+        assert shift_difference_kernel_check(x) <= 1e-7, x
     idx = FamilyIndex(1, 2)
     remainders = []
     for N in (10, 100, 1000):
-        rep = telescoping_check(idx, N, [1.0], CFG)
+        rep = telescoping_check(idx, N, [1.0])
         assert rep.identity_ok
         assert rep.max_residual <= 1e-10
         remainders.append(rep.remainders[0].value)
@@ -144,7 +144,7 @@ def test_criterion_5_shift_and_telescoping():
 
 
 def test_criterion_6_inequality_suite():
-    rep = bounds_suite(8, log_grid(0.05, 100.0, 100), CFG)
+    rep = bounds_suite(8, log_grid(0.05, 100.0, 100))
     assert not rep.failures
     for r in rep.results:
         assert r.passed
@@ -158,10 +158,10 @@ def test_criterion_7_bounds_audit():
     grid = log_grid(0.05, 100.0, 40)
     for m in range(1, 5):
         for n in range(1, 5):
-            rep = bound_check(m, n, grid, CFG)
+            rep = bound_check(m, n, grid)
             assert rep.derived_ok, (m, n)
             assert rep.printed_p_ok, (m, n)
-    flagged = bound_check(1, 1, [2.0], CFG)
+    flagged = bound_check(1, 1, [2.0])
     entry = flagged.entries[0]
     assert entry.statuses["q_printed"] == "fails"
     assert flagged.findings
@@ -175,7 +175,7 @@ def test_criterion_8_envelopes_and_discriminants():
     for m, v in ((2, 1), (1, 2), (3, 1), (2, 2)):
         idx = FamilyIndex(m, 2 * v)
         for x, end in ((1e3, "infinity"), (1e-3, "zero")):
-            ratio = f_value(idx, x, CFG).value / envelope(idx, x, end).value
+            ratio = f_value(idx, x).value / envelope(idx, x, end).value
             assert abs(ratio - 1.0) <= 0.05, (m, v, end)
     assert [discriminant_mn(m) for m in (1, 2, 3)] == [0, -5, -29]
     print("criterion 8: PASS - asymptotic envelopes within 5% at both ends; "

@@ -114,8 +114,8 @@ def test_polynomial_family_validation():
 # -- bound audit --------------------------------------------------------------
 
 
-def test_bound_audit_derived_and_upper_hold(cfg, small_log_grid):
-    rep = bound_check(4, 4, small_log_grid, cfg)
+def test_bound_audit_derived_and_upper_hold(small_log_grid):
+    rep = bound_check(4, 4, small_log_grid)
     assert rep.derived_ok
     assert rep.printed_p_ok
     for e in rep.entries:
@@ -128,8 +128,8 @@ def test_bound_audit_derived_and_upper_hold(cfg, small_log_grid):
         assert "lower bound" in f
 
 
-def test_bound_audit_reports_printed_q_discrepancy(cfg):
-    rep = bound_check(1, 1, [2.0], cfg)
+def test_bound_audit_reports_printed_q_discrepancy():
+    rep = bound_check(1, 1, [2.0])
     assert rep.derived_ok and rep.printed_p_ok
     entry = rep.entries[0]
     assert entry.statuses["q_printed"] == "fails"
@@ -140,7 +140,7 @@ def test_bound_audit_reports_printed_q_discrepancy(cfg):
     assert entry.f_prime.value < float(bound)
     assert entry.f_prime.certified_sign() == -1
     with pytest.raises(DomainError):
-        bound_check(1, 1, [2.0, 1.0], cfg)
+        bound_check(1, 1, [2.0, 1.0])
 
 
 # -- combinatorial quantities -------------------------------------------------
@@ -179,11 +179,11 @@ def test_discriminants():
 
 
 @pytest.mark.parametrize("m,v", [(2, 1), (1, 2), (3, 1), (2, 2)])
-def test_envelope_tracks_f_at_both_ends(cfg, m, v):
+def test_envelope_tracks_f_at_both_ends(m, v):
     idx = FamilyIndex(m, 2 * v)
     for x, end in ((1e3, "infinity"), (1e-3, "zero")):
         env = envelope(idx, x, end)
-        val = f_value(idx, x, cfg)
+        val = f_value(idx, x)
         assert env.value != 0.0
         assert abs(val.value / env.value - 1.0) <= 0.05
 
@@ -203,8 +203,8 @@ def test_envelope_degenerate_and_validation():
 # -- witness search -------------------------------------------------------------
 
 
-def test_sign_change_witness_certified(cfg):
-    w = find_sign_change(2, 2, cfg=cfg)
+def test_sign_change_witness_certified():
+    w = find_sign_change(2, 2)
     assert w.kind == "sign_change"
     assert 1e-3 <= w.x_positive <= 1e3 and 1e-3 <= w.x_negative <= 1e3
     assert w.positive.value > 10.0 * w.positive.abs_error
@@ -212,31 +212,31 @@ def test_sign_change_witness_certified(cfg):
     assert w.margin_positive > 0.0 and w.margin_negative > 0.0
 
 
-def test_nonmonotonic_witness_certified(cfg):
-    w = find_nonmonotonic(2, 2, cfg=cfg)
+def test_nonmonotonic_witness_certified():
+    w = find_nonmonotonic(2, 2)
     assert w.kind == "non_monotonic"
     assert w.positive.certified_sign() == 1
     assert w.negative.certified_sign() == -1
 
 
-def test_witness_exists_for_every_even_member(cfg):
+def test_witness_exists_for_every_even_member():
     for m in range(1, 7):
         for v in range(1, 4):
             if (m, v) == (1, 1):
                 continue
-            sw = find_sign_change(m, 2 * v, cfg=cfg)
-            mw = find_nonmonotonic(m, 2 * v, cfg=cfg)
+            sw = find_sign_change(m, 2 * v)
+            mw = find_nonmonotonic(m, 2 * v)
             assert sw.margin_positive > 0.0 and sw.margin_negative > 0.0
             assert mw.margin_positive > 0.0 and mw.margin_negative > 0.0
 
 
-def test_witness_rejected_for_cm_members(cfg):
+def test_witness_rejected_for_cm_members():
     with pytest.raises(DomainError):
-        find_sign_change(1, 2, cfg=cfg)
+        find_sign_change(1, 2)
     with pytest.raises(DomainError):
-        find_sign_change(2, 3, cfg=cfg)
+        find_sign_change(2, 3)
     with pytest.raises(DomainError):
-        find_nonmonotonic(1, 2, cfg=cfg)
+        find_nonmonotonic(1, 2)
 
 
 def test_search_params_validation():
@@ -383,26 +383,26 @@ def test_expected_verdict_rule():
     assert expected_verdict(1, 4) == "sign_changing_nonmonotonic"
 
 
-def test_classify_attaches_consistent_evidence(cfg):
-    nontrivial = classify(1, 2, cfg)
+def test_classify_attaches_consistent_evidence():
+    nontrivial = classify(1, 2)
     assert nontrivial.verdict == "CM_nontrivial"
     assert nontrivial.cm_report is not None
     assert nontrivial.cm_report.verdict == "consistent_with_CM"
     assert nontrivial.sign_witness is None
 
-    trivial = classify(3, 3, cfg)
+    trivial = classify(3, 3)
     assert trivial.verdict == "CM_trivial"
     assert trivial.cm_report is not None
 
-    changing = classify(2, 2, cfg)
+    changing = classify(2, 2)
     assert changing.verdict == "sign_changing_nonmonotonic"
     assert changing.cm_report is None
     assert changing.sign_witness is not None
     assert changing.monotonicity_witness is not None
 
 
-def test_classify_validation(cfg):
+def test_classify_validation():
     with pytest.raises(DomainError):
-        classify(0, 1, cfg)
+        classify(0, 1)
     with pytest.raises(DomainError):
-        classify(1, True, cfg)
+        classify(1, True)

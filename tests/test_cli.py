@@ -176,23 +176,45 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-def test_precision_only_on_budgeted_subcommands(capsys):
-    # kernels evaluate closed forms with no error budget, so they take none
-    with pytest.raises(SystemExit) as exc:
-        main(["kernels", "--precision", "1e-9"])
-    assert exc.value.code == 2
-    code, out, _ = run(capsys, ["kernels", "--grid-count", "4"])
-    assert code == 0
-    assert not {"precision", "precision_rel_floor"} & set(json.loads(out)["config"])
-    for argv in (
-        CLASSIFY_SMALL,
-        ["check-cm", "--orders", "1", "--grid-count", "4"],
-        ["inequalities", "--k-max", "1", "--grid-count", "4"],
-        ["bounds", "--grid-count", "4"],
-    ):
-        code, out, _ = run(capsys, argv + ["--precision", "1e-9"])
+SMALL_RUNS = (
+    CLASSIFY_SMALL,
+    ["check-cm", "--orders", "1", "--grid-count", "4"],
+    ["kernels", "--grid-count", "4"],
+    ["inequalities", "--k-max", "1", "--grid-count", "4"],
+    ["bounds", "--grid-count", "4"],
+)
+
+
+def test_no_subcommand_takes_a_precision(capsys):
+    # every evaluation runs under the default budget adapted to its own
+    # magnitude, so no subcommand accepts a budget or reports one
+    for argv in SMALL_RUNS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--precision", "1e-9"])
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, argv)
         assert code == 0
-        assert json.loads(out)["config"]["precision"] == 1e-9
+        assert not {"precision", "precision_rel_floor"} & set(json.loads(out)["config"])
+
+
+def test_kernel_power_only_for_h(capsys):
+    code, out, err = run(capsys, ["kernels", "--kernel", "omega", "--k", "3"])
+    assert code == 2
+    assert out == "" and "omega takes no power parameter" in err
+    code, out, _ = run(capsys, ["kernels", "--kernel", "h", "--grid-count", "4"])
+    assert code == 0
+    assert json.loads(out)["config"]["kernel"] == "h[0]"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    # a missing directory, then a directory in place of a file
+    path = tmp_path / target
+    code, out, err = run(capsys, ["kernels", "--grid-count", "4", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"polycm: usage error: cannot write --out {path}")
+    assert "Traceback" not in err
 
 
 def _fresh_python(code: str) -> str:

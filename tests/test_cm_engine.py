@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from polycm import cli, cm_engine
 from polycm import (
+    DEFAULT_PRECISION,
     CapabilityError,
     DomainError,
     FamilyIndex,
-    PrecisionConfig,
     SearchParams,
     classify,
     cm_check,
@@ -41,7 +41,7 @@ F22_AT_3 = -0.1303627410210002037423794613979985896799
 F23_AT_1_5 = 2.095994911496507130093495616559316634870
 
 
-def test_frozen_values(cfg):
+def test_frozen_values():
     pairs = [
         (FamilyIndex(1, 2), 1.0, F12_AT_1),
         (FamilyIndex(2, 2), 1.0, F22_AT_1),
@@ -49,29 +49,29 @@ def test_frozen_values(cfg):
         (FamilyIndex(2, 3), 1.5, F23_AT_1_5),
     ]
     for idx, x, ref in pairs:
-        r = f_value(idx, x, cfg)
+        r = f_value(idx, x)
         assert abs(r.value - ref) <= r.abs_error + 4 * math.ulp(max(abs(ref), 1.0))
 
 
-def test_value_is_order_zero_derivative(cfg):
+def test_value_is_order_zero_derivative():
     for idx in (FamilyIndex(1, 2), FamilyIndex(3, 4), FamilyIndex(2, 5)):
         for x in (0.3, 1.0, 7.0):
-            a = f_value(idx, x, cfg)
-            b = f_derivative(idx, 0, x, cfg)
+            a = f_value(idx, x)
+            b = f_derivative(idx, 0, x)
             assert a.value == b.value and a.abs_error == b.abs_error
 
 
-def test_first_derivative_negative_for_nontrivial_member(cfg):
-    d = f_derivative(FamilyIndex(1, 2), 1, 1.0, cfg)
+def test_first_derivative_negative_for_nontrivial_member():
+    d = f_derivative(FamilyIndex(1, 2), 1, 1.0)
     assert d.certified_sign() == -1
 
 
-def test_signed_derivative_alternation(cfg):
+def test_signed_derivative_alternation():
     idx = FamilyIndex(1, 2)
     for order in range(5):
-        s = signed_derivative(idx, order, 1.0, cfg)
+        s = signed_derivative(idx, order, 1.0)
         assert s.certified_sign() == 1
-        d = f_derivative(idx, order, 1.0, cfg)
+        d = f_derivative(idx, order, 1.0)
         assert s.value == (-1.0) ** order * d.value
 
 
@@ -83,26 +83,26 @@ def test_signed_derivative_alternation(cfg):
         (1, 1, 3, 3.0, 1e-2, 1e-3),
     ],
 )
-def test_finite_difference_crosscheck(cfg, m, n, order, x, step, cap):
-    assert finite_difference_crosscheck(FamilyIndex(m, n), order, x, step, cfg) <= cap
+def test_finite_difference_crosscheck(m, n, order, x, step, cap):
+    assert finite_difference_crosscheck(FamilyIndex(m, n), order, x, step) <= cap
 
 
-def test_finite_difference_near_zero_rejected(cfg):
+def test_finite_difference_near_zero_rejected():
     with pytest.raises(DomainError):
-        finite_difference_crosscheck(FamilyIndex(1, 2), 2, 0.005, 0.02, cfg)
+        finite_difference_crosscheck(FamilyIndex(1, 2), 2, 0.005, 0.02)
 
 
-def test_cm_check_consistent_for_cm_members(cfg):
+def test_cm_check_consistent_for_cm_members():
     grid = log_grid(0.01, 100.0, 40)
     for m, n in ((1, 2), (3, 5)):
-        rep = cm_check(FamilyIndex(m, n), 8, grid, cfg)
+        rep = cm_check(FamilyIndex(m, n), 8, grid)
         assert rep.verdict == "consistent_with_CM"
         assert not rep.violations
         assert rep.inconclusive_fraction == 0.0
 
 
-def test_cm_check_flags_certified_violation(cfg):
-    rep = cm_check(FamilyIndex(2, 2), 0, [1.0, 3.0, 10.0], cfg)
+def test_cm_check_flags_certified_violation():
+    rep = cm_check(FamilyIndex(2, 2), 0, [1.0, 3.0, 10.0])
     assert rep.verdict == "violation"
     worst = rep.violations[0]
     assert worst.signed_value.certified_sign() == -1
@@ -110,12 +110,12 @@ def test_cm_check_flags_certified_violation(cfg):
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (6, 1), (1, 12)])  # (1,12): gap 10..11
-def test_cm_check_entries_match_signed_derivative(cfg, m, n):
+def test_cm_check_entries_match_signed_derivative(m, n):
     idx, grid = FamilyIndex(m, n), [0.02, 0.3, 1.0, 7.5, 40.0]
-    rep = cm_check(idx, 8, grid, cfg)
+    rep = cm_check(idx, 8, grid)
     assert len(rep.entries) == 9 * len(grid)
     for e in rep.entries:
-        ref = signed_derivative(idx, e.order, e.x, cfg)
+        ref = signed_derivative(idx, e.order, e.x)
         assert (e.signed_value.value, e.signed_value.abs_error) == (ref.value, ref.abs_error)
 
 
@@ -137,16 +137,16 @@ def psi_calls(monkeypatch) -> list[tuple[int, float]]:
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (6, 1), (1, 12)])
-def test_cm_check_evaluates_each_psi_once(cfg, psi_calls, m, n):
+def test_cm_check_evaluates_each_psi_once(psi_calls, m, n):
     grid = [0.05, 0.5, 5.0]
-    cm_check(FamilyIndex(m, n), 8, grid, cfg)
+    cm_check(FamilyIndex(m, n), 8, grid)
     orders = set(range(m, m + 9)) | set(range(n, n + 9))
     assert len(psi_calls) == len(set(psi_calls))
     assert set(psi_calls) == {(k, x) for k in orders for x in grid}
 
 
-def test_f_derivative_requests_only_its_orders(cfg, psi_calls):
-    f_derivative(FamilyIndex(2, 12), 3, 1.5, cfg)
+def test_f_derivative_requests_only_its_orders(psi_calls):
+    f_derivative(FamilyIndex(2, 12), 3, 1.5)
     assert sorted(psi_calls) == [(k, 1.5) for k in (2, 3, 4, 5, 15)]
 
 
@@ -163,7 +163,7 @@ def test_assembly_matches_evalresult_arithmetic(cfg):
                     for j in range(order + 1)
                 ]
                 ref = result_sum(terms)
-                got = f_derivative(FamilyIndex(m, n), order, x, cfg)
+                got = f_derivative(FamilyIndex(m, n), order, x)
                 assert (got.value, got.abs_error) == (ref.value, ref.abs_error)
 
 
@@ -172,70 +172,69 @@ def _entries(rep):
             for e in rep.entries]
 
 
-def test_row_table_cold_and_warm_agree(cfg):
+def test_row_table_cold_and_warm_agree():
     grid = log_grid(0.01, 100.0, 25)
     members = [FamilyIndex(1, 2), FamilyIndex(3, 5), FamilyIndex(2, 2)]
     cm_engine._row.cache_clear()
     cm_engine._grid_rows.cache_clear()
-    cold = [_entries(cm_check(idx, 8, grid, cfg)) for idx in members]
-    warm = [_entries(cm_check(idx, 8, grid, cfg)) for idx in members]
+    cold = [_entries(cm_check(idx, 8, grid)) for idx in members]
+    warm = [_entries(cm_check(idx, 8, grid)) for idx in members]
     # one kept grid with a row per point; no single-point rows
     assert cm_engine._grid_rows.cache_info().currsize == 1
-    assert len(cm_engine._grid_rows(tuple(grid), cfg.target_abs_error)) == len(grid)
+    assert len(cm_engine._grid_rows(tuple(grid))) == len(grid)
     assert cm_engine._row.cache_info().currsize == 0
     assert warm == cold
     # each member alone on cleared tables, against the warm, uncleared ones
     for idx, ref in zip(members, cold):
         cm_engine._row.cache_clear()
         cm_engine._grid_rows.cache_clear()
-        assert _entries(cm_check(idx, 8, grid, cfg)) == ref
+        assert _entries(cm_check(idx, 8, grid)) == ref
 
 
-def test_row_table_keeps_one_row_per_budget(cfg):
-    tight, loose = cfg, PrecisionConfig(target_abs_error=1e-9)
-    idx, x, orders = FamilyIndex(2, 3), 0.7, range(2, 7)
-    cm_engine._row.cache_clear()
-    a = f_derivative(idx, 3, x, tight)
-    b = f_derivative(idx, 3, x, loose)
-    rows = {t: cm_engine._row(x, t) for t in (tight.target_abs_error, loose.target_abs_error)}
-    assert cm_engine._row.cache_info().currsize == 2
-    assert rows[tight.target_abs_error] is not rows[loose.target_abs_error]
-    for c, ref in ((tight, a), (loose, b)):
-        row = rows[c.target_abs_error]
-        assert sorted(row) == list(orders)
-        for k in orders:
-            cold = polygamma(k, x, c.for_magnitude(magnitude_lower_bound(k, x)))
-            assert row[k] == (cold.value, cold.abs_error)
+def test_members_share_one_row_per_point(psi_calls):
+    # rows are keyed by the point alone: two members' derivatives at one x
+    # fill the same row, and the second evaluates only the orders it adds
+    x = 0.7
+    a = f_derivative(FamilyIndex(2, 3), 3, x)
+    b = f_derivative(FamilyIndex(2, 8), 2, x)
+    assert cm_engine._row.cache_info().currsize == 1
+    row = cm_engine._row(x)
+    assert sorted(row) == [2, 3, 4, 5, 6, 10]
+    assert sorted(psi_calls) == [(k, x) for k in (2, 3, 4, 5, 6, 10)]
+    for k in row:
+        cold = polygamma(k, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(k, x)))
+        assert row[k] == (cold.value, cold.abs_error)
+    for idx, order, ref in ((FamilyIndex(2, 3), 3, a), (FamilyIndex(2, 8), 2, b)):
         cm_engine._row.cache_clear()
-        again = f_derivative(idx, 3, x, c)
+        again = f_derivative(idx, order, x)
         assert (again.value, again.abs_error) == (ref.value, ref.abs_error)
 
 
-def test_row_table_shares_orders_across_members(cfg, psi_calls):
+def test_row_table_shares_orders_across_members(psi_calls):
     grid = [0.05, 0.5, 5.0]
-    cm_check(FamilyIndex(1, 3), 4, grid, cfg)
+    cm_check(FamilyIndex(1, 3), 4, grid)
     first = set(psi_calls)
     assert first == {(k, x) for k in range(1, 8) for x in grid}
     psi_calls.clear()
-    cm_check(FamilyIndex(1, 5), 4, grid, cfg)
+    cm_check(FamilyIndex(1, 5), 4, grid)
     # (1,5) needs 1..5 and 5..9; (1,3) already evaluated 1..7
     assert sorted(psi_calls) == sorted((k, x) for k in (8, 9) for x in grid)
 
 
-def test_grid_rows_do_not_thrash_past_the_point_table(cfg, psi_calls):
+def test_grid_rows_do_not_thrash_past_the_point_table(psi_calls):
     # a grid larger than the point table keeps every row between members
     grid = log_grid(0.01, 100.0, cm_engine._POINTS_KEPT + 1)
-    cm_check(FamilyIndex(1, 3), 1, grid, cfg)
-    cm_check(FamilyIndex(1, 5), 1, grid, cfg)
+    cm_check(FamilyIndex(1, 3), 1, grid)
+    cm_check(FamilyIndex(1, 5), 1, grid)
     assert len(psi_calls) == len(set(psi_calls))
     orders = {1, 2, 3, 4, 5, 6}
     assert set(psi_calls) == {(k, x) for k in orders for x in grid}
 
 
-def test_witness_searches_evaluate_each_psi_once(cfg, psi_calls):
+def test_witness_searches_evaluate_each_psi_once(psi_calls):
     # both searches of one sign-changing member share coarse points and
     # bisection midpoints through the point table
-    entry = classify(2, 4, cfg)
+    entry = classify(2, 4)
     assert entry.sign_witness is not None and entry.monotonicity_witness is not None
     assert psi_calls
     assert len(psi_calls) == len(set(psi_calls))
@@ -248,7 +247,7 @@ def test_default_classify_run_evaluates_each_psi_once(psi_calls, capsys):
     assert len(psi_calls) == len(set(psi_calls))
 
 
-def test_row_tables_stay_within_their_caps(cfg):
+def test_row_tables_stay_within_their_caps():
     # fresh search windows and CM grids per 6x6 matrix: both tables fill,
     # evict, and still give the results of a cold start
     cm_engine._row.cache_clear()
@@ -257,7 +256,7 @@ def test_row_tables_stay_within_their_caps(cfg):
     def matrix(i):
         search = SearchParams(x_min=1e-3 * 1.1**i, x_max=1e3 * 1.3**i)
         grid = log_grid(0.01 * 1.2**i, 100.0, 40)
-        return [_classify_fields(classify(m, n, cfg, cm_grid=grid, search=search))
+        return [_classify_fields(classify(m, n, cm_grid=grid, search=search))
                 for m in range(1, 7) for n in range(1, 7)]
 
     first = matrix(0)
@@ -275,39 +274,39 @@ def _classify_fields(entry):
     return entry.verdict, entry.sign_witness, entry.monotonicity_witness
 
 
-def test_cm_check_inconclusive_cap(cfg):
+def test_cm_check_inconclusive_cap():
     # f[1,2] is unresolved at x = 1e7 through order 2: 3 entries; the verdict
     # turns inconclusive only when they are more than 1% of the entries
     idx = FamilyIndex(1, 2)
-    over = cm_check(idx, 2, log_grid(0.01, 100.0, 98) + [1e7], cfg)
+    over = cm_check(idx, 2, log_grid(0.01, 100.0, 98) + [1e7])
     assert (len(over.inconclusive_points), len(over.entries)) == (3, 297)
     assert over.verdict == "inconclusive"
-    at = cm_check(idx, 2, log_grid(0.01, 100.0, 99) + [1e7], cfg)
+    at = cm_check(idx, 2, log_grid(0.01, 100.0, 99) + [1e7])
     assert (len(at.inconclusive_points), len(at.entries)) == (3, 300)
     assert at.verdict == "consistent_with_CM"
 
 
-def test_cm_grid_validation(cfg):
+def test_cm_grid_validation():
     with pytest.raises(DomainError):
-        cm_check(FamilyIndex(1, 2), 2, [], cfg)
+        cm_check(FamilyIndex(1, 2), 2, [])
     with pytest.raises(DomainError):
-        cm_check(FamilyIndex(1, 2), 2, [1.0, -2.0], cfg)
+        cm_check(FamilyIndex(1, 2), 2, [1.0, -2.0])
     with pytest.raises(DomainError):
-        cm_check(FamilyIndex(1, 2), -1, [1.0], cfg)
+        cm_check(FamilyIndex(1, 2), -1, [1.0])
 
 
-def test_decreasing_under_shift(cfg):
+def test_decreasing_under_shift():
     idx = FamilyIndex(1, 2)
-    a, b, c = (f_value(idx, 0.7 + k, cfg) for k in range(3))
+    a, b, c = (f_value(idx, 0.7 + k) for k in range(3))
     assert a.value - b.value > a.abs_error + b.abs_error
     assert b.value - c.value > b.abs_error + c.abs_error
 
 
-def test_telescoping_identity_and_remainders(cfg):
+def test_telescoping_identity_and_remainders():
     idx = FamilyIndex(1, 2)
     remainders = {}
     for N in (10, 100):
-        rep = telescoping_check(idx, N, [0.5, 1.0, 2.0], cfg)
+        rep = telescoping_check(idx, N, [0.5, 1.0, 2.0])
         assert rep.identity_ok
         assert rep.max_residual <= 1e-10
         assert all(r <= b for r, b in zip(rep.residuals, rep.residual_bounds))
@@ -317,16 +316,16 @@ def test_telescoping_identity_and_remainders(cfg):
         assert remainders[100][x].certified_sign() == 1
 
 
-def test_telescoping_validation(cfg):
+def test_telescoping_validation():
     with pytest.raises(DomainError):
-        telescoping_check(FamilyIndex(1, 2), 0, [1.0], cfg)
+        telescoping_check(FamilyIndex(1, 2), 0, [1.0])
     with pytest.raises(DomainError):
-        telescoping_check(FamilyIndex(1, 2), 10, [], cfg)
+        telescoping_check(FamilyIndex(1, 2), 10, [])
 
 
-def test_shift_difference_kernel_residuals(cfg):
+def test_shift_difference_kernel_residuals():
     for x in (0.5, 1.0, 2.0, 5.0):
-        assert shift_difference_kernel_check(x, cfg) <= 1e-8
+        assert shift_difference_kernel_check(x) <= 1e-8
 
 
 def test_family_index_validation():
@@ -347,14 +346,14 @@ def test_family_index_accepts_numpy_integers():
     assert FamilyIndex(np.int64(2), 3) == FamilyIndex(2, 3)
 
 
-def test_order_cap(cfg, psi_calls):
+def test_order_cap(psi_calls):
     with pytest.raises(CapabilityError):
-        f_derivative(FamilyIndex(1, 2), 63, 1.0, cfg)
+        f_derivative(FamilyIndex(1, 2), 63, 1.0)
     with pytest.raises(CapabilityError):
-        cm_check(FamilyIndex(1, 2), 63, [1.0, 2.0], cfg)
+        cm_check(FamilyIndex(1, 2), 63, [1.0, 2.0])
     assert psi_calls == []  # both refuse before evaluating anything
     with pytest.raises(DomainError):
-        f_derivative(FamilyIndex(1, 2), -1, 1.0, cfg)
+        f_derivative(FamilyIndex(1, 2), -1, 1.0)
 
 
 @given(

@@ -17,8 +17,8 @@ from polycm import (
 GAMMA_40 = 0.5772156649015328606065120900824024310422
 
 
-def test_digamma_log_bounds_at_one(cfg):
-    r = psi_log_bounds_check(1.0, cfg)
+def test_digamma_log_bounds_at_one():
+    r = psi_log_bounds_check(1.0)
     assert r.k == 0
     assert r.lower == -1.0  # ln 1 - 1/1
     assert r.upper == -0.5  # ln 1 - 1/2
@@ -27,35 +27,35 @@ def test_digamma_log_bounds_at_one(cfg):
     assert r.margins[0] > 0.4 and r.margins[1] > 0.07
 
 
-def test_polygamma_bounds_low_orders(cfg):
-    r1 = polygamma_bounds_check(1, 1.0, cfg)
+def test_polygamma_bounds_low_orders():
+    r1 = polygamma_bounds_check(1, 1.0)
     assert (r1.lower, r1.upper) == (1.5, 2.0)
     assert r1.passed
-    r2 = polygamma_bounds_check(2, 1.0, cfg)
+    r2 = polygamma_bounds_check(2, 1.0)
     assert (r2.lower, r2.upper) == (2.0, 3.0)
     assert abs(r2.middle.value - 2.404113806319189) <= 1e-12
     assert r2.passed
 
 
-def test_polygamma_bounds_small_argument(cfg):
-    r = polygamma_bounds_check(4, 0.5, cfg)
+def test_polygamma_bounds_small_argument():
+    r = polygamma_bounds_check(4, 0.5)
     assert r.lower == 3 * 2 / 0.5**4 + 24 / (2 * 0.5**5)
     assert r.upper == 3 * 2 / 0.5**4 + 24 / 0.5**5
     assert r.passed
 
 
-def test_margins_are_strict(cfg):
+def test_margins_are_strict():
     for x in (0.07, 1.0, 13.0, 100.0):
         for k in (1, 3, 8):
-            r = polygamma_bounds_check(k, x, cfg)
+            r = polygamma_bounds_check(k, x)
             assert r.passed
             assert r.margins[0] > 2.0 * r.margin_error
             assert r.margins[1] > 2.0 * r.margin_error
 
 
-def test_suite_layout_and_success(cfg):
+def test_suite_layout_and_success():
     grid = log_grid(0.05, 100.0, 20)
-    rep = bounds_suite(3, grid, cfg)
+    rep = bounds_suite(3, grid)
     assert len(rep.results) == 4 * len(grid)
     assert all(r.k == 0 for r in rep.results[: len(grid)])
     assert rep.all_passed and not rep.failures
@@ -63,25 +63,25 @@ def test_suite_layout_and_success(cfg):
     assert math.isfinite(rep.min_lower_margin)
 
 
-def test_suite_row_matches_direct_check(cfg):
-    rep = bounds_suite(1, [2.0], cfg)
-    direct = polygamma_bounds_check(1, 2.0, cfg)
+def test_suite_row_matches_direct_check():
+    rep = bounds_suite(1, [2.0])
+    direct = polygamma_bounds_check(1, 2.0)
     row = rep.results[1]
     assert row.k == 1
     assert row.middle == direct.middle
     assert row.margins == direct.margins
 
 
-def test_validation(cfg):
+def test_validation():
     with pytest.raises(DomainError):
-        psi_log_bounds_check(0.0, cfg)
+        psi_log_bounds_check(0.0)
     with pytest.raises(DomainError):
-        polygamma_bounds_check(0, 1.0, cfg)
+        polygamma_bounds_check(0, 1.0)
     with pytest.raises(DomainError):
-        polygamma_bounds_check(True, 1.0, cfg)
+        polygamma_bounds_check(True, 1.0)
     with pytest.raises(DomainError):
-        polygamma_bounds_check(1, -3.0, cfg)
+        polygamma_bounds_check(1, -3.0)
     with pytest.raises(DomainError):
-        bounds_suite(0, [1.0], cfg)
+        bounds_suite(0, [1.0])
     with pytest.raises(DomainError):
-        bounds_suite(1, [], cfg)
+        bounds_suite(1, [])

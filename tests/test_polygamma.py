@@ -138,7 +138,7 @@ def test_route_agreement_series_vs_quadrature(cfg):
             assert abs(p.value - q) <= 1e-9 * abs(p.value)
 
 
-def test_quadrature_bracket_at_large_argument(cfg):
+def test_quadrature_bracket_at_large_argument():
     x = 50.0
     q = polygamma_quadrature(1, x)
     lo = 1.0 / x + 1.0 / (2.0 * x * x)
@@ -181,17 +181,17 @@ def test_recurrence_examples(cfg):
     b = polygamma(1, 1.0, cfg)
     assert abs(a.value - (b.value - 1.0)) <= a.abs_error + b.abs_error + 1e-15
     for n, x, cap in ((2, 1.0, 1e-11), (1, 3.0, 1e-11), (5, 0.25, 1e-10)):
-        r = recurrence_residual(n, x, cfg)
+        r = recurrence_residual(n, x)
         assert r.value <= cap
         assert r.value <= r.abs_error
 
 
-def test_recurrence_residual_seeded_sample(cfg):
+def test_recurrence_residual_seeded_sample():
     rng = random.Random(1207)
     for _ in range(12):
         n = rng.randint(1, 8)
         x = math.exp(rng.uniform(0.0, math.log(10.0)))
-        r = recurrence_residual(n, x, cfg)
+        r = recurrence_residual(n, x)
         assert r.value <= 1e-11
         assert r.value <= r.abs_error
 
