@@ -3,8 +3,14 @@ nontrivially CM only at (m, n) = (1, 2), sign-changing and non-monotonic for
 every other even n.
 
 Machinery: exact integer polynomials bounding f'_{m,2v}; leading-term sign
-analysis at both ends; asymptotic envelopes; and certified witness search
-(scan plus log-bisection) for sign changes and non-monotonicity.
+analysis at both ends; asymptotic envelopes; and an exact witness search for
+sign changes and non-monotonicity.  The search probes x = 2^e, nearest to 1
+first, and brackets f or f' there in integer fractions from
+
+    k!/x^(k+1) + (k-1)!/(x+1)^k  <=  |psi^(k)(x)|  <=  k!/x^(k+1) + (k-1)!/x^k;
+
+each bracket is rounded outward once into an EvalResult, and a point is a
+witness when certified_sign(10) certifies it.
 
 Two bounding polynomial families are shipped. The "printed" ones are kept
 exactly as displayed in the source being verified; the "derived" ones are
@@ -33,7 +39,9 @@ from .errors import (
     SearchExhaustedError,
 )
 from .evaluation import EvalResult, log_grid, ulp
-from .cm_engine import CMReport, FamilyIndex, cm_check, f_derivative, f_value
+# f_value is not called here any more; it stays importable from this module
+# because bench/run.py's span tracer patches classifier.f_value by name.
+from .cm_engine import CMReport, FamilyIndex, cm_check, f_derivative, f_value  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +320,9 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-# Witness search: points of the coarse log scan, bisection steps, the factor
-# by which |value| must clear abs_error to certify a sign (below 1 a witness
-# could be certified inside its own error band), and the relative bracket
-# width at which bisection stops.
-_COARSE_COUNT = 128
-_MAX_REFINEMENTS = 80
+# The factor by which |value| must clear abs_error to certify a witness sign
+# (below 1 a witness could be certified inside its own error band).
 _CERTIFY_FACTOR = 10.0
-_REL_WIDTH = 1e-6
 
 
 class _SearchParamsFields(NamedTuple):
@@ -328,7 +331,8 @@ class _SearchParamsFields(NamedTuple):
 
 
 class SearchParams(_SearchParamsFields):
-    """The window [x_min, x_max] the witness search scans."""
+    """The window [x_min, x_max]: the witness search probes the powers of
+    two inside it, nearest to 1 first."""
 
     __slots__ = ()
 
@@ -348,6 +352,8 @@ class Witness(NamedTuple):
     kind "sign_change": quantity is f itself, x_positive/x_negative carry
     certified f > 0 resp. f < 0.  kind "non_monotonic": quantity is f', so
     x_positive is a certified increase point and x_negative a decrease point.
+    Both points are powers of two; each value is the midpoint of an exact
+    bracket of the quantity there, and each abs_error covers the bracket.
     Margins are |value| - abs_error, always positive by construction.
     """
 
@@ -360,52 +366,101 @@ class Witness(NamedTuple):
     margin_negative: float
 
 
-def _witness_search(
-    probe,
-    kind: str,
-    label: str,
-    search: SearchParams,
-) -> Witness:
-    """Scan a log grid for certified opposite signs, then log-bisect the
-    bracket; stop early if a midpoint cannot be certified.
+def _psi_bracket(k: int, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Exact bounds (numerator, denominator) of |psi^(k)(a/b)|, k >= 1:
 
-    The scan stops at the first adjacent pair of coarse points with
-    certified opposite signs, the bracket a full scan would pick, so no
-    point past it is probed; without a bracket it probes all of them.
+        k!/x^(k+1) + (k-1)!/(x+1)^k  <=  |psi^(k)(x)|  <=  k!/x^(k+1) + (k-1)!/x^k
+
+    (k! sum_j (x+j)^-(k+1), its terms j >= 1 against the integrals of
+    t^-(k+1) over [x+1, inf) and [x, inf))."""
+    f1 = math.factorial(k - 1)
+    fk = k * f1
+    ak1, bk = a ** (k + 1), b**k
+    c = (a + b) ** k
+    lower = (fk * bk * b * c + f1 * bk * ak1, ak1 * c)
+    upper = (fk * bk * b + f1 * bk * a, ak1)
+    return lower, upper
+
+
+def _minus(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    return p[0] * q[1] - q[0] * p[1], p[1] * q[1]
+
+
+def _times(c: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    return c * p[0] * q[0], p[1] * q[1]
+
+
+def _bracket(m: int, even_n: int, order: int, a: int, b: int):
+    """Exact bounds of f (order 0) or f' (order 1) at a/b, for even n:
+
+        f = |psi^(m)|^2 - |psi^(n)|,   f' = |psi^(n+1)| - 2 |psi^(m)| |psi^(m+1)|
     """
-    signs: list[int] = []
-    for x in log_grid(search.x_min, search.x_max, _COARSE_COUNT):
-        ev = probe(x)
+    lm, um = _psi_bracket(m, a, b)
+    if order == 0:
+        ln, un = _psi_bracket(even_n, a, b)
+        return _minus(_times(1, lm, lm), un), _minus(_times(1, um, um), ln)
+    ln, un = _psi_bracket(even_n + 1, a, b)
+    lm1, um1 = _psi_bracket(m + 1, a, b)
+    return _minus(ln, _times(2, um, um1)), _minus(un, _times(2, lm, lm1))
+
+
+def _rounded(lower: tuple[int, int], upper: tuple[int, int]) -> EvalResult:
+    """The exact bracket [lower, upper] rounded outward once: value is its
+    midpoint rounded to nearest, abs_error its half-width plus |value -
+    midpoint|, rounded up.  OverflowError when either leaves the doubles."""
+    (pl, ql), (pu, qu) = lower, upper
+    den = 2 * ql * qu
+    mid = pl * qu + pu * ql          # midpoint mid/den, half-width (pu ql - pl qu)/den
+    value = mid / den                # int / int: one rounding to nearest
+    vn, vd = value.as_integer_ratio()
+    error = (pu * ql - pl * qu) * vd + abs(vn * den - mid * vd)
+    error = math.nextafter(error / (vd * den), math.inf)
+    if error == math.inf:
+        raise OverflowError("bracket half-width overflows")
+    return EvalResult(value, error)
+
+
+def _exponents(search: SearchParams) -> list[int]:
+    """The e with x_min <= 2^e <= x_max in probe order: 0, 1, -1, 2, -2, ..."""
+    mant, e_min = math.frexp(search.x_min)
+    if mant == 0.5:
+        e_min -= 1
+    e_max = math.frexp(search.x_max)[1] - 1
+    return sorted(range(e_min, e_max + 1), key=lambda e: (abs(e), e < 0))
+
+
+def _witness_search(m: int, even_n: int, order: int, kind: str, search: SearchParams) -> Witness:
+    """Probe f (order 0) or f' (order 1) at the powers of two in the window
+    until one point of each sign is certified.
+
+    A probe whose bracket does not fit a double is skipped; when the window
+    runs out with no witness and some probe was skipped, CapabilityError
+    names the count, else SearchExhaustedError.
+    """
+    found: dict[int, tuple[float, EvalResult]] = {}
+    counts = {1: 0, -1: 0}
+    skipped = 0
+    for e in _exponents(search):
+        a, b = (2**e, 1) if e >= 0 else (1, 2**-e)
+        try:
+            ev = _rounded(*_bracket(m, even_n, order, a, b))
+        except OverflowError:
+            skipped += 1
+            continue
         s = ev.certified_sign(_CERTIFY_FACTOR)
-        if signs and s * signs[-1] < 0:
-            hi, ehi = x, ev
-            break
-        signs.append(s)
-        lo, elo, slo = x, ev, s
+        if s:
+            counts[s] += 1
+            found.setdefault(s, (math.ldexp(1.0, e), ev))
+            if len(found) == 2:
+                break
     else:
-        raise SearchExhaustedError(
-            f"no certified {kind} bracket for {label} in "
-            f"[{search.x_min:g}, {search.x_max:g}]: "
-            f"{signs.count(1)} certified positive, {signs.count(-1)} certified negative"
-        )
-
-    for _ in range(_MAX_REFINEMENTS):
-        if hi / lo - 1.0 <= _REL_WIDTH:
-            break
-        mid = math.sqrt(lo * hi)
-        emid = probe(mid)
-        smid = emid.certified_sign(_CERTIFY_FACTOR)
-        if smid == 0:
-            break  # keep the last certified bracket
-        if smid == slo:
-            lo, elo = mid, emid
-        else:
-            hi, ehi = mid, emid
-
-    if slo == 1:
-        xp, ep, xn, en = lo, elo, hi, ehi
-    else:
-        xp, ep, xn, en = hi, ehi, lo, elo
+        where = (f"no certified {kind} witness for {FamilyIndex(m, even_n).label()} at the "
+                 f"powers of two in [{search.x_min:g}, {search.x_max:g}]: "
+                 f"{counts[1]} certified positive, {counts[-1]} certified negative")
+        if skipped:
+            raise CapabilityError(f"{where}, {skipped} outside the double range")
+        raise SearchExhaustedError(where)
+    (xp, ep), (xn, en) = found[1], found[-1]
     return Witness(
         kind=kind,
         x_positive=xp,
@@ -434,20 +489,14 @@ def find_sign_change(m: int, even_n: int, search: SearchParams = DEFAULT_SEARCH)
     guarantee opposite-sign values for every such pair.
     """
     m, even_n = _validate_even_pair(m, even_n)
-    idx = FamilyIndex(m, even_n)
-    return _witness_search(
-        lambda x: f_value(idx, x), "sign_change", idx.label(), search
-    )
+    return _witness_search(m, even_n, 0, "sign_change", search)
 
 
 def find_nonmonotonic(m: int, even_n: int, search: SearchParams = DEFAULT_SEARCH) -> Witness:
     """Certified non-monotonicity witness: points where f'_{m,even_n} is
     certified positive resp. negative."""
     m, even_n = _validate_even_pair(m, even_n)
-    idx = FamilyIndex(m, even_n)
-    return _witness_search(
-        lambda x: f_derivative(idx, 1, x), "non_monotonic", idx.label(), search
-    )
+    return _witness_search(m, even_n, 1, "non_monotonic", search)
 
 
 # ---------------------------------------------------------------------------

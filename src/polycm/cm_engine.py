@@ -6,17 +6,14 @@ The l-th derivative in closed form, by the product rule:
 
 _assemble computes f^(l)(x) from a psi row, {k: (value, abs_error) of
 psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
-arithmetic.  Rows are kept only while later calls share them, in two
-bounded module-level tables (least recently used dropped first):
-
-- _grid_rows keeps the rows of the last _GRIDS_KEPT grids, one row per grid
-  point.  cm_check adds {m..m+L} and {n..n+L} to each, so consecutive
-  members on one grid (a CM sweep, the CM members of a classification)
-  share the evaluations.
-- _row keeps the rows of the last _POINTS_KEPT points.  f_derivative adds
-  {n+l} and {m..m+l} to the row of its point, so the two witness searches
-  of a member and the members after it share the coarse scan points and
-  the bisection midpoints the two searches have in common.
+arithmetic.  Grid rows are kept only while later calls share them: the
+bounded module-level table _grid_rows keeps the rows of the last _GRIDS_KEPT
+grids (least recently used dropped first), one row per grid point.
+cm_check adds {m..m+L} and {n..n+L} to each, so consecutive members on one
+grid (a CM sweep, the CM members of a classification) share the
+evaluations.  f_derivative fills a fresh row of {n+l} and {m..m+l} for its
+one point: single points are not shared, since the witness search of
+polycm.classifier brackets psi exactly and calls no polygamma.
 
 polygamma runs only for an order the row lacks, so one call evaluates each
 psi^(k)(x) at most once.  Each entry is evaluated under DEFAULT_PRECISION
@@ -59,11 +56,6 @@ _STATUS = {1: "positive", 0: "inconclusive", -1: "violation"}
 # grid (the 25 members of a CM sweep, the CM members of a classification).
 _GRIDS_KEPT = 4
 
-# Points kept by the point row table: the two witness searches of one member
-# touch at most 128 coarse points and 2 x 80 bisection midpoints, and the
-# members after it reuse the coarse points.
-_POINTS_KEPT = 1024
-
 
 class _FamilyIndexFields(NamedTuple):
     m: int
@@ -87,13 +79,6 @@ def _check_cap(idx: FamilyIndex, order: int) -> None:
     if needed > DEFAULT_ORDER_CAP:
         raise CapabilityError(f"{idx.label()} derivative {order} needs polygamma "
                               f"order {needed} beyond the cap {DEFAULT_ORDER_CAP}")
-
-
-@lru_cache(maxsize=_POINTS_KEPT)
-def _row(x: float) -> dict:
-    """The shared psi row of x: the same dict for the same x until
-    evicted, so callers fill it in place."""
-    return {}
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
@@ -153,7 +138,7 @@ def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
     order = checks.integer("derivative order", order, 0)
     x = checks.positive_real("x", x)
     _check_cap(idx, order)
-    row = _row(x)
+    row: dict = {}
     _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x)
     return _assemble(idx, order, row)
 

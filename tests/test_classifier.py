@@ -9,8 +9,8 @@ import pytest
 
 from polycm import (
     CapabilityError,
+    ClassificationError,
     DomainError,
-    EvalResult,
     FamilyIndex,
     IntPolynomial,
     SearchParams,
@@ -24,7 +24,6 @@ from polycm import (
     find_nonmonotonic,
     find_sign_change,
     leading_term_sign,
-    log_grid,
     p_derived,
     p_printed,
     q_derived,
@@ -248,129 +247,71 @@ def test_search_params_validation():
         SearchParams(x_max=math.inf)
 
 
-def _full_scan_search(probe, kind, label, search):
-    """The witness search as it was before the scan stopped early: every
-    coarse point is probed before the first certified bracket is taken."""
-    xs = log_grid(search.x_min, search.x_max, classifier._COARSE_COUNT)
-    signs = []
-    for x in xs:
-        ev = probe(x)
-        signs.append((x, ev, ev.certified_sign(classifier._CERTIFY_FACTOR)))
-    bracket = None
-    for (x1, e1, s1), (x2, e2, s2) in zip(signs, signs[1:]):
-        if s1 != 0 and s2 != 0 and s1 != s2:
-            bracket = (x1, e1, s1, x2, e2, s2)
-            break
-    if bracket is None:
-        pos = sum(1 for _, _, s in signs if s == 1)
-        neg = sum(1 for _, _, s in signs if s == -1)
-        raise SearchExhaustedError(
-            f"no certified {kind} bracket for {label} in "
-            f"[{search.x_min:g}, {search.x_max:g}]: "
-            f"{pos} certified positive, {neg} certified negative"
-        )
-    lo, elo, slo, hi, ehi, shi = bracket
-    for _ in range(classifier._MAX_REFINEMENTS):
-        if hi / lo - 1.0 <= classifier._REL_WIDTH:
-            break
-        mid = math.sqrt(lo * hi)
-        emid = probe(mid)
-        smid = emid.certified_sign(classifier._CERTIFY_FACTOR)
-        if smid == 0:
-            break
-        if smid == slo:
-            lo, elo = mid, emid
-        else:
-            hi, ehi = mid, emid
-    if slo == 1:
-        xp, ep, xn, en = lo, elo, hi, ehi
-    else:
-        xp, ep, xn, en = hi, ehi, lo, elo
-    return classifier.Witness(
-        kind=kind,
-        x_positive=xp,
-        x_negative=xn,
-        positive=ep,
-        negative=en,
-        margin_positive=ep.value - ep.abs_error,
-        margin_negative=-en.value - en.abs_error,
-    )
+# the even-n members of the 6x6 matrix, and two whose floats overflow near x = 1
+_WITNESS_MEMBERS = [
+    (m, n) for m in range(1, 7) for n in (2, 4, 6) if (m, n) != (1, 2)
+] + [(40, 2), (1, 120)]
 
 
-def _waves(x: float) -> float:
-    """Sign changes wherever 3 ln(x/0.9) is an odd multiple of pi/2, the
-    first near x = 2.8e-3."""
-    return math.cos(3.0 * math.log(x / 0.9))
+def _f_exact(m, n, order, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        if order == 0:
+            return mpmath.psi(m, x) ** 2 + mpmath.psi(n, x)
+        return mpmath.psi(n + 1, x) + 2 * mpmath.psi(m, x) * mpmath.psi(m + 1, x)
 
 
-class _CountingProbe:
-    """fn(x) within 1e-3, recording every x it is called at; raises
-    CapabilityError past x = fail_above."""
-
-    def __init__(self, fn, fail_above: float = math.inf):
-        self.fn, self.fail_above = fn, fail_above
-        self.xs: list[float] = []
-
-    def value(self, x: float) -> EvalResult:
-        return EvalResult(self.fn(x), 1e-3)
-
-    def __call__(self, x: float) -> EvalResult:
-        self.xs.append(x)
-        if x > self.fail_above:
-            raise CapabilityError(f"probe fails at x={x}")
-        return self.value(x)
+@pytest.mark.parametrize("m, n", _WITNESS_MEMBERS)
+def test_witnesses_match_mpmath(m, n):
+    mpmath = pytest.importorskip("mpmath")
+    for order, search in ((0, find_sign_change), (1, find_nonmonotonic)):
+        w = search(m, n)
+        for x, ev, sign in ((w.x_positive, w.positive, 1), (w.x_negative, w.negative, -1)):
+            assert ev.certified_sign(10.0) == sign
+            truth = _f_exact(m, n, order, x)
+            assert sign * truth > 0
+            with mpmath.workdps(60):
+                assert abs(mpmath.mpf(ev.value) - truth) <= ev.abs_error
 
 
-# the first certified brackets end at coarse points 10 and 4, a dozen more
-# following, and at 73 for the one sign change at x = 2.6, in the range
-# where the family members' first brackets lie
-@pytest.mark.parametrize(
-    "fn",
-    [_waves, lambda x: math.cos(3.0 * math.log(x / 250.0)), lambda x: math.tanh(math.log(2.6 / x))],
-)
-def test_witness_scan_stops_at_first_bracket(fn):
-    search = SearchParams()
-    xs = log_grid(search.x_min, search.x_max, classifier._COARSE_COUNT)
-    early, full = _CountingProbe(fn), _CountingProbe(fn)
-    w = classifier._witness_search(early, "sign_change", "synthetic", search)
-    assert w == _full_scan_search(full, "sign_change", "synthetic", search)
-    signs = [early.value(x).certified_sign(classifier._CERTIFY_FACTOR) for x in xs]
-    j = next(i for i in range(1, len(xs)) if signs[i] * signs[i - 1] < 0)
-    assert early.xs[: j + 1] == xs[: j + 1]
-    bisection = full.xs[len(xs):]
-    assert early.xs[j + 1:] == bisection
-    assert len(early.xs) == j + 1 + len(bisection) < len(full.xs)
+@pytest.mark.parametrize("search", [SearchParams(), SearchParams(7e-4, 1.4e3), SearchParams(1.4e-3, 7e2)])
+def test_witness_points_are_powers_of_two_in_the_window(search):
+    for m, n in _WITNESS_MEMBERS[:17]:
+        for w in (find_sign_change(m, n, search), find_nonmonotonic(m, n, search)):
+            for x in (w.x_positive, w.x_negative):
+                assert search.x_min <= x <= search.x_max
+                mant, _ = math.frexp(x)
+                assert mant == 0.5
 
 
-def test_witness_scan_without_bracket_probes_every_point():
-    search = SearchParams()
-    xs = log_grid(search.x_min, search.x_max, classifier._COARSE_COUNT)
-    # certified positive below 1, inconclusive from 1 to 2, negative above:
-    # opposite signs never sit on adjacent coarse points
-    def step(x):
-        return 1.0 if x < 1.0 else 0.0 if x < 2.0 else -1.0
-
-    messages = []
-    for search_fn in (classifier._witness_search, _full_scan_search):
-        probe = _CountingProbe(step)
-        with pytest.raises(SearchExhaustedError) as exc:
-            search_fn(probe, "sign_change", "synthetic", search)
-        assert probe.xs == xs
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-    assert "64 certified positive, 58 certified negative" in messages[0]
+def test_witness_probes_nearest_powers_first():
+    assert classifier._exponents(SearchParams(0.3, 5.0)) == [0, 1, -1, 2]
+    assert classifier._exponents(SearchParams(0.25, 0.5)) == [-1, -2]
+    assert classifier._exponents(SearchParams(1.1, 1.9)) == []
 
 
-def test_witness_scan_ignores_probes_past_the_bracket():
-    search = SearchParams()
-    # every probe past x = 10 raises, which a full scan reaches and the
-    # early exit, bracketing the first sign change, never does
+def test_window_without_witness_raises():
+    # no power of two in (1.1, 1.9)
+    with pytest.raises(SearchExhaustedError, match="0 certified positive, 0 certified negative"):
+        find_sign_change(2, 2, SearchParams(1.1, 1.9))
+    with pytest.raises(ClassificationError):
+        classify(2, 2, search=SearchParams(1.1, 1.9))
+    # f[2,2] is positive below its sign change near 2.4, so this window
+    # holds no negative point
+    with pytest.raises(SearchExhaustedError, match="certified negative"):
+        find_sign_change(2, 2, SearchParams(1e-3, 1.5))
+
+
+def test_probes_past_the_double_range_are_capability_errors():
+    # [psi^(100)(x)]^2 > (100!)^2 ~ 9e315 for x <= 1: every probe overflows
+    with pytest.raises(CapabilityError, match="10 outside the double range"):
+        find_sign_change(100, 4, SearchParams(1e-3, 1.5))
     with pytest.raises(CapabilityError):
-        _full_scan_search(_CountingProbe(_waves, 10.0), "sign_change", "synthetic", search)
-    probe = _CountingProbe(_waves, 10.0)
-    w = classifier._witness_search(probe, "sign_change", "synthetic", search)
-    assert w == _full_scan_search(_CountingProbe(_waves), "sign_change", "synthetic", search)
-    assert max(probe.xs) < 10.0
+        classify(100, 4, search=SearchParams(1e-3, 1.5))
+    # the default window also reaches points where f[100,4] fits a double
+    w = find_sign_change(100, 4)
+    assert w.x_positive > 1.0 and w.x_negative > w.x_positive
 
 
 # -- classification --------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from polycm import cli, cm_engine
 from polycm import (
-    DEFAULT_PRECISION,
     CapabilityError,
     DomainError,
     FamilyIndex,
@@ -122,8 +121,7 @@ def test_cm_check_entries_match_signed_derivative(m, n):
 @pytest.fixture
 def psi_calls(monkeypatch) -> list[tuple[int, float]]:
     """Every (order, x) that cm_engine asks polygamma for during the test,
-    starting from empty psi row tables."""
-    cm_engine._row.cache_clear()
+    starting from an empty grid row table."""
     cm_engine._grid_rows.cache_clear()
     calls = []
     real = cm_engine.polygamma
@@ -175,39 +173,17 @@ def _entries(rep):
 def test_row_table_cold_and_warm_agree():
     grid = log_grid(0.01, 100.0, 25)
     members = [FamilyIndex(1, 2), FamilyIndex(3, 5), FamilyIndex(2, 2)]
-    cm_engine._row.cache_clear()
     cm_engine._grid_rows.cache_clear()
     cold = [_entries(cm_check(idx, 8, grid)) for idx in members]
     warm = [_entries(cm_check(idx, 8, grid)) for idx in members]
-    # one kept grid with a row per point; no single-point rows
+    # one kept grid with a row per point
     assert cm_engine._grid_rows.cache_info().currsize == 1
     assert len(cm_engine._grid_rows(tuple(grid))) == len(grid)
-    assert cm_engine._row.cache_info().currsize == 0
     assert warm == cold
     # each member alone on cleared tables, against the warm, uncleared ones
     for idx, ref in zip(members, cold):
-        cm_engine._row.cache_clear()
         cm_engine._grid_rows.cache_clear()
         assert _entries(cm_check(idx, 8, grid)) == ref
-
-
-def test_members_share_one_row_per_point(psi_calls):
-    # rows are keyed by the point alone: two members' derivatives at one x
-    # fill the same row, and the second evaluates only the orders it adds
-    x = 0.7
-    a = f_derivative(FamilyIndex(2, 3), 3, x)
-    b = f_derivative(FamilyIndex(2, 8), 2, x)
-    assert cm_engine._row.cache_info().currsize == 1
-    row = cm_engine._row(x)
-    assert sorted(row) == [2, 3, 4, 5, 6, 10]
-    assert sorted(psi_calls) == [(k, x) for k in (2, 3, 4, 5, 6, 10)]
-    for k in row:
-        cold = polygamma(k, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(k, x)))
-        assert row[k] == (cold.value, cold.abs_error)
-    for idx, order, ref in ((FamilyIndex(2, 3), 3, a), (FamilyIndex(2, 8), 2, b)):
-        cm_engine._row.cache_clear()
-        again = f_derivative(idx, order, x)
-        assert (again.value, again.abs_error) == (ref.value, ref.abs_error)
 
 
 def test_row_table_shares_orders_across_members(psi_calls):
@@ -222,22 +198,13 @@ def test_row_table_shares_orders_across_members(psi_calls):
 
 
 def test_grid_rows_do_not_thrash_past_the_point_table(psi_calls):
-    # a grid larger than the point table keeps every row between members
-    grid = log_grid(0.01, 100.0, cm_engine._POINTS_KEPT + 1)
+    # a grid of more than a thousand points keeps every row between members
+    grid = log_grid(0.01, 100.0, 1025)
     cm_check(FamilyIndex(1, 3), 1, grid)
     cm_check(FamilyIndex(1, 5), 1, grid)
     assert len(psi_calls) == len(set(psi_calls))
     orders = {1, 2, 3, 4, 5, 6}
     assert set(psi_calls) == {(k, x) for k in orders for x in grid}
-
-
-def test_witness_searches_evaluate_each_psi_once(psi_calls):
-    # both searches of one sign-changing member share coarse points and
-    # bisection midpoints through the point table
-    entry = classify(2, 4)
-    assert entry.sign_witness is not None and entry.monotonicity_witness is not None
-    assert psi_calls
-    assert len(psi_calls) == len(set(psi_calls))
 
 
 def test_default_classify_run_evaluates_each_psi_once(psi_calls, capsys):
@@ -248,9 +215,8 @@ def test_default_classify_run_evaluates_each_psi_once(psi_calls, capsys):
 
 
 def test_row_tables_stay_within_their_caps():
-    # fresh search windows and CM grids per 6x6 matrix: both tables fill,
-    # evict, and still give the results of a cold start
-    cm_engine._row.cache_clear()
+    # fresh search windows and CM grids per 6x6 matrix: the grid table
+    # fills, evicts, and still gives the results of a cold start
     cm_engine._grid_rows.cache_clear()
 
     def matrix(i):
@@ -262,8 +228,7 @@ def test_row_tables_stay_within_their_caps():
     first = matrix(0)
     for i in range(1, cm_engine._GRIDS_KEPT + 1):
         matrix(i)
-    rows, grids = cm_engine._row.cache_info(), cm_engine._grid_rows.cache_info()
-    assert (rows.maxsize, rows.currsize) == (cm_engine._POINTS_KEPT,) * 2
+    grids = cm_engine._grid_rows.cache_info()
     assert (grids.maxsize, grids.currsize) == (cm_engine._GRIDS_KEPT,) * 2
     assert matrix(0) == first
 
