@@ -15,19 +15,8 @@ from .errors import (
     PolycmError,
     SearchExhaustedError,
 )
-from .evaluation import (
-    DEFAULT_PRECISION,
-    EvalResult,
-    PrecisionConfig,
-    linear_grid,
-    log_grid,
-)
-from .polygamma import (
-    EULER_GAMMA,
-    digamma,
-    magnitude_lower_bound,
-    polygamma,
-)
+from .evaluation import EvalResult, linear_grid, log_grid
+from .polygamma import EULER_GAMMA, digamma, polygamma
 from .kernels import (
     KernelId,
     KernelReport,
@@ -82,14 +71,11 @@ __all__ = [
     "DomainError",
     "PolycmError",
     "SearchExhaustedError",
-    "DEFAULT_PRECISION",
     "EvalResult",
-    "PrecisionConfig",
     "linear_grid",
     "log_grid",
     "EULER_GAMMA",
     "digamma",
-    "magnitude_lower_bound",
     "polygamma",
     "KernelId",
     "KernelReport",

@@ -11,12 +11,11 @@ Every numeric value in JSON output is paired with its abs_error; CSV
 flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including an --out path that cannot be written),
-3 numeric capability/convergence error (an order cap, or a computed
-magnitude that overflows) or a bound audit or inequality suite that
-rounding leaves undecided at some points.  ``bounds`` and ``inequalities``
-exit 1 only when some margin is certified negative.  No subcommand takes an
-error budget: each evaluation runs under the default budget adapted to its
-own magnitude, which the series meets at its first attempt.
+3 numeric capability error (an order cap, or a computed magnitude that
+overflows) or a bound audit or inequality suite that rounding leaves
+undecided at some points.  ``bounds`` and ``inequalities`` exit 1 only when
+some margin is certified negative.  No subcommand takes an error budget:
+each bound is what the one closed series behind each value guarantees.
 """
 
 from __future__ import annotations
@@ -35,12 +34,7 @@ from .classifier import (
     classify,
 )
 from .cm_engine import CMReport, FamilyIndex, cm_check
-from .errors import (
-    CapabilityError,
-    ConvergenceError,
-    DomainError,
-    PolycmError,
-)
+from .errors import CapabilityError, DomainError, PolycmError
 from .evaluation import linear_grid, log_grid
 from .inequalities import BoundsSuiteReport, bounds_suite
 from .kernels import KernelId, kernel_report
@@ -380,7 +374,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"polycm: usage error: {exc}", file=sys.stderr)
         return 2
-    except (CapabilityError, ConvergenceError) as exc:
+    except CapabilityError as exc:
         print(f"polycm: numeric capability error: {exc}", file=sys.stderr)
         return 3
     except PolycmError as exc:

@@ -16,12 +16,8 @@ one point: single points are not shared, since the witness search of
 polycm.classifier brackets psi exactly and calls no polygamma.
 
 polygamma runs only for an order the row lacks, so one call evaluates each
-psi^(k)(x) at most once.  Each entry is evaluated under DEFAULT_PRECISION
-adapted to its own magnitude, a function of (k, x) alone, so small-x points
-do not demand absolute tolerances below the floating point floor of
-quantities like psi^(8)(0.01) ~ 1e22.  No budget is taken from the caller:
-polygamma's series already meets every magnitude-adapted budget at its first
-attempt, so a caller's budget could change no value or bound.
+psi^(k)(x) at most once.  polygamma takes no error budget: each entry's
+bound is what its one closed series guarantees, a function of (k, x) alone.
 
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point by
 EvalResult.certified_sign: certified positive, certified violation
@@ -40,8 +36,8 @@ from typing import NamedTuple
 
 from . import checks
 from .errors import CapabilityError
-from .evaluation import DEFAULT_PRECISION, EvalResult, ulp
-from .polygamma import magnitude_lower_bound, polygamma
+from .evaluation import EvalResult, ulp
+from .polygamma import polygamma
 
 # Highest polygamma order a derivative may need.
 DEFAULT_ORDER_CAP = 64
@@ -92,7 +88,7 @@ def _fill(row: dict, orders, x: float) -> None:
     """Add psi^(k)(x) to the row for each order k it does not hold yet."""
     for k in orders:
         if k not in row:
-            r = polygamma(k, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(k, x)))
+            r = polygamma(k, x)
             row[k] = (r.value, r.abs_error)
 
 

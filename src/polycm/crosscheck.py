@@ -19,15 +19,9 @@ from mpmath import fp
 from . import checks
 from .cm_engine import FamilyIndex, f_derivative, f_value
 from .errors import CapabilityError, ConvergenceError, DomainError
-from .evaluation import DEFAULT_PRECISION, EvalResult, ulp
+from .evaluation import EvalResult, ulp
 from .kernels import tanh_kernel
-from .polygamma import (
-    EULER_GAMMA,
-    digamma,
-    digamma_magnitude_estimate,
-    magnitude_lower_bound,
-    polygamma,
-)
+from .polygamma import EULER_GAMMA, digamma, polygamma
 
 _EPS = 2.0 ** -52
 _MAX_TERMS = 60_000_000
@@ -166,11 +160,9 @@ def recurrence_residual(n: int, x: float) -> EvalResult:
     x = checks.positive_real("x", x)
     order = n - 1
     if order == 0:
-        eff = DEFAULT_PRECISION.for_magnitude(digamma_magnitude_estimate(x))
-        left, right = digamma(x + 1.0, eff), digamma(x, eff)
+        left, right = digamma(x + 1.0), digamma(x)
     else:
-        eff = DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(order, x))
-        left, right = polygamma(order, x + 1.0, eff), polygamma(order, x, eff)
+        left, right = polygamma(order, x + 1.0), polygamma(order, x)
     corr = (-1.0) ** (n - 1) * math.factorial(n - 1) * x ** (-float(n))
     resid = abs(left.value - right.value - corr)
     bound = (
@@ -269,7 +261,7 @@ def shift_difference_kernel_check(x: float) -> float:
     lhs = f_value(idx, x).value - f_value(idx, x + 1.0).value
     factor = 2.0 / (x * x)
 
-    trig = polygamma(1, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(1, x))).value
+    trig = polygamma(1, x).value
     closed = factor * (trig - 1.0 / (2.0 * x * x) - 1.0 / x)
 
     # truncation: integrand <= (t/2) e^(-xt) past T

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
-Callers that map failures to process exit codes treat CapabilityError and
-ConvergenceError as "numeric capability" failures (exit 3) and everything
-else as usage or verification failures.
+Callers that map failures to process exit codes treat CapabilityError as a
+"numeric capability" failure (exit 3), DomainError as a usage error (exit 2)
+and everything else as a verification failure.  Only the verification routes
+of polycm.crosscheck raise ConvergenceError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ class DomainError(PolycmError, ValueError):
 
 
 class ConvergenceError(PolycmError, ArithmeticError):
-    """A requested error budget could not be met.
+    """A verification route could not meet its requested tolerance.
 
     Carries the best bound that was achieved so callers can decide whether
     the partial result is still usable.

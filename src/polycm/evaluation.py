@@ -1,4 +1,4 @@
-"""Error-tracked scalar arithmetic and evaluation configuration.
+"""Error-tracked scalar arithmetic and grid builders.
 
 Every numeric quantity the package reports travels as an EvalResult: a float
 value together with a guaranteed absolute error bound.  Propagation is exact
@@ -14,13 +14,7 @@ import math
 from typing import NamedTuple
 
 from . import checks
-from .errors import CapabilityError, DomainError
-
-# Relative floor used by callers that adapt absolute budgets to magnitude:
-# a handful of compensated double operations cannot do better than a few
-# ulps, so asking for less than ~1e-13 relative is wasted effort.
-REL_BUDGET_FLOOR = 1e-13
-
+from .errors import DomainError
 
 # One unit in the last place of |value|: positive, and 5e-324 at +-0.0.
 # math.ulp already takes |value| and maps zero to the smallest subnormal, so
@@ -134,49 +128,15 @@ def result_sum(parts: list[EvalResult]) -> EvalResult:
     return EvalResult(*bounded_sum([p.value for p in parts], [p.abs_error for p in parts]))
 
 
-class _PrecisionConfigFields(NamedTuple):
-    target_abs_error: float
+class PrecisionConfig:
+    """Not part of polycm's API, and nothing in polycm calls it.  Only
+    bench/run.py install_spans reads it: it patches for_magnitude by name.
+    The next benchmark change drops that patch and this class (ROADMAP
+    item 8)."""
 
-
-class PrecisionConfig(_PrecisionConfigFields):
-    """The error budget of one evaluation.
-
-    target_abs_error: absolute error bound a single evaluation must meet
-        (operations fail with ConvergenceError if they cannot).  It does
-        not set where polycm.polygamma's series starts: that shift depends
-        on the order and the argument alone and already meets every
-        magnitude-adapted budget.  A tighter budget only lengthens the
-        series; one the series cannot reach raises ConvergenceError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, target_abs_error: float = 1e-12) -> "PrecisionConfig":
-        return tuple.__new__(
-            cls, (checks.positive_real("target_abs_error", target_abs_error),)
-        )
-
-    def for_magnitude(self, magnitude: float) -> "PrecisionConfig":
-        """Budget adapted to a quantity of the given rough magnitude.
-
-        Absolute targets below the double-precision relative floor are
-        unreachable, so the effective budget is the larger of the configured
-        target and magnitude * REL_BUDGET_FLOOR.  The magnitude is computed
-        by the program, so a non-finite one (an overflow) raises
-        CapabilityError, not the DomainError of a bad user-supplied target.
-        """
-        # magnitude first, so that a NaN magnitude propagates into eff
-        eff = max(abs(magnitude) * REL_BUDGET_FLOOR, self.target_abs_error)
-        if eff == self.target_abs_error:
-            return self
-        if not math.isfinite(eff):
-            raise CapabilityError(
-                f"error budget for magnitude {magnitude!r} is not a finite double"
-            )
-        return PrecisionConfig(eff)
-
-
-DEFAULT_PRECISION = PrecisionConfig()
+    @staticmethod
+    def for_magnitude(magnitude: float) -> None:
+        """Unused: polygamma and digamma take no error budget."""
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:

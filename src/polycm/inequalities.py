@@ -7,8 +7,8 @@ Both are strict on (0, inf); a check passes only when each margin exceeds
 twice the evaluation's abs_error plus the bound's own rounding, so numeric
 noise can never fake strictness.  The upper digamma margin decays like
 1/(12 x^2), which is why margins are assembled with fsum instead of chains
-of subtractions.  Each evaluation runs under DEFAULT_PRECISION adapted to
-its own magnitude, as in polycm.cm_engine.
+of subtractions.  digamma and polygamma take no error budget: each margin
+is weighed against the bound their one closed series guarantees.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ import math
 from typing import NamedTuple
 
 from . import checks
-from .evaluation import DEFAULT_PRECISION, EvalResult, ulp
-from .polygamma import (
-    digamma,
-    digamma_magnitude_estimate,
-    magnitude_lower_bound,
-    polygamma,
-)
+from .evaluation import EvalResult, ulp
+from .polygamma import digamma, polygamma
 
 _EPS = 2.0 ** -52
 
@@ -59,7 +54,7 @@ def psi_log_bounds_check(x: float) -> InequalityResult:
     the shrinking margin still clears the error bar.
     """
     x = checks.positive_real("x", x)
-    mid = digamma(x, DEFAULT_PRECISION.for_magnitude(digamma_magnitude_estimate(x)))
+    mid = digamma(x)
     lnx = math.log(x)
     inv = 1.0 / x
     lower = lnx - inv
@@ -84,7 +79,7 @@ def polygamma_bounds_check(k: int, x: float) -> InequalityResult:
     """(k-1)!/x^k + k!/(2x^(k+1)) < |psi^(k)(x)| < same + k!/x^(k+1)."""
     k = checks.integer("order k", k, 1)
     x = checks.positive_real("x", x)
-    raw = polygamma(k, x, DEFAULT_PRECISION.for_magnitude(magnitude_lower_bound(k, x)))
+    raw = polygamma(k, x)
     mid = EvalResult(abs(raw.value), raw.abs_error)
     # exact over one integer denominator den = 2 a^(k+1), where x = a/b:
     # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den;

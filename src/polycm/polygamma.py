@@ -4,9 +4,10 @@ digamma and polygamma sum explicit series terms and close the series with an
 Euler-Maclaurin tail correction whose remainder is bounded rigorously by
 |B_2p|/(2p)! times the integral of |g^(2p)| (classical periodized-Bernoulli-
 polynomial bound; the integrand's derivatives are one-signed, so the integral
-telescopes to a closed form).  One loop, _converge, lengthens the explicit
-prefix for both until the bound meets the budget.  The independent routes
-that tests check them against live in polycm.crosscheck.
+telescopes to a closed form).  Each sums a fixed explicit prefix and its
+tail once, and takes no error budget: abs_error is whatever that one closed
+series guarantees, remainder plus rounding.  The independent routes that
+tests check them against live in polycm.crosscheck.
 
 Sign convention: psi^(n) has sign (-1)^(n+1) on (0, inf); internals work with
 the positive magnitude and apply the sign at the end.
@@ -19,8 +20,8 @@ import sys
 from functools import lru_cache
 
 from . import checks
-from .errors import CapabilityError, ConvergenceError
-from .evaluation import EvalResult, PrecisionConfig, DEFAULT_PRECISION, ulp
+from .errors import CapabilityError
+from .evaluation import EvalResult, ulp
 
 # Euler's constant to 50 digits; validated at test time against the
 # slowly-converging defining series with an integral-test tail bracket.
@@ -49,24 +50,6 @@ _HARD_ORDER_CAP = 120
 # Powers of the tail argument below this are subnormal: they keep too few
 # significant bits to carry a value or a remainder bound.
 _TINY = sys.float_info.min
-
-
-def magnitude_lower_bound(n: int, x: float) -> float:
-    """Closed-form lower bound on |psi^(n)(x)| for n >= 1.
-
-    (n-1)!/x^n + n!/(2 x^(n+1)); used to adapt absolute budgets to scale.
-    Returns inf when the magnitude overflows double precision.
-    """
-    try:
-        t = math.factorial(n - 1) * x ** (-float(n))
-        return t + math.factorial(n) * x ** (-(n + 1.0)) / 2.0
-    except OverflowError:
-        return math.inf
-
-
-def digamma_magnitude_estimate(x: float) -> float:
-    """Rough scale of |psi(x)| for budget adaptation (never used in verdicts)."""
-    return abs(math.log(x)) + 1.0 / x + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,72 +104,30 @@ def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
 # Series route (production)
 # ---------------------------------------------------------------------------
 
-# Hard cap on explicit series terms per evaluation.
-_MAX_SERIES_TERMS = 5_000_000
+def _label(n: int, x: float) -> str:
+    return f"psi^({n})({x})" if n else f"psi({x})"
 
 
-def _converge(label, budget: float, K: int, attempt,
-              floor_rate: float = 0.0) -> tuple[float, float]:
-    """(value, abs_error) of the first series closed at K terms within budget.
-
-    attempt(K) sums the first K terms, closes the series with its
-    Euler-Maclaurin tail and returns (value, remainder, rounding).  K grows
-    until the bound remainder + rounding meets the budget; ConvergenceError
-    when K passes the term cap, or when more terms cannot lower the bound:
-    the remainder is already negligible against the rounding floor, or it
-    did not change from the previous attempt (the tail power it scales sits
-    at the subnormal floor _TINY, where it stays as K grows), or the budget
-    is below half of floor_rate * (|value| - abs_error).  floor_rate is a
-    rate r such that every attempt, whatever its K, charges at least
-    r * |value| of rounding up to a few ulps, and |value| - abs_error bounds
-    the magnitude of the quantity from below, so no K can meet that budget;
-    that error states the floor beside the best bound reached.  label()
-    names the quantity in those errors; it is formatted only when one is
-    raised.
-    """
-    best_bound = last_remainder = math.inf
-    while True:
-        if K > _MAX_SERIES_TERMS:
-            raise ConvergenceError(
-                f"{label()}: budget {budget:g} unreachable within "
-                f"{_MAX_SERIES_TERMS} series terms",
-                best_bound=best_bound,
-            )
-        total, remainder, rounding = attempt(K)
-        abs_error = remainder + rounding
-        best_bound = min(best_bound, abs_error)
-        if abs_error <= budget:
-            return total, abs_error
-        floor = 0.5 * floor_rate * (abs(total) - abs_error)
-        if budget < floor:
-            raise ConvergenceError(
-                f"{label()}: budget {budget:g} below the double-precision floor "
-                f"{floor:g} of any series length; best bound reached {best_bound:g}",
-                best_bound=best_bound,
-            )
-        if remainder <= 0.05 * rounding or remainder == last_remainder:
-            raise ConvergenceError(
-                f"{label()}: budget {budget:g} below the double-precision floor; "
-                f"best achievable bound {abs_error:g}",
-                best_bound=best_bound,
-            )
-        last_remainder = remainder
-        K = max(K + 16, int(1.5 * K))
+def _result(total: float, abs_error: float, n: int, x: float) -> EvalResult:
+    """EvalResult(total, abs_error) of psi^(n)(x) (n = 0: digamma), or
+    CapabilityError when either has left the double range: that is the
+    program's limit, not a bad argument."""
+    if not (math.isfinite(total) and math.isfinite(abs_error)):
+        raise CapabilityError(f"|{_label(n, x)}| overflows double precision")
+    return EvalResult(total, abs_error)
 
 
-def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
-    """psi^(n)(x) for n >= 1 with abs_error <= cfg.target_abs_error.
+def polygamma(n: int, x: float) -> EvalResult:
+    """psi^(n)(x) for n >= 1 with a guaranteed abs_error.
 
     Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
     first K terms summed explicitly (summing them is the recurrence shift:
     each term strips one pole), and finished with an Euler-Maclaurin tail
-    whose remainder bound is folded into abs_error.  The first attempt
-    shifts to x + K >= 24 + 0.55n, a start that depends on n and x alone and
-    already meets every budget polycm.cm_engine asks for; a tighter budget
-    only lengthens the series, and one it cannot reach raises
-    ConvergenceError, e.g. an absolute 1e-12 for a quantity of magnitude
-    1e22.  Nothing is cached here but the constants of each order:
-    polycm.cm_engine shares whole psi rows across calls.
+    whose remainder bound is folded into abs_error with the rounding.  The
+    shift to x + K >= 24 + 0.55n depends on n and x alone, and tests hold
+    the abs_error it reaches to max(1e-12, 1e-13 |psi^(n)(x)|).  Nothing is
+    cached here but the constants of each order: polycm.cm_engine shares
+    whole psi rows across calls.
     """
     n = checks.integer("order", n, 1)
     if n > _HARD_ORDER_CAP:
@@ -199,75 +140,65 @@ def polygamma(n: int, x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Eva
     try:
         probe = fact_f * x ** e_expl
     except OverflowError as exc:
-        raise CapabilityError(f"|psi^({n})({x})| overflows double precision") from exc
+        raise CapabilityError(f"|{_label(n, x)}| overflows double precision") from exc
     if not math.isfinite(probe):
-        raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
+        raise CapabilityError(f"|{_label(n, x)}| overflows double precision")
 
-    def attempt(K: int) -> tuple[float, float, float]:
-        s_expl = math.fsum([fact_f * (x + k) ** e_expl for k in range(K)])
-        # Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1): the integral
-        # part (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), then the Bernoulli
-        # corrections up to the pair count that minimizes the remainder
-        # bound.  Negative exponents throughout so extreme y underflows
-        # instead of raising OverflowError.  A subnormal y^-n has lost the
-        # value's bits: CapabilityError.  An underflowed half-sample term is
-        # charged in full, the p = 1 remainder power is at least _TINY, and
-        # the pair search stops at the first subnormal power.
-        y = x + K
-        inv_pow = y ** e_tail
-        if inv_pow < _TINY:
-            raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
-        inv_y = 1.0 / y
-        powers = [y ** e_pairs[0]]  # entry i: the power of pair i + 1
-        best_p, remainder = 1, abs_coeffs[0] * max(powers[0], _TINY)
-        for i in range(1, _MAX_EM_PAIRS):
-            power = y ** e_pairs[i]
-            if power < _TINY:
-                break
-            powers.append(power)
-            b = abs_coeffs[i] * power
-            if b < remainder:
-                best_p, remainder = i + 1, b
-        if inv_pow * inv_y < _TINY:
-            remainder += tiny_charge
-        tail = [fact_m1 * inv_pow, fact_f * inv_pow * inv_y / 2.0]
-        tail += [c * w for c, w in zip(coeffs, powers[:best_p - 1])]
-        tail_abs = math.fsum([abs(t) for t in tail])
-        total = math.fsum([s_expl] + tail)
-        rounding = expl_charge * s_expl + tail_charge * tail_abs + 2.0 * ulp(total)
-        return total, remainder, rounding
-
-    # every attempt charges expl_charge * s_expl + tail_charge * tail_abs, and
-    # tail_charge > expl_charge, so its rounding is at least expl_charge * |total|
     K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    total, abs_error = _converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K, attempt,
-                                 expl_charge)
+    s_expl = math.fsum([fact_f * (x + k) ** e_expl for k in range(K)])
+    # Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1): the integral part
+    # (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), then the Bernoulli
+    # corrections up to the pair count that minimizes the remainder bound.
+    # Negative exponents throughout so extreme y underflows instead of
+    # raising OverflowError.  A subnormal y^-n has lost the value's bits:
+    # CapabilityError.  An underflowed half-sample term is charged in full,
+    # the p = 1 remainder power is at least _TINY, and the pair search stops
+    # at the first subnormal power.
+    y = x + K
+    inv_pow = y ** e_tail
+    if inv_pow < _TINY:
+        raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
+    inv_y = 1.0 / y
+    powers = [y ** e_pairs[0]]  # entry i: the power of pair i + 1
+    best_p, remainder = 1, abs_coeffs[0] * max(powers[0], _TINY)
+    for i in range(1, _MAX_EM_PAIRS):
+        power = y ** e_pairs[i]
+        if power < _TINY:
+            break
+        powers.append(power)
+        b = abs_coeffs[i] * power
+        if b < remainder:
+            best_p, remainder = i + 1, b
+    if inv_pow * inv_y < _TINY:
+        remainder += tiny_charge
+    tail = [fact_m1 * inv_pow, fact_f * inv_pow * inv_y / 2.0]
+    tail += [c * w for c, w in zip(coeffs, powers[:best_p - 1])]
+    tail_abs = math.fsum([abs(t) for t in tail])
+    total = math.fsum([s_expl] + tail)
+    rounding = expl_charge * s_expl + tail_charge * tail_abs + 2.0 * ulp(total)
     sign = 1.0 if n % 2 == 1 else -1.0
-    return EvalResult(sign * total, abs_error)
+    return _result(sign * total, remainder + rounding, n, x)
 
 
-def digamma(x: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> EvalResult:
+def digamma(x: float) -> EvalResult:
     """psi(x) via the series -gamma + sum_{k>=0} [1/(k+1) - 1/(k+x)].
 
-    The explicit prefix of the series (at least 32 terms) is the recurrence
-    shift; the tail is closed with an Euler-Maclaurin correction whose
-    remainder bound lands in abs_error.
+    The explicit prefix of the series (32 terms) is the recurrence shift; the
+    tail is closed with an Euler-Maclaurin correction whose remainder bound
+    lands in abs_error with the rounding.
     """
     x = checks.positive_real("x", x)
-
-    def attempt(K: int) -> tuple[float, float, float]:
-        s_terms = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(K))
-        gross_uv = math.fsum(1.0 / (k + 1.0) + 1.0 / (k + x) for k in range(K))
-        tail_terms, remainder = _digamma_tail(x, K)
-        total = math.fsum([s_terms, -EULER_GAMMA] + tail_terms)
-        tail_rest = math.fsum(abs(t) for t in tail_terms[1:])
-        rounding = (
-            0.6 * _EPS * (gross_uv + abs(s_terms))
-            + 2.5 * _EPS * abs(tail_terms[0])
-            + 20.0 * _EPS * tail_rest
-            + ulp(EULER_GAMMA)
-            + 2.0 * ulp(total)
-        )
-        return total, remainder, rounding
-
-    return EvalResult(*_converge(lambda: f"psi({x})", cfg.target_abs_error, 32, attempt))
+    K = 32
+    s_terms = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(K))
+    gross_uv = math.fsum(1.0 / (k + 1.0) + 1.0 / (k + x) for k in range(K))
+    tail_terms, remainder = _digamma_tail(x, K)
+    total = math.fsum([s_terms, -EULER_GAMMA] + tail_terms)
+    tail_rest = math.fsum(abs(t) for t in tail_terms[1:])
+    rounding = (
+        0.6 * _EPS * (gross_uv + abs(s_terms))
+        + 2.5 * _EPS * abs(tail_terms[0])
+        + 20.0 * _EPS * tail_rest
+        + ulp(EULER_GAMMA)
+        + 2.0 * ulp(total)
+    )
+    return _result(total, remainder + rounding, 0, x)

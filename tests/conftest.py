@@ -1,15 +1,10 @@
-"""Shared fixtures: the default precision config and a standard grid."""
+"""Shared fixtures: a standard grid."""
 
 from __future__ import annotations
 
 import pytest
 
-from polycm import DEFAULT_PRECISION, PrecisionConfig, log_grid
-
-
-@pytest.fixture(scope="session")
-def cfg() -> PrecisionConfig:
-    return DEFAULT_PRECISION
+from polycm import log_grid
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from polycm import (
     kappa,
     kernel_report,
     log_grid,
-    magnitude_lower_bound,
     polygamma,
     q_printed,
     tanh_kernel,
@@ -34,7 +33,6 @@ from polycm.crosscheck import (
     shift_difference_kernel_check,
     telescoping_check,
 )
-from polycm.evaluation import DEFAULT_PRECISION as CFG
 
 
 def run_cli(capsys, argv):
@@ -83,8 +81,7 @@ def test_criterion_2_cm_numeric_suite():
 def test_criterion_3_route_agreement():
     for n in range(1, 9):
         for x in (0.5, 1.0, 2.0, 10.0):
-            eff = CFG.for_magnitude(magnitude_lower_bound(n, x))
-            a = polygamma(n, x, eff)
+            a = polygamma(n, x)
             b = polygamma_quadrature(n, x)
             assert abs(a.value - b) <= 1e-9 * abs(a.value), (n, x)
     rng = random.Random(20260816)

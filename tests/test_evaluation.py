@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycm import (
-    CapabilityError,
     DomainError,
     EvalResult,
-    PrecisionConfig,
     linear_grid,
     log_grid,
 )
@@ -132,24 +130,6 @@ def test_sign_certification_boundaries(factor):
     assert EvalResult(math.nextafter(factor * err, math.inf), err).certified_sign(factor) == 1
     assert EvalResult(math.nextafter(-factor * err, -math.inf), err).certified_sign(factor) == -1
     assert EvalResult(0.0, 0.0).certified_sign(factor) == 0
-
-
-def test_precision_config_validation():
-    with pytest.raises(DomainError):
-        PrecisionConfig(target_abs_error=0.0)
-    with pytest.raises(DomainError):
-        PrecisionConfig(target_abs_error=float("nan"))
-
-
-def test_for_magnitude_widens_only_above_relative_floor():
-    cfg = PrecisionConfig(target_abs_error=1e-12)
-    assert cfg.for_magnitude(1.0) is cfg
-    big = cfg.for_magnitude(1e6)
-    assert big.target_abs_error == 1e6 * 1e-13
-    # a magnitude that overflowed is the program's limit, not a bad target
-    for magnitude in (math.inf, math.nan):
-        with pytest.raises(CapabilityError):
-            cfg.for_magnitude(magnitude)
 
 
 def test_log_grid_shape():

@@ -20,14 +20,11 @@ from hypothesis import strategies as st
 
 from polycm import (
     CapabilityError,
-    ConvergenceError,
     DomainError,
     EULER_GAMMA,
     EvalResult,
-    PrecisionConfig,
     digamma,
     log_grid,
-    magnitude_lower_bound,
     polygamma,
 )
 from polycm.crosscheck import (
@@ -60,21 +57,21 @@ def test_gamma_constant_validated_by_defining_series():
     assert abs(EULER_GAMMA - GAMMA_40) <= math.ulp(1.0)
 
 
-def test_digamma_at_one_is_minus_gamma(cfg):
-    d = digamma(1.0, cfg)
-    assert d.abs_error <= cfg.target_abs_error
+def test_digamma_at_one_is_minus_gamma():
+    d = digamma(1.0)
+    assert d.abs_error <= 1e-12
     assert abs(d.value + GAMMA_40) <= d.abs_error + math.ulp(1.0)
 
 
-def test_digamma_shift_identity(cfg):
-    a = digamma(2.0, cfg)
-    b = digamma(1.0, cfg)
+def test_digamma_shift_identity():
+    a = digamma(2.0)
+    b = digamma(1.0)
     assert abs(a.value - (b.value + 1.0)) <= a.abs_error + b.abs_error + 1e-15
 
 
-def test_digamma_log_bracket_at_large_argument(cfg):
+def test_digamma_log_bracket_at_large_argument():
     x = 1e6
-    d = digamma(x, cfg)
+    d = digamma(x)
     lo = math.log(x) - 1.0 / x
     hi = math.log(x) - 0.5 / x
     pad = 3 * math.ulp(hi)
@@ -82,57 +79,54 @@ def test_digamma_log_bracket_at_large_argument(cfg):
     assert d.value + d.abs_error + pad < hi
 
 
-def test_digamma_against_brute_series(cfg):
+def test_digamma_against_brute_series():
     for x in (0.3, 1.0, 2.5, 17.0, 400.0):
-        d = digamma(x, cfg)
+        d = digamma(x)
         r = reference_digamma(x, target=1e-12)
         assert abs(d.value - r.value) <= d.abs_error + r.abs_error
 
 
-def test_trigamma_at_one(cfg):
-    p = polygamma(1, 1.0, cfg)
-    assert p.abs_error <= cfg.target_abs_error
+def test_trigamma_at_one():
+    p = polygamma(1, 1.0)
+    assert p.abs_error <= 1e-12
     assert abs(p.value - PI2_OVER_6) <= p.abs_error + math.ulp(2.0)
     r = reference_polygamma(1, 1.0, target=1e-12)
     assert abs(p.value - r.value) <= p.abs_error + r.abs_error
 
 
-def test_higher_orders_at_one(cfg):
-    p2 = polygamma(2, 1.0, cfg)
+def test_higher_orders_at_one():
+    p2 = polygamma(2, 1.0)
     assert abs(p2.value - PSI2_AT_1) <= p2.abs_error + math.ulp(4.0)
-    p3 = polygamma(3, 1.0, cfg)
+    p3 = polygamma(3, 1.0)
     assert abs(p3.value - PSI3_AT_1) <= p3.abs_error + math.ulp(8.0)
 
 
-def test_order_three_positive_at_half(cfg):
-    p = polygamma(3, 0.5, cfg)
+def test_order_three_positive_at_half():
+    p = polygamma(3, 0.5)
     assert p.certified_sign() == 1
 
 
-def test_sign_alternation_certified(cfg):
+def test_sign_alternation_certified():
     for n in range(1, 9):
         for x in (0.2, 1.0, 3.7, 25.0):
-            eff = cfg.for_magnitude(magnitude_lower_bound(n, x))
-            p = polygamma(n, x, eff)
+            p = polygamma(n, x)
             expected = 1 if n % 2 == 1 else -1
             assert math.copysign(1.0, p.value) == expected
             assert abs(p.value) > p.abs_error
 
 
-def test_route_agreement_series_vs_brute(cfg):
+def test_route_agreement_series_vs_brute():
     for n in range(1, 9):
         for x in (0.5, 1.0, 2.0, 10.0):
-            eff = cfg.for_magnitude(magnitude_lower_bound(n, x))
-            p = polygamma(n, x, eff)
+            p = polygamma(n, x)
             r = reference_polygamma(n, x, target=1e-11)
             assert abs(p.value - r.value) <= p.abs_error + r.abs_error
 
 
-def test_route_agreement_series_vs_quadrature(cfg):
+def test_route_agreement_series_vs_quadrature():
     for n in range(1, 9):
         for x in (0.5, 1.0, 2.0, 10.0):
-            eff = cfg.for_magnitude(magnitude_lower_bound(n, x))
-            p = polygamma(n, x, eff)
+            p = polygamma(n, x)
             q = polygamma_quadrature(n, x)
             assert abs(p.value - q) <= p.abs_error + 1e-12 * abs(q)
             assert abs(p.value - q) <= 1e-9 * abs(p.value)
@@ -163,22 +157,21 @@ def test_quadrature_estimate_against_mpmath(n, x):
         assert abs(mpmath.mpf(q) - truth) <= 1e-12 * abs(truth)
 
 
-def test_monotone_decay_along_grid(cfg):
+def test_monotone_decay_along_grid():
     for n in range(1, 5):
         prev = None
         for x in log_grid(0.1, 50.0, 12):
-            eff = cfg.for_magnitude(magnitude_lower_bound(n, x))
-            cur = polygamma(n, x, eff)
+            cur = polygamma(n, x)
             if prev is not None:
                 gap = abs(prev.value) - abs(cur.value)
                 assert gap > prev.abs_error + cur.abs_error
             prev = cur
 
 
-def test_recurrence_examples(cfg):
+def test_recurrence_examples():
     # psi'(2) = psi'(1) - 1, checked through independent evaluations
-    a = polygamma(1, 2.0, cfg)
-    b = polygamma(1, 1.0, cfg)
+    a = polygamma(1, 2.0)
+    b = polygamma(1, 1.0)
     assert abs(a.value - (b.value - 1.0)) <= a.abs_error + b.abs_error + 1e-15
     for n, x, cap in ((2, 1.0, 1e-11), (1, 3.0, 1e-11), (5, 0.25, 1e-10)):
         r = recurrence_residual(n, x)
@@ -196,28 +189,28 @@ def test_recurrence_residual_seeded_sample():
         assert r.value <= r.abs_error
 
 
-def test_domain_errors(cfg):
+def test_domain_errors():
     with pytest.raises(DomainError):
-        digamma(0.0, cfg)
+        digamma(0.0)
     with pytest.raises(DomainError):
-        digamma(-1.0, cfg)
+        digamma(-1.0)
     with pytest.raises(DomainError):
-        digamma(float("nan"), cfg)
+        digamma(float("nan"))
     with pytest.raises(DomainError):
-        polygamma(0, 1.0, cfg)
+        polygamma(0, 1.0)
     with pytest.raises(DomainError):
-        polygamma(-2, 1.0, cfg)
+        polygamma(-2, 1.0)
     with pytest.raises(DomainError):
-        polygamma(True, 1.0, cfg)
+        polygamma(True, 1.0)
     with pytest.raises(DomainError):
-        polygamma(1, 0.0, cfg)
+        polygamma(1, 0.0)
 
 
-def test_capability_limits(cfg):
+def test_capability_limits():
     with pytest.raises(CapabilityError):
-        polygamma(121, 1.0, cfg)
+        polygamma(121, 1.0)
     with pytest.raises(CapabilityError):
-        polygamma(60, 1e-300, cfg)
+        polygamma(60, 1e-300)
 
 
 @pytest.mark.parametrize(
@@ -231,10 +224,10 @@ def test_capability_limits(cfg):
         (8, 1e12),
     ],
 )
-def test_underflow_edge_raises_or_holds_bound(cfg, n, x):
+def test_underflow_edge_raises_or_holds_bound(n, x):
     mpmath = pytest.importorskip("mpmath")
     try:
-        r = polygamma(n, x, cfg)
+        r = polygamma(n, x)
     except CapabilityError:
         return
     with mpmath.workdps(50):
@@ -242,125 +235,52 @@ def test_underflow_edge_raises_or_holds_bound(cfg, n, x):
 
 
 @pytest.mark.parametrize("n, x", [(1, 1e200), (3, 1e100), (2, 1e150), (1, 1e300)])
-def test_underflowed_half_sample_still_returns(cfg, n, x):
+def test_underflowed_half_sample_still_returns(n, x):
     # x^-n is a normal double while x^-(n+1) underflows: the half-sample
     # term is below one ulp of the value, so a value with a bound is due
     mpmath = pytest.importorskip("mpmath")
-    r = polygamma(n, x, cfg)
+    r = polygamma(n, x)
     with mpmath.workdps(50):
         assert abs(mpmath.mpf(r.value) - mpmath.psi(n, mpmath.mpf(x))) <= r.abs_error
 
 
-def test_convergence_failure_modes(cfg, monkeypatch):
-    # series cap too small for the argument; polygamma keeps no cache, so
-    # every call runs the series under the patched cap
-    psi = importlib.import_module("polycm.polygamma")
-    monkeypatch.setattr(psi, "_MAX_SERIES_TERMS", 20)
-    with pytest.raises(ConvergenceError, match="within 20 series terms") as exc:
-        polygamma(1, 0.5, cfg)
-    assert math.isfinite(exc.value.best_bound) or exc.value.best_bound == math.inf
-    # digamma runs the same loop, so the same cap stops it
-    with pytest.raises(ConvergenceError, match="within 20 series terms"):
-        digamma(0.5, cfg)
-    monkeypatch.undo()
-    # absolute budget below what doubles can represent for this magnitude
-    with pytest.raises(ConvergenceError):
-        polygamma(8, 0.01, cfg)
-    eff = cfg.for_magnitude(magnitude_lower_bound(8, 0.01))
-    big = polygamma(8, 0.01, eff)
-    assert abs(big.value) > 1e20 and big.abs_error <= eff.target_abs_error
-    # the remainder sits at the subnormal floor and cannot fall as terms are
-    # added: the floor error comes at once, not after the whole term cap
-    x = 1.7782794100389e10
-    tight = PrecisionConfig(1e-300).for_magnitude(magnitude_lower_bound(29, x))
-    with pytest.raises(ConvergenceError, match="best achievable bound"):
-        polygamma(29, x, tight)
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 7.24241751910358e-309])
+def test_digamma_near_zero_is_a_capability_error(x):
+    # 1/x overflows, or the rounding charge on 1/x does: the value or its
+    # bound leaves the double range, which is the program's limit (exit 3),
+    # not a bad argument (DomainError, exit 2)
+    with pytest.raises(CapabilityError, match=r"\|psi\(.*\)\| overflows double precision"):
+        digamma(x)
 
 
-_CONVERGE = psi_mod._converge
+def test_large_magnitude_keeps_a_relative_bound():
+    # psi^(8)(0.01) ~ 2e22: no absolute 1e-12 is reachable, and the bound
+    # stays within 1e-13 of the closed-form lower bound on the magnitude
+    big = polygamma(8, 0.01)
+    lower = math.factorial(7) / 0.01**8 + math.factorial(8) / (2 * 0.01**9)
+    assert 1e20 < lower < abs(big.value)
+    assert big.abs_error <= 1e-13 * lower
 
 
-def _recorded_converge(monkeypatch, floored: bool) -> list[tuple]:
-    """Patch polygamma's series loop to record (K, total, remainder,
-    rounding, floor_rate) for every attempt; floored=False drops the
-    rounding-floor check, so the loop runs on to its other stops."""
-    attempts: list[tuple] = []
-
-    def recording(label, budget, K, attempt, floor_rate=0.0):
-        def recorded(k):
-            r = attempt(k)
-            attempts.append((k, *r, floor_rate))
-            return r
-        return _CONVERGE(label, budget, K, recorded, floor_rate if floored else 0.0)
-
-    monkeypatch.setattr(psi_mod, "_converge", recording)
-    return attempts
-
-
-def test_budget_below_rounding_floor_fails_at_first_attempt(monkeypatch):
-    # the first attempt already charges ~9e-255 of rounding, which no longer
-    # series lowers below ~3e-255: no lengthening of the series to 1.8M terms
-    attempts = _recorded_converge(monkeypatch, floored=True)
-    with pytest.raises(ConvergenceError, match="below the double-precision floor"):
-        polygamma(40, 14300856.713891061, PrecisionConfig(1e-300))
-    assert [a[0] for a in attempts] == [0]
-
-
-def test_rounding_floor_error_states_the_floor(monkeypatch):
-    # the message names the floor floor_rate/2 * (|total| - abs_error) that
-    # refused the budget, apart from the bound the one attempt reached
-    attempts = _recorded_converge(monkeypatch, floored=True)
-    with pytest.raises(ConvergenceError) as exc:
-        polygamma(40, 14300856.713891061, PrecisionConfig(1e-300))
-    [(_, total, remainder, rounding, rate)] = attempts
-    floor = 0.5 * rate * (abs(total) - (remainder + rounding))
-    assert exc.value.best_bound == remainder + rounding
-    assert str(exc.value) == (
-        "psi^(40)(14300856.713891061): budget 1e-300 below the double-precision "
-        "floor 3.24774e-255 of any series length; best bound reached 8.41221e-253"
-    )
-    assert f"{floor:g}" == "3.24774e-255"
-
-
-def test_rounding_floor_refuses_no_reachable_budget(monkeypatch):
-    # The floor check refuses a budget below floor_rate/2 * (|total| -
-    # abs_error) of some attempt.  Every attempt of the unfloored loop, at
-    # any K, must charge more rounding than that floor of every other
-    # attempt, and each bound a longer series reaches must still be
-    # returned, bit for bit, with the check on.  Large orders at moderate x
-    # start remainder-dominated and reach the rounding floor within a few
-    # attempts, where a floor set too high would refuse.
-    monkeypatch.setattr(psi_mod, "_MAX_SERIES_TERMS", 3000)
-    rng = random.Random(1103)
-    cases = [(40, 50.0), (60, 50.0), (120, 200.0), (40, 14300856.713891061), (8, 0.01)]
-    cases += [(rng.randint(1, 120), math.exp(rng.uniform(0.0, math.log(1e4))))
-              for _ in range(150)]
-    reached = 0
-    for n, x in cases:
-        attempts = _recorded_converge(monkeypatch, floored=False)
+def test_bounds_stay_tight():
+    # One closed series and no budget: nothing retries a loose bound, so a
+    # series change that loosens bounds must fail here.  Every bound stays
+    # within relative 1e-13 (absolute 1e-12 near zero); the largest ratio
+    # seen on this sample is about 0.15.
+    rng = random.Random(1018)
+    returned = 0
+    for _ in range(3000):
+        n = rng.randint(1, 120)
+        x = math.exp(rng.uniform(math.log(1e-4), math.log(1e14)))
+        d = digamma(x)
+        assert d.abs_error <= max(1e-12, 1e-13 * (abs(math.log(x)) + 1.0 / x + 1.0)), x
         try:
-            polygamma(n, x, PrecisionConfig(5e-324))
-        except (CapabilityError, ConvergenceError):
-            pass
-        floor = max((0.5 * r * (abs(t) - (rem + rnd)) for _, t, rem, rnd, r in attempts),
-                    default=0.0)
-        assert all(rnd > floor for _, _, _, rnd, _ in attempts), (n, x)
-        _recorded_converge(monkeypatch, floored=True)
-        best = math.inf
-        for i, (_, total, rem, rnd, _) in enumerate(attempts):
-            if rem + rnd < best and i > 0:
-                r = polygamma(n, x, PrecisionConfig(rem + rnd))
-                assert (abs(r.value), r.abs_error) == (total, rem + rnd), (n, x, i)
-                reached += 1
-            best = min(best, rem + rnd)
-    assert reached > 20
-
-
-def test_magnitude_lower_bound_is_a_lower_bound(cfg):
-    for n in (1, 2, 5):
-        for x in (0.1, 1.0, 8.0):
-            eff = cfg.for_magnitude(magnitude_lower_bound(n, x))
-            assert magnitude_lower_bound(n, x) < abs(polygamma(n, x, eff).value)
+            p = polygamma(n, x)
+        except CapabilityError:
+            continue
+        assert p.abs_error <= max(1e-12, 1e-13 * abs(p.value)), (n, x)
+        returned += 1
+    assert returned > 1000
 
 
 @given(
@@ -369,8 +289,7 @@ def test_magnitude_lower_bound_is_a_lower_bound(cfg):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_production_matches_brute_series(n, x):
-    cfg = PrecisionConfig().for_magnitude(magnitude_lower_bound(n, x))
-    p = polygamma(n, x, cfg)
+    p = polygamma(n, x)
     r = reference_polygamma(n, x, target=1e-11)
     assert abs(p.value - r.value) <= p.abs_error + r.abs_error
 
@@ -437,7 +356,7 @@ def _ref_explicit_polygamma_sum(n: int, x: float, K: int, fact_f: float) -> tupl
     return s, charge
 
 
-def _ref_polygamma(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
+def _ref_polygamma(n: int, x: float) -> EvalResult:
     fact_f = float(math.factorial(n))
     try:
         probe = fact_f * x ** (-(n + 1.0))
@@ -458,18 +377,17 @@ def _ref_polygamma(n: int, x: float, cfg: PrecisionConfig) -> EvalResult:
         )
         return total, remainder, rounding
 
-    K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    floor_rate = ((n + 1.0) / 2.0 + 3.0) * _REF_EPS
-    total, abs_error = psi_mod._converge(lambda: f"psi^({n})({x})", cfg.target_abs_error, K,
-                                         attempt, floor_rate)
+    total, remainder, rounding = attempt(max(0, math.ceil(24.0 + 0.55 * n - x)))
+    if not (math.isfinite(total) and math.isfinite(remainder + rounding)):
+        raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
     sign = 1.0 if n % 2 == 1 else -1.0
-    return EvalResult(sign * total, abs_error)
+    return EvalResult(sign * total, remainder + rounding)
 
 
-def _bits_or_error(f, n, x, cfg):
+def _bits_or_error(f, n, x):
     try:
-        r = f(n, x, cfg)
-    except (CapabilityError, ConvergenceError) as exc:
+        r = f(n, x)
+    except CapabilityError as exc:
         return type(exc).__name__, str(exc)
     return r.value.hex(), r.abs_error.hex()
 
@@ -477,30 +395,22 @@ def _bits_or_error(f, n, x, cfg):
 def test_polygamma_bit_identical_to_per_call_series():
     rng = random.Random(2409)
     cases = [
-        # the remainder sits at the subnormal floor: ConvergenceError at once
-        (29, 1.7782794100389e10, PrecisionConfig(1e-300).for_magnitude(
-            magnitude_lower_bound(29, 1.7782794100389e10))),
-        (61, 421413.5942223906, PrecisionConfig(1e-12)),  # y^-61 underflows
-        (1, 1e200, PrecisionConfig(1e-12)),  # underflowed half-sample term
-        (8, 0.01, PrecisionConfig(1e-12)),  # below the rounding floor
+        (29, 1.7782794100389e10),  # the remainder sits at the subnormal floor
+        (61, 421413.5942223906),  # y^-61 underflows
+        (1, 1e200),  # underflowed half-sample term
+        (8, 0.01),  # magnitude ~2e22
     ]
     for _ in range(2400):
         n = rng.randint(1, 120)
         x = math.exp(rng.uniform(math.log(1e-3), math.log(1e12)))
-        cfg = PrecisionConfig(rng.choice((1e-12, 1e-300, 1e3)))
-        if rng.random() < 0.5:
-            try:
-                cfg = cfg.for_magnitude(magnitude_lower_bound(n, x))
-            except CapabilityError:
-                pass
-        cases.append((n, x, cfg))
+        cases.append((n, x))
     outcomes = Counter()
-    for n, x, cfg in cases:
-        expected = _bits_or_error(_ref_polygamma, n, x, cfg)
-        assert _bits_or_error(polygamma, n, x, cfg) == expected, (n, x, cfg)
-        if expected[0] in ("CapabilityError", "ConvergenceError"):
+    for n, x in cases:
+        expected = _bits_or_error(_ref_polygamma, n, x)
+        assert _bits_or_error(polygamma, n, x) == expected, (n, x)
+        if expected[0] == "CapabilityError":
             outcomes[expected[0]] += 1
         else:
             outcomes["K = 0" if x >= 24.0 + 0.55 * n else "K > 0"] += 1
     assert outcomes["K = 0"] > 100 and outcomes["K > 0"] > 100
-    assert outcomes["CapabilityError"] > 100 and outcomes["ConvergenceError"] > 100
+    assert outcomes["CapabilityError"] > 100

@@ -1,5 +1,5 @@
 """The record contract: every result and configuration object is an
-immutable named tuple that keeps its name, fields and repr, and the five
+immutable named tuple that keeps its name, fields and repr, and the four
 validating records check their inputs however they are built."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from polycm import (
     FamilyIndex,
     KernelId,
     KernelReport,
-    PrecisionConfig,
     SearchParams,
     bound_check,
     bounds_suite,
@@ -37,7 +36,7 @@ def records() -> list[tuple]:
     audit = bound_check(1, 1, grid)
     suite = bounds_suite(1, grid)
     return [
-        EvalResult(1.5, 1e-16), PrecisionConfig(), FamilyIndex(1, 2), KernelId("h", 2),
+        EvalResult(1.5, 1e-16), FamilyIndex(1, 2), KernelId("h", 2),
         SearchParams(), q_printed(1, 1), cm, cm.entries[0], entry, entry.sign_witness,
         kernels, kernels.limit_checks[0], audit, audit.entries[0], suite, suite.results[0],
     ]
@@ -69,7 +68,6 @@ def test_records_unpack_and_compare_as_tuples():
     assert EvalResult(1.5, 1e-16) == (1.5, 1e-16)
     assert FamilyIndex(2, 4) == (2, 4) and hash(FamilyIndex(2, 4)) == hash((2, 4))
     assert repr(EvalResult(1.5, 0.0)) == "EvalResult(value=1.5, abs_error=0.0)"
-    assert repr(PrecisionConfig()) == "PrecisionConfig(target_abs_error=1e-12)"
     assert repr(KernelId("omega")) == "KernelId(kind='omega', k=None)"
     assert KernelReport._field_defaults == {"diagnostics": ()}
 
@@ -87,8 +85,8 @@ def test_eval_result_refuses_ordering():
 _REJECTED = [
     (EvalResult, (math.inf, 0.0), {"value": math.nan, "abs_error": 0.0}),
     (EvalResult, (1.0, -1e-18), {"value": 1.0, "abs_error": math.inf}),
-    (PrecisionConfig, (0.0,), {"target_abs_error": -1e-12}),
-    (PrecisionConfig, (math.nan,), {"target_abs_error": math.inf}),
+    (EvalResult, (-math.inf, 0.0), {"value": 1.0, "abs_error": math.nan}),
+    (EvalResult, (math.nan, 1.0), {"value": 1.0, "abs_error": -math.inf}),
     (FamilyIndex, (0, 2), {"m": 1, "n": True}),
     (FamilyIndex, (1, 2.0), {"m": 1.0, "n": 2}),
     (KernelId, ("sinh",), {"kind": "sinh"}),
@@ -109,8 +107,6 @@ def test_validating_constructors_reject_bad_inputs(cls, args, kwargs):
 
 
 def test_validating_constructors_normalise_and_default():
-    assert PrecisionConfig().target_abs_error == 1e-12
-    assert type(PrecisionConfig(1).target_abs_error) is float
     assert SearchParams() == (1e-3, 1e3) and SearchParams(x_max=5.0) == (1e-3, 5.0)
     assert KernelId("omega").k is None and KernelId(kind="h", k=-1) == ("h", -1)
 
@@ -124,12 +120,12 @@ def test_validating_constructors_normalise_and_default():
 
 
 def test_pickle_round_trip_revalidates():
-    for record in (EvalResult(1.5, 1e-16), PrecisionConfig(1e-9), FamilyIndex(1, 2),
+    for record in (EvalResult(1.5, 1e-16), FamilyIndex(1, 2),
                    KernelId("h", 2), SearchParams(0.1, 10.0)):
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and type(copy) is type(record)
     # _make skips validation; unpickling runs it again
-    for bad in (EvalResult._make((math.inf, 0.0)), PrecisionConfig._make((-1.0,)),
+    for bad in (EvalResult._make((math.inf, 0.0)),
                 FamilyIndex._make((0, 2)), KernelId._make(("sinh", None)),
                 SearchParams._make((2.0, 1.0))):
         data = pickle.dumps(bad)
