@@ -198,17 +198,6 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
         {"t": t, "value": v.value, "abs_error": v.abs_error}
         for t, v in zip(report.grid, report.values)
     ]
-    limit_rows = [
-        {
-            "end": c.end,
-            "expected": c.expected,
-            "achieved": c.achieved,
-            "tolerance": c.tolerance,
-            "approach_certified": c.approach_certified,
-            "passed": c.passed,
-        }
-        for c in report.limit_checks
-    ]
     ok = (
         report.monotonicity_verdict == report.expected_monotonicity
         and all(c.passed for c in report.limit_checks)
@@ -221,13 +210,20 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
         "summary": {
             "monotonicity": report.monotonicity_verdict,
             "expected_monotonicity": report.expected_monotonicity,
-            "limit_checks": limit_rows,
+            "limit_checks": [c._asdict() for c in report.limit_checks],
             "range": report.range_description,
             "range_passed": report.range_passed,
             "min_range_margin": report.min_range_margin,
         },
     }
     return (0 if ok else 1), doc
+
+
+def _inconclusive(what: str, xs) -> int:
+    """Report the points where rounding leaves a check undecided; exit code 3."""
+    print(f"polycm: numeric capability limit: {what} inconclusive at x = "
+          + ", ".join(f"{x:.6g}" for x in xs), file=sys.stderr)
+    return 3
 
 
 def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
@@ -267,10 +263,7 @@ def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
         return 1, doc
     if report.failures:
         # no margin certified negative, but rounding leaves these points undecided
-        print("polycm: numeric capability limit: inequality margins inconclusive at x = "
-              + ", ".join(f"{x:.6g}" for x in sorted({r.x for r in report.failures})),
-              file=sys.stderr)
-        return 3, doc
+        return _inconclusive("inequality margins", sorted({r.x for r in report.failures})), doc
     return 0, doc
 
 
@@ -299,9 +292,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
         return 1, doc
     if report.derived_unresolved:
         # no failure, but rounding leaves these points undecided
-        print("polycm: numeric capability limit: derived bounds inconclusive at x = "
-              + ", ".join(f"{x:.6g}" for x in report.derived_unresolved), file=sys.stderr)
-        return 3, doc
+        return _inconclusive("derived bounds", report.derived_unresolved), doc
     return 0, doc
 
 

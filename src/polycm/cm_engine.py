@@ -101,8 +101,8 @@ def _binomials(order: int) -> tuple[float, ...]:
 def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> EvalResult:
     """sign * f^(order)(x) from a row holding n+order and m..m+order.
 
-    The arithmetic of product, scale and bounded_sum, written out in their
-    operation order."""
+    The arithmetic of EvalResult.__mul__, EvalResult.scaled and result_sum,
+    written out in their operation order."""
     m = idx.m
     v, e = row[idx.n + order]
     values, errors = [v], [e]

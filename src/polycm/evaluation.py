@@ -22,25 +22,6 @@ from .errors import DomainError
 ulp = math.ulp
 
 
-def product(a: float, ea: float, b: float, eb: float) -> tuple[float, float]:
-    """(value, abs_error) of (a +- ea) * (b +- eb)."""
-    v = a * b
-    return v, abs(a) * eb + abs(b) * ea + ea * eb + ulp(v)
-
-
-def scale(v: float, e: float, c: float) -> tuple[float, float]:
-    """(value, abs_error) of (v +- e) times the exact scalar c."""
-    w = v * c
-    return w, abs(c) * e + ulp(w)
-
-
-def bounded_sum(values, errors) -> tuple[float, float]:
-    """(value, abs_error) of a sum: bounds add, and the half ulp math.fsum
-    rounds the value by is charged as one full ulp."""
-    v = math.fsum(values)
-    return v, math.fsum(errors) + ulp(v)
-
-
 class _EvalResultFields(NamedTuple):
     value: float
     abs_error: float
@@ -91,7 +72,9 @@ class EvalResult(_EvalResultFields):
 
     def __mul__(self, other: "EvalResult | float | int") -> "EvalResult":
         o = as_result(other)
-        return EvalResult(*product(self.value, self.abs_error, o.value, o.abs_error))
+        a, ea, b, eb = self.value, self.abs_error, o.value, o.abs_error
+        v = a * b
+        return EvalResult(v, abs(a) * eb + abs(b) * ea + ea * eb + ulp(v))
 
     __rmul__ = __mul__
 
@@ -100,7 +83,8 @@ class EvalResult(_EvalResultFields):
 
     def scaled(self, c: float) -> "EvalResult":
         """Multiply by an exact scalar (integer-valued floats stay exact)."""
-        return EvalResult(*scale(self.value, self.abs_error, c))
+        w = self.value * c
+        return EvalResult(w, abs(c) * self.abs_error + ulp(w))
 
     # -- sign certification -------------------------------------------------
 
@@ -124,8 +108,10 @@ def as_result(x: "EvalResult | float | int") -> EvalResult:
 
 
 def result_sum(parts: list[EvalResult]) -> EvalResult:
-    """Exactly-rounded sum of values; error bounds add (see bounded_sum)."""
-    return EvalResult(*bounded_sum([p.value for p in parts], [p.abs_error for p in parts]))
+    """Exactly-rounded sum of values; error bounds add, and the half ulp
+    math.fsum rounds the value by is charged as one full ulp."""
+    v = math.fsum([p.value for p in parts])
+    return EvalResult(v, math.fsum([p.abs_error for p in parts]) + ulp(v))
 
 
 class PrecisionConfig:

@@ -103,7 +103,7 @@ def h(k: int, t: float) -> EvalResult:
         tk = t ** float(k)
     except OverflowError as exc:
         raise CapabilityError(f"t^{k} overflows at t={t}") from exc
-    if tk == 0.0 or not math.isfinite(tk):
+    if tk == 0.0:
         raise CapabilityError(f"t^{k} leaves the double range at t={t}")
     value = num.value / tk
     err = num.abs_error / tk + (abs(k) + 3.0) * ulp(value)

@@ -42,6 +42,14 @@ _BERNOULLI = {
 }
 _MAX_EM_PAIRS = 8  # remainder bound uses B_16 at most
 
+# digamma's Bernoulli factors B_2i/(2i) with exponents -2i for i < 8, and
+# |B_16|/16, which bounds its remainder.
+_DIGAMMA_PAIRS = tuple(
+    (num / den / (2 * i), -2.0 * i)
+    for i, (num, den) in zip(range(1, _MAX_EM_PAIRS), _BERNOULLI.values())
+)
+_DIGAMMA_REMAINDER = abs(_BERNOULLI[16][0] / _BERNOULLI[16][1]) / 16
+
 # Polygamma order beyond which factorials/powers routinely overflow double
 # precision for ordinary grid arguments; derivative-order caps downstream sit
 # well below this.
@@ -81,25 +89,6 @@ def _order_constants(n: int) -> tuple:
             ((n + 1.0) / 2.0 + 3.0) * _EPS, ((n + 16.0) / 2.0 + 4.0) * _EPS, fact_f * _TINY / 2.0)
 
 
-def _digamma_tail(x: float, K: int) -> tuple[list[float], float]:
-    """Euler-Maclaurin tail of sum_{k>=K} [1/(k+1) - 1/(k+x)] plus bound."""
-    a, b = K + 1.0, K + x
-    # integral part ln((K+x)/(K+1)), written to survive x near 1
-    integral = math.log1p((x - 1.0) / a)
-    terms = [integral, (1.0 / a - 1.0 / b) / 2.0]
-    inner = min(a, b)
-    bernoulli = [num / den for num, den in _BERNOULLI.values()]  # B_2, B_4, ...
-    best_p, best_bound = 1, abs(bernoulli[0]) / 2.0 * inner**-2
-    for p in range(2, _MAX_EM_PAIRS + 1):
-        bd = abs(bernoulli[p - 1]) / (2 * p) * inner ** (-2.0 * p)
-        if bd < best_bound:
-            best_p, best_bound = p, bd
-    for i in range(1, best_p):
-        c = bernoulli[i - 1] / (2 * i)
-        terms.append(c * (a ** (-2.0 * i) - b ** (-2.0 * i)))
-    return terms, best_bound
-
-
 # ---------------------------------------------------------------------------
 # Series route (production)
 # ---------------------------------------------------------------------------
@@ -137,38 +126,35 @@ def polygamma(n: int, x: float) -> EvalResult:
     x = checks.positive_real("x", x)
     (fact_f, fact_m1, e_expl, e_tail, e_pairs, coeffs, abs_coeffs,
      expl_charge, tail_charge, tiny_charge) = _order_constants(n)
+    K = max(0, math.ceil(24.0 + 0.55 * n - x))
+    # K = 0 only when x >= 24 + 0.55n, where n!/x^(n+1) fits a double.  A
+    # first term that overflows without raising is inf, and _result refuses it.
     try:
-        probe = fact_f * x ** e_expl
+        s_expl = math.fsum([fact_f * (x + k) ** e_expl for k in range(K)])
     except OverflowError as exc:
         raise CapabilityError(f"|{_label(n, x)}| overflows double precision") from exc
-    if not math.isfinite(probe):
-        raise CapabilityError(f"|{_label(n, x)}| overflows double precision")
-
-    K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    s_expl = math.fsum([fact_f * (x + k) ** e_expl for k in range(K)])
     # Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1): the integral part
-    # (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), then the Bernoulli
-    # corrections up to the pair count that minimizes the remainder bound.
-    # Negative exponents throughout so extreme y underflows instead of
-    # raising OverflowError.  A subnormal y^-n has lost the value's bits:
-    # CapabilityError.  An underflowed half-sample term is charged in full,
-    # the p = 1 remainder power is at least _TINY, and the pair search stops
-    # at the first subnormal power.
+    # (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), then every Bernoulli pair
+    # whose power y^-(n+2p) is normal.  In exact rationals |c_(p+1)| y^-2 /
+    # |c_p| <= 0.0566 for n <= 120, p <= 7 and y >= 24 + 0.55n (worst at
+    # n = 120, p = 7), so rounding cannot reorder the pair bounds and the last
+    # pair taken has the smallest.  Negative exponents let extreme y underflow
+    # instead of raising OverflowError.  A subnormal y^-n has lost the value's
+    # bits: CapabilityError.  An underflowed half-sample term is charged in
+    # full, and the p = 1 remainder power is at least _TINY.
     y = x + K
     inv_pow = y ** e_tail
     if inv_pow < _TINY:
         raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
     inv_y = 1.0 / y
     powers = [y ** e_pairs[0]]  # entry i: the power of pair i + 1
-    best_p, remainder = 1, abs_coeffs[0] * max(powers[0], _TINY)
-    for i in range(1, _MAX_EM_PAIRS):
-        power = y ** e_pairs[i]
+    for e in e_pairs[1:]:
+        power = y ** e
         if power < _TINY:
             break
         powers.append(power)
-        b = abs_coeffs[i] * power
-        if b < remainder:
-            best_p, remainder = i + 1, b
+    best_p = len(powers)
+    remainder = abs_coeffs[best_p - 1] * max(powers[-1], _TINY)
     if inv_pow * inv_y < _TINY:
         remainder += tiny_charge
     tail = [fact_m1 * inv_pow, fact_f * inv_pow * inv_y / 2.0]
@@ -191,7 +177,14 @@ def digamma(x: float) -> EvalResult:
     K = 32
     s_terms = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(K))
     gross_uv = math.fsum(1.0 / (k + 1.0) + 1.0 / (k + x) for k in range(K))
-    tail_terms, remainder = _digamma_tail(x, K)
+    # Euler-Maclaurin tail of sum_{k>=K} [1/(k+1) - 1/(k+x)]: the integral
+    # ln((K+x)/(K+1)), written to survive x near 1, the half-sample, then
+    # all eight pairs.  min(K+1, K+x) > 32 makes each pair's remainder bound
+    # at most 0.52 % of the one before, so the eighth has the smallest.
+    a, b = K + 1.0, K + x
+    tail_terms = [math.log1p((x - 1.0) / a), (1.0 / a - 1.0 / b) / 2.0]
+    tail_terms += [c * (a ** e - b ** e) for c, e in _DIGAMMA_PAIRS]
+    remainder = _DIGAMMA_REMAINDER * min(a, b) ** -16.0
     total = math.fsum([s_terms, -EULER_GAMMA] + tail_terms)
     tail_rest = math.fsum(abs(t) for t in tail_terms[1:])
     rounding = (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,10 +248,11 @@ def test_search_params_validation():
         SearchParams(x_max=math.inf)
 
 
-# the even-n members of the 6x6 matrix, and two whose floats overflow near x = 1
+# the even-n members of the 6x6 matrix, two whose floats overflow near x = 1,
+# and members whose witnesses lie outside [1e-3, 1e3]
 _WITNESS_MEMBERS = [
     (m, n) for m in range(1, 7) for n in (2, 4, 6) if (m, n) != (1, 2)
-] + [(40, 2), (1, 120)]
+] + [(40, 2), (1, 120), (6, 12), (6, 14), (10, 24), (7, 14), (15, 30)]
 
 
 def _f_exact(m, n, order, x):
@@ -286,9 +288,27 @@ def test_witness_points_are_powers_of_two_in_the_window(search):
 
 
 def test_witness_probes_nearest_powers_first():
-    assert classifier._exponents(SearchParams(0.3, 5.0)) == [0, 1, -1, 2]
-    assert classifier._exponents(SearchParams(0.25, 0.5)) == [-1, -2]
-    assert classifier._exponents(SearchParams(1.1, 1.9)) == []
+    assert list(classifier._exponents(SearchParams(0.3, 5.0))) == [0, 1, -1, 2]
+    assert list(classifier._exponents(SearchParams(0.25, 0.5))) == [-1, -2]
+    assert list(classifier._exponents(SearchParams(1.1, 1.9))) == []
+
+
+def test_default_window_classifies_every_even_member_to_15():
+    # every witness exponent here has |e| <= 28; (6,12) has one at 2^-10,
+    # (6,14) and (10,24) at 2^10, both outside [1e-3, 1e3]
+    members = [(m, 2 * v) for m in range(1, 16) for v in range(1, 16) if (m, v) != (1, 1)]
+    assert len(members) == 224
+    for m, n in members:
+        assert classify(m, n).verdict == "sign_changing_nonmonotonic"
+
+
+def test_default_window_fails_fast_past_the_double_range():
+    # (16,32)'s sign-change brackets leave the doubles before a positive
+    # point certifies; the default window bounds the probes that cost
+    start = time.process_time()
+    with pytest.raises(CapabilityError, match="outside the double range"):
+        find_sign_change(16, 32)
+    assert time.process_time() - start < 0.1
 
 
 def test_window_without_witness_raises():

@@ -148,8 +148,9 @@ def test_f_derivative_requests_only_its_orders(psi_calls):
 
 
 def test_assembly_matches_evalresult_arithmetic():
-    # _assemble writes out product, scale and bounded_sum; the EvalResult
-    # form of the Leibniz sum is the reference, bit for bit
+    # _assemble writes out the arithmetic of EvalResult.__mul__, scaled and
+    # result_sum; the EvalResult form of the Leibniz sum is the reference,
+    # bit for bit
     for m, n in ((1, 2), (3, 5), (2, 2), (6, 1)):
         for order in range(9):
             for x in (0.02, 0.7, 3.0, 40.0):

@@ -414,3 +414,57 @@ def test_polygamma_bit_identical_to_per_call_series():
             outcomes["K = 0" if x >= 24.0 + 0.55 * n else "K > 0"] += 1
     assert outcomes["K = 0"] > 100 and outcomes["K > 0"] > 100
     assert outcomes["CapabilityError"] > 100
+
+
+# The digamma series as it was while it searched for the Euler-Maclaurin pair
+# count with the smallest remainder bound, kept unchanged as a reference: the
+# production series takes all eight pairs and must reproduce it to the bit.
+
+
+def _ref_digamma_tail(x: float, K: int) -> tuple[list[float], float]:
+    a, b = K + 1.0, K + x
+    integral = math.log1p((x - 1.0) / a)
+    terms = [integral, (1.0 / a - 1.0 / b) / 2.0]
+    inner = min(a, b)
+    bernoulli = [num / den for num, den in psi_mod._BERNOULLI.values()]
+    best_p, best_bound = 1, abs(bernoulli[0]) / 2.0 * inner**-2
+    for p in range(2, psi_mod._MAX_EM_PAIRS + 1):
+        bd = abs(bernoulli[p - 1]) / (2 * p) * inner ** (-2.0 * p)
+        if bd < best_bound:
+            best_p, best_bound = p, bd
+    for i in range(1, best_p):
+        c = bernoulli[i - 1] / (2 * i)
+        terms.append(c * (a ** (-2.0 * i) - b ** (-2.0 * i)))
+    return terms, best_bound
+
+
+def _ref_digamma(x: float) -> EvalResult:
+    K = 32
+    s_terms = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(K))
+    gross_uv = math.fsum(1.0 / (k + 1.0) + 1.0 / (k + x) for k in range(K))
+    tail_terms, remainder = _ref_digamma_tail(x, K)
+    total = math.fsum([s_terms, -EULER_GAMMA] + tail_terms)
+    tail_rest = math.fsum(abs(t) for t in tail_terms[1:])
+    rounding = (
+        0.6 * _REF_EPS * (gross_uv + abs(s_terms))
+        + 2.5 * _REF_EPS * abs(tail_terms[0])
+        + 20.0 * _REF_EPS * tail_rest
+        + math.ulp(EULER_GAMMA)
+        + 2.0 * math.ulp(total)
+    )
+    if not (math.isfinite(total) and math.isfinite(remainder + rounding)):
+        raise CapabilityError(f"|psi({x})| overflows double precision")
+    return EvalResult(total, remainder + rounding)
+
+
+def test_digamma_bit_identical_to_pair_search_series():
+    rng = random.Random(2410)
+    root = 1.4616321449683622  # the positive zero of psi
+    cases = [5e-324, 1.0, 2.0, 1.0 + 1e-9, 1.0 - 1e-9, root]
+    cases += [math.exp(rng.uniform(math.log(1e-300), math.log(1e300))) for _ in range(3000)]
+    outcomes = Counter()
+    for x in cases:
+        expected = _bits_or_error(lambda _, x: _ref_digamma(x), 0, x)
+        assert _bits_or_error(lambda _, x: digamma(x), 0, x) == expected, x
+        outcomes[expected[0] if expected[0] == "CapabilityError" else "value"] += 1
+    assert outcomes["CapabilityError"] >= 1 and outcomes["value"] > 2000

@@ -93,7 +93,7 @@ _REJECTED = [
     (KernelId, ("h",), {"kind": "h", "k": 1.0}),
     (KernelId, ("omega", 1), {"kind": "tanh", "k": 0}),
     (SearchParams, (0.0,), {"x_min": 10.0, "x_max": 1.0}),
-    (SearchParams, (1e-3, math.inf), {"x_max": 1e-4}),
+    (SearchParams, (1e-3, math.inf), {"x_max": 2.0**-129}),
 ]
 
 
@@ -107,7 +107,7 @@ def test_validating_constructors_reject_bad_inputs(cls, args, kwargs):
 
 
 def test_validating_constructors_normalise_and_default():
-    assert SearchParams() == (1e-3, 1e3) and SearchParams(x_max=5.0) == (1e-3, 5.0)
+    assert SearchParams() == (2.0**-128, 2.0**128) and SearchParams(x_max=5.0) == (2.0**-128, 5.0)
     assert KernelId("omega").k is None and KernelId(kind="h", k=-1) == ("h", -1)
 
     class Index:  # any __index__ type is an integer, and is stored as int
