@@ -204,8 +204,6 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
     numerators = {name: _bound_numerator(name, m, n) for name in _BOUND_MULTIPLIERS}
     entries: list[BoundEntry] = []
     findings: list[str] = []
-    derived_ok = True
-    printed_p_ok = True
     degree = 2 * m + 2 * n + 3  # above every numerator power
     for x in pts:
         fp = f_derivative(idx, 1, x)
@@ -224,34 +222,25 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
             status = _AUDIT_STATUS[EvalResult(margin, fp.abs_error + ulp(b)).certified_sign()]
             statuses[name] = status
             margins[name] = margin
-            if status != "holds":
-                if name.endswith("derived"):
-                    if status == "fails":
-                        derived_ok = False
-                elif name == "p_printed":
-                    printed_p_ok = False
-                    findings.append(
-                        f"printed upper bound {status} at (m={m}, n={n}), "
-                        f"x={x:.6g}: margin {margin:.3e}"
-                    )
-                else:
-                    findings.append(
-                        f"printed lower bound {status} at (m={m}, n={n}), "
-                        f"x={x:.6g}: f'={fp.value:.6e} vs bound {b:.6e}"
-                    )
+            if status == "holds" or name.endswith("derived"):
+                continue
+            if name == "p_printed":
+                findings.append(f"printed upper bound {status} at (m={m}, n={n}), "
+                                f"x={x:.6g}: margin {margin:.3e}")
+            else:
+                findings.append(f"printed lower bound {status} at (m={m}, n={n}), "
+                                f"x={x:.6g}: f'={fp.value:.6e} vs bound {b:.6e}")
         entries.append(BoundEntry(x, fp, bounds, statuses, margins))
+    derived = [(e.statuses["q_derived"], e.statuses["p_derived"]) for e in entries]
     return BoundAuditReport(
         m=m,
         n=n,
         grid=pts,
         entries=tuple(entries),
         findings=tuple(findings),
-        derived_ok=derived_ok,
-        printed_p_ok=printed_p_ok,
-        derived_unresolved=tuple(
-            e.x for e in entries
-            if "inconclusive" in (e.statuses["q_derived"], e.statuses["p_derived"])
-        ),
+        derived_ok=all("fails" not in d for d in derived),
+        printed_p_ok=all(e.statuses["p_printed"] == "holds" for e in entries),
+        derived_unresolved=tuple(e.x for e, d in zip(entries, derived) if "inconclusive" in d),
     )
 
 
@@ -494,8 +483,11 @@ def _validate_even_pair(m: int, even_n: int) -> tuple[int, int]:
 def find_sign_change(m: int, even_n: int, search: SearchParams = DEFAULT_SEARCH) -> Witness:
     """Certified sign-change witness for f_{m,even_n}, (m, even_n) != (1,2).
 
-    The scan window spans both asymptotic regimes, where the envelope signs
-    guarantee opposite-sign values for every such pair.
+    The envelope signs give f opposite signs near 0 and near infinity, but
+    a window need not reach both regimes, nor certify a probe there: a
+    narrow window like [1.1, 1.9] raises SearchExhaustedError, and (16,32)
+    at the default window raises CapabilityError, its brackets leaving the
+    doubles.
     """
     m, even_n = _validate_even_pair(m, even_n)
     return _witness_search(m, even_n, 0, "sign_change", search)
@@ -544,10 +536,9 @@ def classify(
     the rule and raises); the sign-changing verdict carries both witness
     kinds (search failure raises, wrapped as a classification error).
     """
-    m = checks.integer("m", m, 1)
-    n = checks.integer("n", n, 1)
-    verdict = expected_verdict(m, n)
     idx = FamilyIndex(m, n)
+    m, n = idx
+    verdict = expected_verdict(m, n)
     if verdict in ("CM_trivial", "CM_nontrivial"):
         grid = tuple(cm_grid) if cm_grid is not None else log_grid(0.01, 100.0, 40)
         report = cm_check(idx, cm_max_order, grid)

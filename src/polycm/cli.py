@@ -11,11 +11,12 @@ Every numeric value in JSON output is paired with its abs_error; CSV
 flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including an --out path that cannot be written),
-3 numeric capability error (an order cap, or a computed magnitude that
-overflows) or a bound audit or inequality suite that rounding leaves
-undecided at some points.  ``bounds`` and ``inequalities`` exit 1 only when
-some margin is certified negative.  No subcommand takes an error budget:
-each bound is what the one closed series behind each value guarantees.
+3 numeric capability error (a polygamma order above the cap of 120, or a
+computed magnitude that overflows) or a bound audit or inequality suite
+that rounding leaves undecided at some points.  ``bounds`` and
+``inequalities`` exit 1 only when some margin is certified negative.  No
+subcommand takes an error budget: each bound is what the one closed series
+behind each value guarantees.
 """
 
 from __future__ import annotations

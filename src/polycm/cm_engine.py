@@ -6,9 +6,15 @@ The l-th derivative in closed form, by the product rule:
 
 _assemble computes f^(l)(x) from a psi row, {k: (value, abs_error) of
 psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
-arithmetic.  Grid rows are kept only while later calls share them: the
-bounded module-level table _grid_rows keeps the rows of the last _GRIDS_KEPT
-grids (least recently used dropped first), one row per grid point.
+arithmetic.  The terms j and l-j of the sum are bit-identical (products
+commute), so each pair is one term of weight 2 C(l,j): doubling is exact,
+and math.fsum rounds the exact sum once.  The one exception is a product
+below 2^-1022, where the term's rounding charge ulp(2w) is less than the
+2 ulp(w) of two terms, so the bound can come out one ulp lower; it still
+covers.
+
+Grid rows are kept only while later calls share them: the module-level
+table _grid_rows keeps the rows of the last grid, one row per grid point.
 cm_check adds {m..m+L} and {n..n+L} to each, so consecutive members on one
 grid (a CM sweep, the CM members of a classification) share the
 evaluations.  f_derivative fills a fresh row of {n+l} and {m..m+l} for its
@@ -37,10 +43,7 @@ from typing import NamedTuple
 from . import checks
 from .errors import CapabilityError
 from .evaluation import EvalResult, ulp
-from .polygamma import polygamma
-
-# Highest polygamma order a derivative may need.
-DEFAULT_ORDER_CAP = 64
+from .polygamma import ORDER_CAP, polygamma
 
 # Largest share of unresolved entries a consistent_with_CM verdict allows.
 _INCONCLUSIVE_CAP = 0.01
@@ -48,9 +51,12 @@ _INCONCLUSIVE_CAP = 0.01
 # Status of a CM entry by the certified sign of (-1)^l f^(l)(x).
 _STATUS = {1: "positive", 0: "inconclusive", -1: "violation"}
 
-# Grids kept by the grid row table: consecutive cm_check calls share one
-# grid (the 25 members of a CM sweep, the CM members of a classification).
-_GRIDS_KEPT = 4
+# Grids kept by the grid row table.  The traffic checked: the bench's
+# cm_sweep runs 25 members per fresh grid, its witness_scan the 19 CM
+# members of a 6x6 classification per fresh grid, and the CLI's classify
+# the 19 CM members of its 6x6 table on one grid.  None comes back to an
+# older grid, so a second kept grid would never be hit again.
+_GRIDS_KEPT = 1
 
 
 class _FamilyIndexFields(NamedTuple):
@@ -72,9 +78,9 @@ class FamilyIndex(_FamilyIndexFields):
 
 def _check_cap(idx: FamilyIndex, order: int) -> None:
     needed = max(idx.n, idx.m) + order
-    if needed > DEFAULT_ORDER_CAP:
+    if needed > ORDER_CAP:
         raise CapabilityError(f"{idx.label()} derivative {order} needs polygamma "
-                              f"order {needed} beyond the cap {DEFAULT_ORDER_CAP}")
+                              f"order {needed} beyond the cap {ORDER_CAP}")
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
@@ -92,33 +98,30 @@ def _fill(row: dict, orders, x: float) -> None:
             row[k] = (r.value, r.abs_error)
 
 
-@lru_cache(maxsize=None)  # one entry per order; polygamma caps the orders
-def _binomials(order: int) -> tuple[float, ...]:
-    """C(order, j) as floats for j <= order/2."""
-    return tuple(float(math.comb(order, j)) for j in range(order // 2 + 1))
+@lru_cache(maxsize=None)  # one entry per order; ORDER_CAP caps the orders
+def _leibniz_weights(order: int) -> tuple[float, ...]:
+    """The weight of the pair j, order-j for j <= order/2, as a float:
+    2 C(order, j), or C(order, j) alone at 2j = order."""
+    return tuple(float(math.comb(order, j) * (1 if 2 * j == order else 2))
+                 for j in range(order // 2 + 1))
 
 
 def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> EvalResult:
     """sign * f^(order)(x) from a row holding n+order and m..m+order.
 
     The arithmetic of EvalResult.__mul__, EvalResult.scaled and result_sum,
-    written out in their operation order."""
+    written out in their operation order, with each pair's two equal terms
+    summed as one of twice the weight."""
     m = idx.m
     v, e = row[idx.n + order]
     values, errors = [v], [e]
-    # terms j and order-j are bit-identical (products commute): compute once
-    for j, c in enumerate(_binomials(order)):
+    for j, c in enumerate(_leibniz_weights(order)):
         a, ea = row[m + j]
         b, eb = row[m + order - j]
         p = a * b
         w = p * c
-        we = c * (abs(a) * eb + abs(b) * ea + ea * eb + ulp(p)) + ulp(w)
-        if 2 * j < order:
-            values += (w, w)
-            errors += (we, we)
-        else:
-            values.append(w)
-            errors.append(we)
+        values.append(w)
+        errors.append(c * (abs(a) * eb + abs(b) * ea + ea * eb + ulp(p)) + ulp(w))
     try:
         v = math.fsum(values)
         e = math.fsum(errors) + ulp(v)

@@ -50,10 +50,8 @@ def _tail_terms(
             return K, (a + b) / 2.0, charge
         K *= 2
         if K > _MAX_TERMS:
-            raise ConvergenceError(
-                f"oracle target {target:g} needs more than {_MAX_TERMS} terms",
-                best_bound=charge,
-            )
+            raise ConvergenceError(f"oracle target {target:g} needs more than "
+                                   f"{_MAX_TERMS} terms (best charge {charge:g})")
 
 
 def reference_polygamma(n: int, x: float, target: float = 1e-11) -> EvalResult:
@@ -271,7 +269,7 @@ def shift_difference_kernel_check(x: float) -> float:
     val, est = fp.quad(lambda t: tanh_kernel(t).value * math.exp(-x * t), [0.0, T], error=True)
     if est > 1e-9 * (1.0 + abs(val)):
         raise ConvergenceError(
-            f"shift-difference quadrature did not converge at x={x}", best_bound=est
+            f"shift-difference quadrature did not converge at x={x}: error estimate {est:g}"
         )
     via_kernel = factor * val
     return max(abs(lhs - closed), abs(lhs - via_kernel))
@@ -287,6 +285,6 @@ def laplace_power_identity(r: float, x: float) -> float:
     x = checks.positive_real("x", x)
     val, est = fp.quad(lambda t: t ** (r - 1.0) * math.exp(-x * t), [0.0, math.inf], error=True)
     if est > 1e-8 * (1.0 + abs(val)):
-        raise ConvergenceError(f"Laplace quadrature did not converge at r={r}, x={x}",
-                               best_bound=est)
+        raise ConvergenceError(f"Laplace quadrature did not converge at r={r}, x={x}: "
+                               f"error estimate {est:g}")
     return abs(x ** (-r) - val / math.gamma(r))

@@ -18,15 +18,7 @@ class DomainError(PolycmError, ValueError):
 
 
 class ConvergenceError(PolycmError, ArithmeticError):
-    """A verification route could not meet its requested tolerance.
-
-    Carries the best bound that was achieved so callers can decide whether
-    the partial result is still usable.
-    """
-
-    def __init__(self, message: str, best_bound: float = float("inf")):
-        super().__init__(message)
-        self.best_bound = best_bound
+    """A verification route could not meet its requested tolerance."""
 
 
 class CapabilityError(PolycmError, ArithmeticError):

@@ -51,9 +51,9 @@ _DIGAMMA_PAIRS = tuple(
 _DIGAMMA_REMAINDER = abs(_BERNOULLI[16][0] / _BERNOULLI[16][1]) / 16
 
 # Polygamma order beyond which factorials/powers routinely overflow double
-# precision for ordinary grid arguments; derivative-order caps downstream sit
-# well below this.
-_HARD_ORDER_CAP = 120
+# precision for ordinary grid arguments.  polycm.cm_engine refuses a
+# derivative that needs a higher order before it evaluates anything.
+ORDER_CAP = 120
 
 # Powers of the tail argument below this are subnormal: they keep too few
 # significant bits to carry a value or a remainder bound.
@@ -65,7 +65,7 @@ _TINY = sys.float_info.min
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_HARD_ORDER_CAP)
+@lru_cache(maxsize=ORDER_CAP)
 def _order_constants(n: int) -> tuple:
     """What polygamma's series needs of the order n alone, as floats rounded
     from exact integers and rationals: n!, (n-1)!, the exponents -(n+1), -n
@@ -119,9 +119,9 @@ def polygamma(n: int, x: float) -> EvalResult:
     whole psi rows across calls.
     """
     n = checks.integer("order", n, 1)
-    if n > _HARD_ORDER_CAP:
+    if n > ORDER_CAP:
         raise CapabilityError(
-            f"order {n} exceeds the double-precision capability cap {_HARD_ORDER_CAP}"
+            f"order {n} exceeds the double-precision capability cap {ORDER_CAP}"
         )
     x = checks.positive_real("x", x)
     (fact_f, fact_m1, e_expl, e_tail, e_pairs, coeffs, abs_coeffs,

@@ -298,12 +298,13 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_capability_exit_code(capsys):
+    # order 119 of f[1,2] needs psi^(121), one past polygamma's cap of 120
     code, _, err = run(
         capsys,
-        ["check-cm", "--m", "1", "--n", "2", "--orders", "70", "--grid-count", "4"],
+        ["check-cm", "--m", "1", "--n", "2", "--orders", "119", "--grid-count", "4"],
     )
     assert code == 3
-    assert "capability" in err
+    assert "capability" in err and "beyond the cap 120" in err
     # magnitudes that overflow doubles are capability limits, not usage errors
     for argv in (
         ["check-cm", "--grid-min", "1e-300", "--orders", "2"],

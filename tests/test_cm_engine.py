@@ -149,19 +149,24 @@ def test_f_derivative_requests_only_its_orders(psi_calls):
 
 def test_assembly_matches_evalresult_arithmetic():
     # _assemble writes out the arithmetic of EvalResult.__mul__, scaled and
-    # result_sum; the EvalResult form of the Leibniz sum is the reference,
-    # bit for bit
-    for m, n in ((1, 2), (3, 5), (2, 2), (6, 1)):
-        for order in range(9):
-            for x in (0.02, 0.7, 3.0, 40.0):
-                psi = {k: polygamma(k, x) for k in {n + order, *range(m, m + order + 1)}}
-                terms = [psi[n + order]] + [
-                    (psi[m + j] * psi[m + order - j]).scaled(float(math.comb(order, j)))
-                    for j in range(order + 1)
-                ]
-                ref = result_sum(terms)
-                got = f_derivative(FamilyIndex(m, n), order, x)
-                assert (got.value, got.abs_error) == (ref.value, ref.abs_error)
+    # result_sum, with one term of twice the weight per pair j, order-j; the
+    # EvalResult form of the full Leibniz sum is the reference, bit for bit
+    cases = [(m, n, order, x)
+             for m, n in ((1, 2), (3, 5), (2, 2), (6, 1))
+             for order in range(9)
+             for x in (0.02, 0.7, 3.0, 40.0)]
+    # at x = 1e90 the product psi^(2) psi^(3) underflows to -0.0 while every
+    # psi is normal: the one place where doubling a term is not exact
+    cases.append((2, 2, 1, 1e90))
+    for m, n, order, x in cases:
+        psi = {k: polygamma(k, x) for k in {n + order, *range(m, m + order + 1)}}
+        terms = [psi[n + order]] + [
+            (psi[m + j] * psi[m + order - j]).scaled(float(math.comb(order, j)))
+            for j in range(order + 1)
+        ]
+        ref = result_sum(terms)
+        got = f_derivative(FamilyIndex(m, n), order, x)
+        assert (got.value, got.abs_error) == (ref.value, ref.abs_error)
 
 
 def _entries(rep):
@@ -311,11 +316,13 @@ def test_family_index_accepts_numpy_integers():
 
 
 def test_order_cap(psi_calls):
-    with pytest.raises(CapabilityError):
-        f_derivative(FamilyIndex(1, 2), 63, 1.0)
-    with pytest.raises(CapabilityError):
-        cm_check(FamilyIndex(1, 2), 63, [1.0, 2.0])
+    # order 119 of f[1,2] needs psi^(121), one past polygamma's cap
+    with pytest.raises(CapabilityError, match="order 121 beyond the cap 120"):
+        f_derivative(FamilyIndex(1, 2), 119, 1.0)
+    with pytest.raises(CapabilityError, match="order 121 beyond the cap 120"):
+        cm_check(FamilyIndex(1, 2), 119, [1.0, 2.0])
     assert psi_calls == []  # both refuse before evaluating anything
+    assert signed_derivative(FamilyIndex(1, 2), 63, 1.0).certified_sign() == 1
     with pytest.raises(DomainError):
         f_derivative(FamilyIndex(1, 2), -1, 1.0)
 
