@@ -4,13 +4,13 @@ The l-th derivative in closed form, by the product rule:
 
     f^(l) = psi^(n+l) + sum_{j=0..l} C(l,j) psi^(m+j) psi^(m+l-j)
 
-_assemble computes f^(l)(x) from a psi row, {k: (value, abs_error) of
-psi^(k)(x)}, in plain floats by the rules and operation order of EvalResult
-arithmetic.  The terms j and l-j of the sum are bit-identical (products
-commute), so each pair is one term of weight 2 C(l,j): doubling is exact,
-and math.fsum rounds the exact sum once.  The one exception is a product
-below 2^-1022, where the term's rounding charge ulp(2w) is less than the
-2 ulp(w) of two terms, so the bound can come out one ulp lower; it still
+_pair_terms and _assemble compute f^(l)(x) from a psi row, {k: (value,
+abs_error) of psi^(k)(x)}, in plain floats by the rules and operation order
+of EvalResult arithmetic.  The terms j and l-j of the sum are bit-identical
+(products commute), so each pair is one term of weight 2 C(l,j): doubling is
+exact, and math.fsum rounds the exact sum once.  The one exception is a
+product below 2^-1022, where the term's rounding charge ulp(2w) is less than
+the 2 ulp(w) of two terms, so the bound can come out one ulp lower; it still
 covers.
 
 Grid rows are kept only while later calls share them: the module-level
@@ -20,6 +20,16 @@ grid (a CM sweep, the CM members of a classification) share the
 evaluations.  f_derivative fills a fresh row of {n+l} and {m..m+l} for its
 one point: single points are not shared, since the witness search of
 polycm.classifier brackets psi exactly and calls no polygamma.
+
+The squared part depends on m alone, so cm_check keeps its pair terms
+(values and bounds, per order a column of one _pair_terms result per point)
+beside the rows of the grid, for the last m only: the bench's cm_sweep and
+the 6x6 classification of its witness_scan and of the CLI's classify visit
+members m-major, so an earlier m never comes back on the same grid.  Each
+entry then sums psi^(n+l) and the kept terms with one math.fsum for the
+values and one for the bounds, the inputs and order of a fresh row, so every
+entry equals f_derivative bit for bit.  A column is kept only once all its
+points are built, so a call that raises leaves no partial column behind.
 
 polygamma runs only for an order the row lacks, so one call evaluates each
 psi^(k)(x) at most once.  polygamma takes no error budget: each entry's
@@ -44,6 +54,11 @@ from . import checks
 from .errors import CapabilityError
 from .evaluation import EvalResult, ulp
 from .polygamma import ORDER_CAP, polygamma
+
+# Builds a record without its own __new__: an EvalResult only right after
+# _assemble repeats the constructor's checks, a CMEntry because its
+# generated __new__ checks nothing.
+_tuple_new = tuple.__new__
 
 # Largest share of unresolved entries a consistent_with_CM verdict allows.
 _INCONCLUSIVE_CAP = 0.01
@@ -84,10 +99,11 @@ def _check_cap(idx: FamilyIndex, order: int) -> None:
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
-def _grid_rows(grid: tuple[float, ...]) -> tuple[dict, ...]:
-    """The shared psi rows of a validated grid, one per point: the same
-    dicts for the same grid until evicted."""
-    return tuple({} for _ in grid)
+def _grid_rows(grid: tuple[float, ...]) -> tuple[tuple[dict, ...], dict]:
+    """The shared state of a validated grid, the same objects for the same
+    grid until evicted: a psi row per point, and the kept squared terms
+    {m: {order: one _pair_terms result per point}} of the last m."""
+    return tuple({} for _ in grid), {}
 
 
 def _fill(row: dict, orders, x: float) -> None:
@@ -106,15 +122,12 @@ def _leibniz_weights(order: int) -> tuple[float, ...]:
                  for j in range(order // 2 + 1))
 
 
-def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> EvalResult:
-    """sign * f^(order)(x) from a row holding n+order and m..m+order.
-
-    The arithmetic of EvalResult.__mul__, EvalResult.scaled and result_sum,
-    written out in their operation order, with each pair's two equal terms
-    summed as one of twice the weight."""
-    m = idx.m
-    v, e = row[idx.n + order]
-    values, errors = [v], [e]
+def _pair_terms(m: int, order: int, row: dict) -> tuple[list, list]:
+    """The values and bounds of the terms of the order-th derivative of
+    [psi^(m)]^2 at one point, from a row holding m..m+order: one term per
+    pair j, order-j, by the arithmetic of EvalResult.__mul__ then
+    EvalResult.scaled, in their operation order."""
+    values, errors = [], []
     for j, c in enumerate(_leibniz_weights(order)):
         a, ea = row[m + j]
         b, eb = row[m + order - j]
@@ -122,14 +135,26 @@ def _assemble(idx: FamilyIndex, order: int, row: dict, sign: float = 1.0) -> Eva
         w = p * c
         values.append(w)
         errors.append(c * (abs(a) * eb + abs(b) * ea + ea * eb + ulp(p)) + ulp(w))
+    return values, errors
+
+
+def _assemble(idx: FamilyIndex, order: int, row: dict, terms: tuple[list, list],
+              sign: float = 1.0) -> EvalResult:
+    """sign * f^(order)(x) from a row holding n+order and the point's
+    _pair_terms: the arithmetic of result_sum over psi^(n+order) and the
+    pair terms, in that order."""
+    v, e = row[idx.n + order]
+    values, errors = terms
     try:
-        v = math.fsum(values)
-        e = math.fsum(errors) + ulp(v)
+        v = math.fsum([v, *values])
+        e = math.fsum([e, *errors]) + ulp(v)
     except OverflowError:  # math.fsum: a partial sum left the double range
         v = e = math.inf
     if not (math.isfinite(v) and math.isfinite(e)):
         raise CapabilityError(f"{idx.label()} derivative {order} overflows double precision")
-    return EvalResult(sign * v, e)
+    # EvalResult's own check, just made: both are finite, and e, a sum of
+    # bounds, is not negative
+    return _tuple_new(EvalResult, (sign * v, e))
 
 
 def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
@@ -139,7 +164,7 @@ def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
     _check_cap(idx, order)
     row: dict = {}
     _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x)
-    return _assemble(idx, order, row)
+    return _assemble(idx, order, row, _pair_terms(idx.m, order, row))
 
 
 def f_value(idx: FamilyIndex, x: float) -> EvalResult:
@@ -190,15 +215,35 @@ def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
     _check_cap(idx, max_order)
-    rows = _grid_rows(pts)
+    m, n = idx
+    rows, squares = _grid_rows(pts)
+    kept = squares.get(m)
+    if kept is None:  # an earlier m does not come back: see the module docstring
+        squares.clear()
+        kept = squares[m] = {}
     entries: list[CMEntry] = []
+    unresolved: dict[int, list[CMEntry]] = {0: [], -1: []}
     for order in range(max_order + 1):
-        for x, row in zip(pts, rows):
-            _fill(row, (idx.n + order, idx.m + order), x)
-            sv = _assemble(idx, order, row, (-1.0) ** order)
-            entries.append(CMEntry(order, x, sv, _STATUS[sv.certified_sign()]))
-    violations = tuple(e for e in entries if e.status == "violation")
-    inconclusive = tuple(e for e in entries if e.status == "inconclusive")
+        sign = (-1.0) ** order
+        kn, km = n + order, m + order
+        column = kept.get(order)
+        fresh = column is None
+        if fresh:  # kept only once complete: a raise leaves no partial column
+            column = []
+        for i, (x, row) in enumerate(zip(pts, rows)):
+            if kn not in row or km not in row:
+                _fill(row, (kn, km), x)
+            if fresh:
+                column.append(_pair_terms(m, order, row))
+            sv = _assemble(idx, order, row, column[i], sign)
+            s = sv.certified_sign()
+            entry = _tuple_new(CMEntry, (order, x, sv, _STATUS[s]))
+            entries.append(entry)
+            if s < 1:
+                unresolved[s].append(entry)
+        if fresh:
+            kept[order] = column
+    violations, inconclusive = tuple(unresolved[-1]), tuple(unresolved[0])
     if violations:
         verdict = "violation"
     elif len(inconclusive) > _INCONCLUSIVE_CAP * len(entries):

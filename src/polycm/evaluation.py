@@ -33,8 +33,10 @@ class EvalResult(_EvalResultFields):
     An immutable named tuple: it unpacks as (value, abs_error) and compares
     equal to a plain tuple of the two, but refuses ordering, which would
     compare values and bounds lexicographically.  The constructor rejects a
-    non-finite value or a negative or non-finite bound; _replace and _make
-    skip that check, and nothing in polycm uses them.
+    non-finite value or a negative or non-finite bound.  _replace, _make and
+    tuple.__new__ skip that check; in polycm only cm_engine._assemble skips
+    it, with tuple.__new__ right after its CapabilityError check on the
+    same value and bound.
     """
 
     __slots__ = ()

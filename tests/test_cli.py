@@ -327,6 +327,35 @@ def test_capability_exit_code(capsys):
         assert "capability" in err
 
 
+MIXED_OVERFLOW = ["check-cm", "--m", "1", "--n", "2", "--orders", "0",
+                  "--grid-min", "1e-100", "--grid-max", "1e200", "--grid-count", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the first point's Leibniz product overflows before the second point's
+    # psi underflows: points are filled and assembled one at a time
+    (MIXED_OVERFLOW, "f[1,2] derivative 0 overflows double precision"),
+    (["check-cm", "--m", "1", "--n", "2", "--grid-min", "1e-100", "--orders", "0"],
+     "f[1,2] derivative 0 overflows double precision"),
+    (["check-cm", "--m", "1", "--n", "2", "--grid-min", "6.18e-52",
+      "--grid-max", "6.19e-52", "--grid-count", "2", "--orders", "2"],
+     "f[1,2] derivative 2 overflows double precision"),
+    (["classify", "--grid-min", "1e-100"], "f[1,1] derivative 0 overflows double precision"),
+])
+def test_capability_error_names_the_first_failure(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", f"polycm: numeric capability error: {message}\n")
+
+
+def test_capability_error_repeats_on_the_same_grid(capsys):
+    assert run(capsys, MIXED_OVERFLOW)[0] == 3
+    # the same grid again, now with its rows and squared terms kept
+    for _ in range(2):
+        with pytest.raises(polycm.CapabilityError) as exc:
+            polycm.cm_check(polycm.FamilyIndex(1, 2), 0, polycm.log_grid(1e-100, 1e200, 2))
+        assert str(exc.value) == "f[1,2] derivative 0 overflows double precision"
+
+
 def test_csv_format(capsys):
     code, out, _ = run(
         capsys,

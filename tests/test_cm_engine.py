@@ -148,16 +148,24 @@ def test_f_derivative_requests_only_its_orders(psi_calls):
 
 
 def test_assembly_matches_evalresult_arithmetic():
-    # _assemble writes out the arithmetic of EvalResult.__mul__, scaled and
-    # result_sum, with one term of twice the weight per pair j, order-j; the
-    # EvalResult form of the full Leibniz sum is the reference, bit for bit
+    # _pair_terms and _assemble write out the arithmetic of EvalResult.__mul__,
+    # scaled and result_sum, with one term of twice the weight per pair j,
+    # order-j; the EvalResult form of the full Leibniz sum is the reference,
+    # bit for bit, for f_derivative and for the cm_check entries on kept terms
+    xs = (0.02, 0.7, 3.0, 40.0)
     cases = [(m, n, order, x)
              for m, n in ((1, 2), (3, 5), (2, 2), (6, 1))
              for order in range(9)
-             for x in (0.02, 0.7, 3.0, 40.0)]
+             for x in xs]
     # at x = 1e90 the product psi^(2) psi^(3) underflows to -0.0 while every
     # psi is normal: the one place where doubling a term is not exact
     cases.append((2, 2, 1, 1e90))
+    cm_engine._grid_rows.cache_clear()
+    entries = {}
+    for m, n, max_order, grid in [(1, 2, 8, xs), (3, 5, 8, xs), (2, 2, 8, xs), (6, 1, 8, xs),
+                                  (2, 2, 1, (1e90,))]:
+        for e in cm_check(FamilyIndex(m, n), max_order, grid).entries:
+            entries[m, n, e.order, e.x] = e.signed_value
     for m, n, order, x in cases:
         psi = {k: polygamma(k, x) for k in {n + order, *range(m, m + order + 1)}}
         terms = [psi[n + order]] + [
@@ -167,6 +175,8 @@ def test_assembly_matches_evalresult_arithmetic():
         ref = result_sum(terms)
         got = f_derivative(FamilyIndex(m, n), order, x)
         assert (got.value, got.abs_error) == (ref.value, ref.abs_error)
+        signed = entries[m, n, order, x]
+        assert (signed.value, signed.abs_error) == ((-1.0) ** order * ref.value, ref.abs_error)
 
 
 def _entries(rep):
@@ -182,12 +192,57 @@ def test_row_table_cold_and_warm_agree():
     warm = [_entries(cm_check(idx, 8, grid)) for idx in members]
     # one kept grid with a row per point
     assert cm_engine._grid_rows.cache_info().currsize == 1
-    assert len(cm_engine._grid_rows(tuple(grid))) == len(grid)
+    assert len(cm_engine._grid_rows(tuple(grid))[0]) == len(grid)
     assert warm == cold
     # each member alone on cleared tables, against the warm, uncleared ones
     for idx, ref in zip(members, cold):
         cm_engine._grid_rows.cache_clear()
         assert _entries(cm_check(idx, 8, grid)) == ref
+
+
+def _fresh_entries(idx, max_order, grid):
+    # signed_derivative fills a fresh row for each point and keeps nothing
+    rows = []
+    for order in range(max_order + 1):
+        for x in grid:
+            sv = signed_derivative(idx, order, x)
+            rows.append((order, x, sv.value, sv.abs_error, cm_engine._STATUS[sv.certified_sign()]))
+    return rows
+
+
+def test_kept_squared_terms_match_fresh_rows():
+    grid, other = [0.02, 0.3, 1.0, 7.5, 40.0], [0.05, 0.5, 5.0]
+    calls = [
+        (1, 2, 8, grid), (2, 3, 8, grid), (1, 5, 8, grid),  # m = 1, then 2, then 1 again
+        (3, 1, 4, grid), (3, 4, 8, grid),  # m = 3's terms extended from order 4 to 8
+        (3, 2, 8, other), (3, 6, 8, grid),  # a second grid and back
+    ]
+    cm_engine._grid_rows.cache_clear()
+    warm = [_entries(cm_check(FamilyIndex(m, n), order, g)) for m, n, order, g in calls]
+    for (m, n, order, g), got in zip(calls, warm):
+        assert got == _fresh_entries(FamilyIndex(m, n), order, g)
+        cm_engine._grid_rows.cache_clear()
+        assert _entries(cm_check(FamilyIndex(m, n), order, g)) == got
+
+
+def test_a_sweep_keeps_the_terms_of_its_last_m():
+    grid = tuple(log_grid(0.01, 100.0, 20))
+    for m, n in [(1, 2)] + [(m, n) for m in range(1, 7) for n in (1, 3, 5, 7)]:
+        cm_check(FamilyIndex(m, n), 8, grid)
+    squares = cm_engine._grid_rows(grid)[1]
+    assert list(squares) == [6]
+    assert sorted(squares[6]) == list(range(9))
+    assert all(len(column) == len(grid) for column in squares[6].values())
+
+
+def test_a_raise_keeps_no_partial_column():
+    # the first point's terms are built, then psi''(1e200) underflows
+    grid = (1.0, 1e200)
+    cm_engine._grid_rows.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match="underflows"):
+            cm_check(FamilyIndex(1, 2), 0, grid)
+        assert cm_engine._grid_rows(grid)[1] == {1: {}}
 
 
 def test_row_table_shares_orders_across_members(psi_calls):
