@@ -4,22 +4,25 @@ The l-th derivative in closed form, by the product rule:
 
     f^(l) = psi^(n+l) + sum_{j=0..l} C(l,j) psi^(m+j) psi^(m+l-j)
 
-_pair_terms and _assemble compute f^(l)(x) from a psi row, {k: (value,
-abs_error) of psi^(k)(x)}, in plain floats by the rules and operation order
-of EvalResult arithmetic.  The terms j and l-j of the sum are bit-identical
-(products commute), so each pair is one term of weight 2 C(l,j): doubling is
-exact, and math.fsum rounds the exact sum once.  The one exception is a
-product below 2^-1022, where the term's rounding charge ulp(2w) is less than
-the 2 ulp(w) of two terms, so the bound can come out one ulp lower; it still
-covers.
+_pair_terms computes one point's Leibniz terms from a psi row, {k: (value,
+abs_error) of psi^(k)(x)}, and _assemble sums them with psi^(n+l) into
+f^(l)(x) at each point of a column (f_derivative passes a one-point column),
+in plain floats by the rules and operation order of EvalResult arithmetic.
+The terms j and l-j of the sum are bit-identical (products commute), so each
+pair is one term of weight 2 C(l,j): doubling is exact, and math.fsum rounds
+the exact sum once.  The one exception is a product below 2^-1022, where the
+term's rounding charge ulp(2w) is less than the 2 ulp(w) of two terms, so
+the bound can come out one ulp lower; it still covers.
 
 Grid rows are kept only while later calls share them: the module-level
-table _grid_rows keeps the rows of the last grid, one row per grid point.
-cm_check adds {m..m+L} and {n..n+L} to each, so consecutive members on one
-grid (a CM sweep, the CM members of a classification) share the
-evaluations.  f_derivative fills a fresh row of {n+l} and {m..m+l} for its
-one point: single points are not shared, since the witness search of
-polycm.classifier brackets psi exactly and calls no polygamma.
+table _grid_rows keeps the rows of the last grid, one row per grid point,
+and the psi orders that every row holds.  cm_check adds {m..m+L} and
+{n..n+L} to each, so consecutive members on one grid (a CM sweep, the CM
+members of a classification) share the evaluations, and an order column
+whose two psi orders every row holds probes no row.  f_derivative fills a
+fresh row of {n+l} and {m..m+l} for its one point: single points are not
+shared, since the witness search of polycm.classifier brackets psi exactly
+and calls no polygamma.
 
 The squared part depends on m alone, so cm_check keeps its pair terms
 (values and bounds, per order a column of one _pair_terms result per point)
@@ -31,9 +34,15 @@ values and one for the bounds, the inputs and order of a fresh row, so every
 entry equals f_derivative bit for bit.  A column is kept only once all its
 points are built, so a call that raises leaves no partial column behind.
 
-polygamma runs only for an order the row lacks, so one call evaluates each
-psi^(k)(x) at most once.  polygamma takes no error budget: each entry's
-bound is what its one closed series guarantees, a function of (k, x) alone.
+cm_check works one order column at a time: it fills the column's rows, then
+assembles the column, certifies its signs and builds its entries.  The
+failure it reports is still the first in point-major order: a fill that
+raises at point i is held until points 0..i-1 are assembled, whose overflow
+comes first, and its orders are not marked complete.  polygamma runs only
+for an order the row lacks, so one call evaluates each psi^(k)(x) at most
+once, and a call after a raise asks only for what the raise left unfilled.
+polygamma takes no error budget: each entry's bound is what its one closed
+series guarantees, a function of (k, x) alone.
 
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point by
 EvalResult.certified_sign: certified positive, certified violation
@@ -48,6 +57,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from . import checks
@@ -99,11 +109,12 @@ def _check_cap(idx: FamilyIndex, order: int) -> None:
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
-def _grid_rows(grid: tuple[float, ...]) -> tuple[tuple[dict, ...], dict]:
+def _grid_rows(grid: tuple[float, ...]) -> tuple[tuple[dict, ...], dict, set]:
     """The shared state of a validated grid, the same objects for the same
-    grid until evicted: a psi row per point, and the kept squared terms
-    {m: {order: one _pair_terms result per point}} of the last m."""
-    return tuple({} for _ in grid), {}
+    grid until evicted: a psi row per point, the kept squared terms
+    {m: {order: one _pair_terms result per point}} of the last m, and the
+    psi orders that every row holds."""
+    return tuple({} for _ in grid), {}, set()
 
 
 def _fill(row: dict, orders, x: float) -> None:
@@ -138,23 +149,27 @@ def _pair_terms(m: int, order: int, row: dict) -> tuple[list, list]:
     return values, errors
 
 
-def _assemble(idx: FamilyIndex, order: int, row: dict, terms: tuple[list, list],
-              sign: float = 1.0) -> EvalResult:
-    """sign * f^(order)(x) from a row holding n+order and the point's
-    _pair_terms: the arithmetic of result_sum over psi^(n+order) and the
-    pair terms, in that order."""
-    v, e = row[idx.n + order]
-    values, errors = terms
-    try:
-        v = math.fsum([v, *values])
-        e = math.fsum([e, *errors]) + ulp(v)
-    except OverflowError:  # math.fsum: a partial sum left the double range
-        v = e = math.inf
-    if not (math.isfinite(v) and math.isfinite(e)):
-        raise CapabilityError(f"{idx.label()} derivative {order} overflows double precision")
-    # EvalResult's own check, just made: both are finite, and e, a sum of
-    # bounds, is not negative
-    return _tuple_new(EvalResult, (sign * v, e))
+def _assemble(idx: FamilyIndex, order: int, rows, columns, sign: float = 1.0) -> list[EvalResult]:
+    """sign * f^(order)(x) at each point of a column, from its rows (each
+    holding n+order) and the points' _pair_terms, in point order: the
+    arithmetic of result_sum over psi^(n+order) and the pair terms, in that
+    order.  The first point whose sum leaves the double range raises."""
+    kn = idx.n + order
+    fsum, isfinite = math.fsum, math.isfinite
+    pairs = []
+    for row, (values, errors) in zip(rows, columns):
+        v, e = row[kn]
+        try:
+            v = fsum([v, *values])
+            e = fsum([e, *errors]) + ulp(v)
+        except OverflowError:  # math.fsum: a partial sum left the double range
+            e = math.inf
+        if not isfinite(e):  # also when v is not finite: then neither is ulp(v)
+            raise CapabilityError(f"{idx.label()} derivative {order} overflows double precision")
+        pairs.append((sign * v, e))
+    # EvalResult's own check, just made: e is finite, so v is, and e, a sum
+    # of bounds, is not negative
+    return list(map(_tuple_new, repeat(EvalResult), pairs))
 
 
 def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
@@ -164,7 +179,7 @@ def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
     _check_cap(idx, order)
     row: dict = {}
     _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x)
-    return _assemble(idx, order, row, _pair_terms(idx.m, order, row))
+    return _assemble(idx, order, (row,), (_pair_terms(idx.m, order, row),))[0]
 
 
 def f_value(idx: FamilyIndex, x: float) -> EvalResult:
@@ -216,7 +231,7 @@ def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     pts = checks.grid(grid)
     _check_cap(idx, max_order)
     m, n = idx
-    rows, squares = _grid_rows(pts)
+    rows, squares, complete = _grid_rows(pts)
     kept = squares.get(m)
     if kept is None:  # an earlier m does not come back: see the module docstring
         squares.clear()
@@ -224,25 +239,35 @@ def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     entries: list[CMEntry] = []
     unresolved: dict[int, list[CMEntry]] = {0: [], -1: []}
     for order in range(max_order + 1):
-        sign = (-1.0) ** order
         kn, km = n + order, m + order
+        held, live = None, rows
+        if kn not in complete or km not in complete:
+            for i, (x, row) in enumerate(zip(pts, rows)):
+                try:
+                    _fill(row, (kn, km), x)
+                except CapabilityError as exc:
+                    # raised once the points before it are assembled, whose
+                    # own failures come first point by point
+                    held, live = exc, rows[:i]
+                    break
+            else:
+                complete.update((kn, km))
         column = kept.get(order)
-        fresh = column is None
-        if fresh:  # kept only once complete: a raise leaves no partial column
-            column = []
-        for i, (x, row) in enumerate(zip(pts, rows)):
-            if kn not in row or km not in row:
-                _fill(row, (kn, km), x)
-            if fresh:
-                column.append(_pair_terms(m, order, row))
-            sv = _assemble(idx, order, row, column[i], sign)
-            s = sv.certified_sign()
-            entry = _tuple_new(CMEntry, (order, x, sv, _STATUS[s]))
-            entries.append(entry)
-            if s < 1:
-                unresolved[s].append(entry)
-        if fresh:
-            kept[order] = column
+        if column is None:
+            column = list(map(_pair_terms, repeat(m), repeat(order), live))
+            if held is None:
+                kept[order] = column  # complete: a raise leaves no partial column
+        results = _assemble(idx, order, live, column, (-1.0) ** order)
+        if held is not None:
+            raise held
+        signs = list(map(EvalResult.certified_sign, results))
+        added = list(map(_tuple_new, repeat(CMEntry),
+                         zip(repeat(order), pts, results, map(_STATUS.__getitem__, signs))))
+        entries += added
+        if min(signs) < 1:
+            for s, entry in zip(signs, added):
+                if s < 1:
+                    unresolved[s].append(entry)
     violations, inconclusive = tuple(unresolved[-1]), tuple(unresolved[0])
     if violations:
         verdict = "violation"

@@ -35,8 +35,8 @@ class EvalResult(_EvalResultFields):
     compare values and bounds lexicographically.  The constructor rejects a
     non-finite value or a negative or non-finite bound.  _replace, _make and
     tuple.__new__ skip that check; in polycm only cm_engine._assemble skips
-    it, with tuple.__new__ right after its CapabilityError check on the
-    same value and bound.
+    it: it builds a column's results with tuple.__new__ once its
+    CapabilityError check has passed on each value and bound.
     """
 
     __slots__ = ()

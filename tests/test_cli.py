@@ -333,7 +333,7 @@ MIXED_OVERFLOW = ["check-cm", "--m", "1", "--n", "2", "--orders", "0",
 
 @pytest.mark.parametrize("argv, message", [
     # the first point's Leibniz product overflows before the second point's
-    # psi underflows: points are filled and assembled one at a time
+    # psi underflows: the first failure is the first in point-major order
     (MIXED_OVERFLOW, "f[1,2] derivative 0 overflows double precision"),
     (["check-cm", "--m", "1", "--n", "2", "--grid-min", "1e-100", "--orders", "0"],
      "f[1,2] derivative 0 overflows double precision"),
@@ -341,6 +341,9 @@ MIXED_OVERFLOW = ["check-cm", "--m", "1", "--n", "2", "--orders", "0",
       "--grid-max", "6.19e-52", "--grid-count", "2", "--orders", "2"],
      "f[1,2] derivative 2 overflows double precision"),
     (["classify", "--grid-min", "1e-100"], "f[1,1] derivative 0 overflows double precision"),
+    # psi underflows at the last point, with no overflow before it
+    (["check-cm", "--m", "1", "--n", "2", "--orders", "0", "--grid-min", "1",
+      "--grid-max", "1e200", "--grid-count", "2"], "y^-2 underflows double precision at y=1e+200"),
 ])
 def test_capability_error_names_the_first_failure(capsys, argv, message):
     code, out, err = run(capsys, argv)

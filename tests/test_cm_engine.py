@@ -245,6 +245,58 @@ def test_a_raise_keeps_no_partial_column():
         assert cm_engine._grid_rows(grid)[1] == {1: {}}
 
 
+def test_a_later_fill_failure_keeps_the_lower_orders():
+    # orders 0-2 of f[1,1] complete on the grid; order 3 needs psi^(4)(1e100),
+    # which underflows at the last point, after the first two points assembled
+    idx, grid = FamilyIndex(1, 1), (0.5, 3.0, 1e100)
+    with pytest.raises(CapabilityError) as ref:
+        polygamma(4, 1e100)
+    cm_engine._grid_rows.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapabilityError) as exc:
+            cm_check(idx, 3, grid)
+        assert str(exc.value) == str(ref.value)
+        rows, squares, complete = cm_engine._grid_rows(grid)
+        assert sorted(squares[1]) == [0, 1, 2]
+        assert complete == {1, 2, 3}
+        assert [4 in row for row in rows] == [True, True, False]
+    warm = _entries(cm_check(idx, 2, grid))
+    cm_engine._grid_rows.cache_clear()
+    assert warm == _entries(cm_check(idx, 2, grid)) == _fresh_entries(idx, 2, grid)
+
+
+def test_an_earlier_overflow_comes_before_a_held_fill_failure():
+    # at order 2 of f[1,2] the first point's sum overflows and psi^(4)(1e90)
+    # underflows at the second: the first failure point by point is reported
+    with pytest.raises(CapabilityError, match="underflows"):
+        polygamma(4, 1e90)
+    grid = (6.18e-52, 1e90)
+    cm_engine._grid_rows.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapabilityError) as exc:
+            cm_check(FamilyIndex(1, 2), 2, grid)
+        assert str(exc.value) == "f[1,2] derivative 2 overflows double precision"
+        assert sorted(cm_engine._grid_rows(grid)[1][1]) == [0, 1]
+
+
+def test_a_raised_order_is_asked_for_again_only_where_unfilled(psi_calls):
+    grid = (0.5, 3.0, 1e100)
+    with pytest.raises(CapabilityError, match="underflows"):
+        cm_check(FamilyIndex(1, 1), 3, grid)
+    # psi^(4)(1e100) raised, after psi^(4) at the first two points was kept
+    assert sorted(psi_calls) == sorted((k, x) for k in range(1, 5) for x in grid)
+    assert psi_calls[-1] == (4, 1e100)
+    for idx in (FamilyIndex(1, 1), FamilyIndex(1, 3)):  # both need psi^(4) at order 3 or 1
+        psi_calls.clear()
+        with pytest.raises(CapabilityError, match="underflows"):
+            cm_check(idx, 3, grid)
+        assert psi_calls == [(4, 1e100)]
+        assert 4 not in cm_engine._grid_rows(grid)[2]
+    psi_calls.clear()
+    cm_check(FamilyIndex(1, 1), 2, grid)
+    assert psi_calls == []
+
+
 def test_row_table_shares_orders_across_members(psi_calls):
     grid = [0.05, 0.5, 5.0]
     cm_check(FamilyIndex(1, 3), 4, grid)
