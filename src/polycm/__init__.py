@@ -4,7 +4,7 @@ Every evaluation returns an EvalResult carrying a guaranteed absolute error
 bound; every verdict (monotonicity, sign, complete monotonicity, inequality
 strictness) is only asserted when its margin clears the relevant bounds.
 The verification-only routes that tests compare against are in
-polycm.crosscheck, which this package does not import.
+tests/reference.py, outside this package.
 """
 
 from .errors import (

@@ -6,43 +6,35 @@ The l-th derivative in closed form, by the product rule:
 
 _pair_terms computes one point's Leibniz terms from a psi row, {k: (value,
 abs_error) of psi^(k)(x)}, and _assemble sums them with psi^(n+l) into
-f^(l)(x) at each point of a column (f_derivative passes a one-point column),
-in plain floats by the rules and operation order of EvalResult arithmetic.
-The terms j and l-j of the sum are bit-identical (products commute), so each
-pair is one term of weight 2 C(l,j): doubling is exact, and math.fsum rounds
-the exact sum once.  The one exception is a product below 2^-1022, where the
-term's rounding charge ulp(2w) is less than the 2 ulp(w) of two terms, so
-the bound can come out one ulp lower; it still covers.
+f^(l)(x) at each point of a column, in plain floats by the rules and
+operation order of EvalResult arithmetic.  The terms j and l-j of the sum
+are bit-identical (products commute), so each pair is one term of weight
+2 C(l,j): doubling is exact, and math.fsum rounds the exact sum once.  The
+one exception is a product below 2^-1022, where the term's rounding charge
+ulp(2w) is less than the 2 ulp(w) of two terms, so the bound can come out
+one ulp lower; it still covers.
 
-Grid rows are kept only while later calls share them: the module-level
-table _grid_rows keeps the rows of the last grid, one row per grid point,
-and the psi orders that every row holds.  cm_check adds {m..m+L} and
-{n..n+L} to each, so consecutive members on one grid (a CM sweep, the CM
-members of a classification) share the evaluations, and an order column
-whose two psi orders every row holds probes no row.  f_derivative fills a
-fresh row of {n+l} and {m..m+l} for its one point: single points are not
-shared, since the witness search of polycm.classifier brackets psi exactly
-and calls no polygamma.
+_assemble fills, builds and sums a column in one pass, point by point, so
+a call evaluates each psi^(k)(x) at most once and raises the first failure
+point by point.  A new column whose rows hold every order it needs has its
+terms built together first, so the kept column lies together in memory:
+building evaluates no psi, so it cannot change that failure.  polygamma takes no error budget: each bound is what its
+one closed series guarantees, a function of (k, x) alone.  f_derivative is
+the pass over one point on a fresh row: single points are not shared, since
+the witness search of polycm.classifier brackets psi exactly and calls no
+polygamma.
 
-The squared part depends on m alone, so cm_check keeps its pair terms
-(values and bounds, per order a column of one _pair_terms result per point)
-beside the rows of the grid, for the last m only: the bench's cm_sweep and
-the 6x6 classification of its witness_scan and of the CLI's classify visit
-members m-major, so an earlier m never comes back on the same grid.  Each
-entry then sums psi^(n+l) and the kept terms with one math.fsum for the
-values and one for the bounds, the inputs and order of a fresh row, so every
-entry equals f_derivative bit for bit.  A column is kept only once all its
-points are built, so a call that raises leaves no partial column behind.
-
-cm_check works one order column at a time: it fills the column's rows, then
-assembles the column, certifies its signs and builds its entries.  The
-failure it reports is still the first in point-major order: a fill that
-raises at point i is held until points 0..i-1 are assembled, whose overflow
-comes first, and its orders are not marked complete.  polygamma runs only
-for an order the row lacks, so one call evaluates each psi^(k)(x) at most
-once, and a call after a raise asks only for what the raise left unfilled.
-polygamma takes no error budget: each entry's bound is what its one closed
-series guarantees, a function of (k, x) alone.
+State is kept only while later calls share it.  _grid_rows keeps the psi
+rows of the last grid, one per point: consecutive members on one grid (a
+CM sweep, the CM members of a classification) share the evaluations.  The
+squared part depends on m alone, so _squares keeps its pair terms, a
+column of one _pair_terms result per point for each order, for the last m
+on the last grid: the bench's cm_sweep and the 6x6 classification of its
+witness_scan and of the CLI's classify visit members m-major, so an
+earlier m never comes back on the same grid.  A column is kept only after
+its pass ends, so a call that raises keeps no partial column.  Each entry
+sums psi^(n+l) and the kept terms in the inputs and order of a fresh row,
+so every entry equals f_derivative bit for bit.
 
 A CM check evaluates (-1)^l f^(l) over a grid and classifies each point by
 EvalResult.certified_sign: certified positive, certified violation
@@ -50,14 +42,14 @@ EvalResult.certified_sign: certified positive, certified violation
 never declared inside the error band; analytic claims must not be refuted by
 rounding.  A Leibniz sum that leaves the double range raises
 CapabilityError.  The identity checks on f (finite differences, telescoping,
-the shift difference) live in polycm.crosscheck.
+the shift difference) live in the tests' reference module, tests/reference.py.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from . import checks
@@ -109,12 +101,17 @@ def _check_cap(idx: FamilyIndex, order: int) -> None:
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
-def _grid_rows(grid: tuple[float, ...]) -> tuple[tuple[dict, ...], dict, set]:
-    """The shared state of a validated grid, the same objects for the same
-    grid until evicted: a psi row per point, the kept squared terms
-    {m: {order: one _pair_terms result per point}} of the last m, and the
-    psi orders that every row holds."""
-    return tuple({} for _ in grid), {}, set()
+def _grid_rows(grid: tuple[float, ...]) -> tuple[dict, ...]:
+    """A psi row per point of a validated grid, the same rows for the same
+    grid until evicted."""
+    return tuple({} for _ in grid)
+
+
+@lru_cache(maxsize=1)  # the last m on the last grid: see the module docstring
+def _squares(grid: tuple[float, ...], m: int) -> dict[int, list]:
+    """The kept squared terms of m on a validated grid: {order: a column of
+    one _pair_terms result per point}."""
+    return {}
 
 
 def _fill(row: dict, orders, x: float) -> None:
@@ -149,16 +146,41 @@ def _pair_terms(m: int, order: int, row: dict) -> tuple[list, list]:
     return values, errors
 
 
-def _assemble(idx: FamilyIndex, order: int, rows, columns, sign: float = 1.0) -> list[EvalResult]:
-    """sign * f^(order)(x) at each point of a column, from its rows (each
-    holding n+order) and the points' _pair_terms, in point order: the
-    arithmetic of result_sum over psi^(n+order) and the pair terms, in that
-    order.  The first point whose sum leaves the double range raises."""
-    kn = idx.n + order
+def _assemble(idx: FamilyIndex, order: int, pts, rows, column: list,
+              sign: float = 1.0) -> list[EvalResult]:
+    """sign * f^(order)(x) at each point, in point order: the arithmetic of
+    result_sum over psi^(n+order) and the point's _pair_terms, in that
+    order.  A point past the end of the column gets the orders n+order and
+    m..m+order that its row lacks, and its terms appended; any other point's
+    row gets n+order only when the lookup finds it lacking.  The first point
+    whose psi polygamma refuses, or whose sum leaves the double range,
+    raises."""
+    m, kn = idx.m, idx.n + order
+    needed = (kn, *range(m, m + order + 1))
     fsum, isfinite = math.fsum, math.isfinite
+    if not column:
+        # when every row holds the orders the terms need, build them all
+        # before the first entry's results, so the kept column lies together
+        # in memory for the members that reuse it.  Building evaluates no psi
+        # and raises only KeyError, which leaves the column empty.
+        try:
+            column.extend(list(map(_pair_terms, repeat(m), repeat(order), rows)))
+        except KeyError:
+            pass
     pairs = []
-    for row, (values, errors) in zip(rows, columns):
-        v, e = row[kn]
+    # the column's iterator is spent before the first append: the points
+    # past its end get None
+    for x, row, terms in zip(pts, rows, chain(column, repeat(None))):
+        if terms is None:
+            _fill(row, needed, x)
+            terms = _pair_terms(m, order, row)
+            column.append(terms)
+        try:
+            v, e = row[kn]
+        except KeyError:
+            _fill(row, (kn,), x)
+            v, e = row[kn]
+        values, errors = terms
         try:
             v = fsum([v, *values])
             e = fsum([e, *errors]) + ulp(v)
@@ -177,9 +199,7 @@ def f_derivative(idx: FamilyIndex, order: int, x: float) -> EvalResult:
     order = checks.integer("derivative order", order, 0)
     x = checks.positive_real("x", x)
     _check_cap(idx, order)
-    row: dict = {}
-    _fill(row, (idx.n + order, *range(idx.m, idx.m + order + 1)), x)
-    return _assemble(idx, order, (row,), (_pair_terms(idx.m, order, row),))[0]
+    return _assemble(idx, order, (x,), ({},), [])[0]
 
 
 def f_value(idx: FamilyIndex, x: float) -> EvalResult:
@@ -230,36 +250,13 @@ def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
     _check_cap(idx, max_order)
-    m, n = idx
-    rows, squares, complete = _grid_rows(pts)
-    kept = squares.get(m)
-    if kept is None:  # an earlier m does not come back: see the module docstring
-        squares.clear()
-        kept = squares[m] = {}
+    rows, kept = _grid_rows(pts), _squares(pts, idx.m)
     entries: list[CMEntry] = []
     unresolved: dict[int, list[CMEntry]] = {0: [], -1: []}
     for order in range(max_order + 1):
-        kn, km = n + order, m + order
-        held, live = None, rows
-        if kn not in complete or km not in complete:
-            for i, (x, row) in enumerate(zip(pts, rows)):
-                try:
-                    _fill(row, (kn, km), x)
-                except CapabilityError as exc:
-                    # raised once the points before it are assembled, whose
-                    # own failures come first point by point
-                    held, live = exc, rows[:i]
-                    break
-            else:
-                complete.update((kn, km))
-        column = kept.get(order)
-        if column is None:
-            column = list(map(_pair_terms, repeat(m), repeat(order), live))
-            if held is None:
-                kept[order] = column  # complete: a raise leaves no partial column
-        results = _assemble(idx, order, live, column, (-1.0) ** order)
-        if held is not None:
-            raise held
+        column = kept.get(order, [])
+        results = _assemble(idx, order, pts, rows, column, (-1.0) ** order)
+        kept[order] = column  # after the pass: a raise keeps no partial column
         signs = list(map(EvalResult.certified_sign, results))
         added = list(map(_tuple_new, repeat(CMEntry),
                          zip(repeat(order), pts, results, map(_STATUS.__getitem__, signs))))

@@ -3,7 +3,7 @@
 Callers that map failures to process exit codes treat CapabilityError as a
 "numeric capability" failure (exit 3), DomainError as a usage error (exit 2)
 and everything else as a verification failure.  Only the verification routes
-of polycm.crosscheck raise ConvergenceError.
+of the tests' reference module (tests/reference.py) raise ConvergenceError.
 """
 
 from __future__ import annotations

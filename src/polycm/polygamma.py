@@ -7,7 +7,7 @@ polynomial bound; the integrand's derivatives are one-signed, so the integral
 telescopes to a closed form).  Each sums a fixed explicit prefix and its
 tail once, and takes no error budget: abs_error is whatever that one closed
 series guarantees, remainder plus rounding.  The independent routes that
-tests check them against live in polycm.crosscheck.
+tests check them against live in tests/reference.py.
 
 Sign convention: psi^(n) has sign (-1)^(n+1) on (0, inf); internals work with
 the positive magnitude and apply the sign at the end.

@@ -1,7 +1,7 @@
 """Verification-only routes that tests check the certified evaluators against.
 
-Nothing in the library or the CLI imports this module, and it is the only
-one that imports mpmath, so ``import polycm`` never loads it.  It holds the
+It lives with the tests, outside the installed package, and it is the only
+module that imports mpmath, so ``import polycm`` never loads it.  It holds the
 brute-force reference series (with guaranteed bounds), the Laplace
 quadrature estimate of psi^(n) (no bound: it serves only the route-agreement
 tolerance), and residuals of identities the certified routes must satisfy.
@@ -16,12 +16,12 @@ from typing import Callable, NamedTuple
 
 from mpmath import fp
 
-from . import checks
-from .cm_engine import FamilyIndex, f_derivative, f_value
-from .errors import CapabilityError, ConvergenceError, DomainError
-from .evaluation import EvalResult, ulp
-from .kernels import tanh_kernel
-from .polygamma import EULER_GAMMA, digamma, polygamma
+from polycm import checks
+from polycm.cm_engine import FamilyIndex, f_derivative, f_value
+from polycm.errors import CapabilityError, ConvergenceError, DomainError
+from polycm.evaluation import EvalResult, ulp
+from polycm.kernels import tanh_kernel
+from polycm.polygamma import EULER_GAMMA, digamma, polygamma
 
 _EPS = 2.0 ** -52
 _MAX_TERMS = 60_000_000

@@ -27,7 +27,7 @@ from polycm import (
     tanh_kernel,
 )
 from polycm.cli import main
-from polycm.crosscheck import (
+from reference import (
     polygamma_quadrature,
     recurrence_residual,
     shift_difference_kernel_check,

@@ -218,34 +218,36 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
 
 
 def _fresh_python(code: str) -> str:
-    """stdout of code run in a fresh interpreter that imports this polycm."""
+    """stdout of code run in a fresh interpreter that imports this polycm
+    and, from the tests' directory, the reference module."""
     src = os.path.dirname(os.path.dirname(polycm.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
     return subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     ).stdout
 
 
 def test_import_does_not_load_scipy():
-    # polycm needs neither numpy nor scipy, and the verification routes in
-    # polycm.crosscheck (which load mpmath) stay off the import path; every
-    # CLI call imports polycm, so loading any of them would slow every call
+    # polycm needs neither numpy nor scipy, and the verification routes of
+    # the tests' reference module (which load mpmath) stay off the import
+    # path; every CLI call imports polycm, so loading any would slow it
     out = _fresh_python(
         "import sys, polycm, polycm.cli; "
         "print('scipy' in sys.modules, 'numpy' in sys.modules, "
-        "'polycm.crosscheck' in sys.modules)"
+        "'mpmath' in sys.modules, 'reference' in sys.modules)"
     )
-    assert out.strip() == "False False False"
+    assert out.strip() == "False False False False"
 
 
 def test_crosscheck_import_does_not_load_numpy_or_scipy():
     # the verification routes run on the standard library and mpmath, so the
     # test extra needs neither package
     out = _fresh_python(
-        "import sys, polycm.crosscheck; "
-        "print('scipy' in sys.modules, 'numpy' in sys.modules)"
+        "import sys, reference; "
+        "print('scipy' in sys.modules, 'numpy' in sys.modules, 'mpmath' in sys.modules)"
     )
-    assert out.strip() == "False False"
+    assert out.strip() == "False False True"
 
 
 def test_import_does_not_load_dataclasses():
@@ -357,6 +359,58 @@ def test_capability_error_repeats_on_the_same_grid(capsys):
         with pytest.raises(polycm.CapabilityError) as exc:
             polycm.cm_check(polycm.FamilyIndex(1, 2), 0, polycm.log_grid(1e-100, 1e200, 2))
         assert str(exc.value) == "f[1,2] derivative 0 overflows double precision"
+
+
+INCONCLUSIVE_CM = ["check-cm", "--m", "1", "--n", "2",
+                   "--grid-min", "3e6", "--grid-max", "1e8", "--grid-count", "5"]
+
+
+def test_check_cm_reports_an_inconclusive_run(capsys):
+    # far out, the values of f[1,2] and its derivatives sink below their
+    # error bounds: 31 of the 45 entries are unresolved, not violations
+    code, out, _ = run(capsys, INCONCLUSIVE_CM)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["verdict"] == "inconclusive"
+    assert doc["summary"]["violations"] == 0
+    assert (doc["summary"]["inconclusive"], len(doc["entries"])) == (31, 45)
+    assert doc["summary"]["inconclusive_fraction"] == pytest.approx(0.6889, abs=1e-4)
+    assert len(doc["findings"]) == 31
+    assert doc["findings"][0] == "inconclusive at order 0, x=7.20843e+06"
+
+
+def test_text_format_ends_with_the_findings(capsys):
+    code, out, _ = run(capsys, INCONCLUSIVE_CM + ["--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    findings = [line for line in lines if line.startswith("finding: ")]
+    assert len(findings) == 31
+    assert lines[-31:] == findings
+    assert lines[-1] == "finding: inconclusive at order 8, x=1e+08"
+
+
+def test_classify_text_and_csv_leave_empty_cells_empty(capsys):
+    # the CM rows have no witness: their witness cells render empty, and
+    # the integer cells (m, n, the unresolved count) as plain integers
+    argv = ["classify", "--m-max", "2", "--n-max", "2"]
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["m"], r["n"], r["verdict"]) for r in rows] == [
+        ("1", "1", "CM_trivial"), ("1", "2", "CM_nontrivial"),
+        ("2", "1", "CM_trivial"), ("2", "2", "sign_changing_nonmonotonic"),
+    ]
+    witness = [k for k in rows[0] if k.startswith(("sign_", "mono_"))]
+    assert len(witness) == 12
+    for r in rows[:3]:
+        assert r["cm_inconclusive_points"] == "0"
+        assert all(r[k] == "" for k in witness)
+    code, out, _ = run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].split() == list(rows[0])
+    # the same cells as the CSV, the empty ones left as padding
+    assert [line.split() for line in lines[2:6]] == [[v for v in r.values() if v] for r in rows]
 
 
 def test_csv_format(capsys):

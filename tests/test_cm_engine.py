@@ -26,12 +26,12 @@ from polycm import (
     polygamma,
     signed_derivative,
 )
-from polycm.crosscheck import (
+from polycm.evaluation import result_sum
+from reference import (
     finite_difference_crosscheck,
     shift_difference_kernel_check,
     telescoping_check,
 )
-from polycm.evaluation import result_sum
 
 F12_AT_1 = 0.3016942779586569079905329183300197754069
 F22_AT_1 = 3.375649387415348364855263992205051327205
@@ -117,11 +117,17 @@ def test_cm_check_entries_match_signed_derivative(m, n):
         assert (e.signed_value.value, e.signed_value.abs_error) == (ref.value, ref.abs_error)
 
 
+def _clear_tables():
+    """Empty the grid row table and the kept squared terms."""
+    cm_engine._grid_rows.cache_clear()
+    cm_engine._squares.cache_clear()
+
+
 @pytest.fixture
 def psi_calls(monkeypatch) -> list[tuple[int, float]]:
     """Every (order, x) that cm_engine asks polygamma for during the test,
-    starting from an empty grid row table."""
-    cm_engine._grid_rows.cache_clear()
+    starting from an empty grid row table and no kept squared terms."""
+    _clear_tables()
     calls = []
     real = cm_engine.polygamma
 
@@ -160,7 +166,7 @@ def test_assembly_matches_evalresult_arithmetic():
     # at x = 1e90 the product psi^(2) psi^(3) underflows to -0.0 while every
     # psi is normal: the one place where doubling a term is not exact
     cases.append((2, 2, 1, 1e90))
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     entries = {}
     for m, n, max_order, grid in [(1, 2, 8, xs), (3, 5, 8, xs), (2, 2, 8, xs), (6, 1, 8, xs),
                                   (2, 2, 1, (1e90,))]:
@@ -187,16 +193,16 @@ def _entries(rep):
 def test_row_table_cold_and_warm_agree():
     grid = log_grid(0.01, 100.0, 25)
     members = [FamilyIndex(1, 2), FamilyIndex(3, 5), FamilyIndex(2, 2)]
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     cold = [_entries(cm_check(idx, 8, grid)) for idx in members]
     warm = [_entries(cm_check(idx, 8, grid)) for idx in members]
     # one kept grid with a row per point
     assert cm_engine._grid_rows.cache_info().currsize == 1
-    assert len(cm_engine._grid_rows(tuple(grid))[0]) == len(grid)
+    assert len(cm_engine._grid_rows(tuple(grid))) == len(grid)
     assert warm == cold
     # each member alone on cleared tables, against the warm, uncleared ones
     for idx, ref in zip(members, cold):
-        cm_engine._grid_rows.cache_clear()
+        _clear_tables()
         assert _entries(cm_check(idx, 8, grid)) == ref
 
 
@@ -217,11 +223,11 @@ def test_kept_squared_terms_match_fresh_rows():
         (3, 1, 4, grid), (3, 4, 8, grid),  # m = 3's terms extended from order 4 to 8
         (3, 2, 8, other), (3, 6, 8, grid),  # a second grid and back
     ]
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     warm = [_entries(cm_check(FamilyIndex(m, n), order, g)) for m, n, order, g in calls]
     for (m, n, order, g), got in zip(calls, warm):
         assert got == _fresh_entries(FamilyIndex(m, n), order, g)
-        cm_engine._grid_rows.cache_clear()
+        _clear_tables()
         assert _entries(cm_check(FamilyIndex(m, n), order, g)) == got
 
 
@@ -229,20 +235,20 @@ def test_a_sweep_keeps_the_terms_of_its_last_m():
     grid = tuple(log_grid(0.01, 100.0, 20))
     for m, n in [(1, 2)] + [(m, n) for m in range(1, 7) for n in (1, 3, 5, 7)]:
         cm_check(FamilyIndex(m, n), 8, grid)
-    squares = cm_engine._grid_rows(grid)[1]
-    assert list(squares) == [6]
-    assert sorted(squares[6]) == list(range(9))
-    assert all(len(column) == len(grid) for column in squares[6].values())
+    kept = cm_engine._squares(grid, 6)
+    assert cm_engine._squares.cache_info().currsize == 1
+    assert sorted(kept) == list(range(9))
+    assert all(len(column) == len(grid) for column in kept.values())
 
 
 def test_a_raise_keeps_no_partial_column():
     # the first point's terms are built, then psi''(1e200) underflows
     grid = (1.0, 1e200)
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     for _ in range(2):
         with pytest.raises(CapabilityError, match="underflows"):
             cm_check(FamilyIndex(1, 2), 0, grid)
-        assert cm_engine._grid_rows(grid)[1] == {1: {}}
+        assert cm_engine._squares(grid, 1) == {}
 
 
 def test_a_later_fill_failure_keeps_the_lower_orders():
@@ -251,17 +257,17 @@ def test_a_later_fill_failure_keeps_the_lower_orders():
     idx, grid = FamilyIndex(1, 1), (0.5, 3.0, 1e100)
     with pytest.raises(CapabilityError) as ref:
         polygamma(4, 1e100)
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     for _ in range(2):
         with pytest.raises(CapabilityError) as exc:
             cm_check(idx, 3, grid)
         assert str(exc.value) == str(ref.value)
-        rows, squares, complete = cm_engine._grid_rows(grid)
-        assert sorted(squares[1]) == [0, 1, 2]
-        assert complete == {1, 2, 3}
+        rows = cm_engine._grid_rows(grid)
+        assert sorted(cm_engine._squares(grid, 1)) == [0, 1, 2]
+        assert all(row.keys() >= {1, 2, 3} for row in rows)
         assert [4 in row for row in rows] == [True, True, False]
     warm = _entries(cm_check(idx, 2, grid))
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     assert warm == _entries(cm_check(idx, 2, grid)) == _fresh_entries(idx, 2, grid)
 
 
@@ -271,12 +277,31 @@ def test_an_earlier_overflow_comes_before_a_held_fill_failure():
     with pytest.raises(CapabilityError, match="underflows"):
         polygamma(4, 1e90)
     grid = (6.18e-52, 1e90)
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
     for _ in range(2):
         with pytest.raises(CapabilityError) as exc:
             cm_check(FamilyIndex(1, 2), 2, grid)
         assert str(exc.value) == "f[1,2] derivative 2 overflows double precision"
-        assert sorted(cm_engine._grid_rows(grid)[1][1]) == [0, 1]
+        assert sorted(cm_engine._squares(grid, 1)) == [0, 1]
+
+
+def test_an_intermediate_fsum_overflow_is_a_capability_error():
+    # at order 2 of f[1,2] both pair terms are finite, but their sum is not:
+    # math.fsum raises OverflowError, not an infinite sum
+    x = 6.760829753919791e-52
+    row = {k: tuple(polygamma(k, x)) for k in range(1, 5)}
+    values, _ = cm_engine._pair_terms(1, 2, row)
+    assert all(math.isfinite(v) for v in values)
+    with pytest.raises(OverflowError):
+        math.fsum([row[4][0], *values])
+    message = "f[1,2] derivative 2 overflows double precision"
+    with pytest.raises(CapabilityError) as exc:
+        f_derivative(FamilyIndex(1, 2), 2, x)
+    assert str(exc.value) == message
+    _clear_tables()
+    with pytest.raises(CapabilityError) as exc:
+        cm_check(FamilyIndex(1, 2), 2, (x, 1.0))
+    assert str(exc.value) == message
 
 
 def test_a_raised_order_is_asked_for_again_only_where_unfilled(psi_calls):
@@ -328,7 +353,7 @@ def test_default_classify_run_evaluates_each_psi_once(psi_calls, capsys):
 def test_row_tables_stay_within_their_caps():
     # fresh search windows and CM grids per 6x6 matrix: the grid table
     # fills, evicts, and still gives the results of a cold start
-    cm_engine._grid_rows.cache_clear()
+    _clear_tables()
 
     def matrix(i):
         search = SearchParams(x_min=1e-3 * 1.1**i, x_max=1e3 * 1.3**i)

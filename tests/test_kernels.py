@@ -19,13 +19,14 @@ from polycm import (
     h,
     kappa,
     kernel_report,
+    linear_grid,
     log_grid,
     omega,
     omega_plus_one,
     tanh_kernel,
 )
-from polycm.crosscheck import laplace_power_identity
 from polycm.kernels import half_shifted_kappa, reciprocal_expm1
+from reference import laplace_power_identity
 
 KAPPA_AT_1 = 1.581976706869326424385002005109011558547
 H1_AT_1 = 1.081976706869326424385002005109011558547
@@ -170,6 +171,18 @@ def test_report_h_directions_and_limits(k, direction):
         # the pass must come from a certified approach instead
         inf_check = {c.end: c for c in rep.limit_checks}["infinity"]
         assert inf_check.approach_certified
+
+
+def test_report_refuses_steps_within_the_error():
+    # three points a few ulps apart: tanh's increase is far inside the
+    # error bound of each step, so the report certifies no direction and
+    # says why, without calling the steps mixed
+    rep = kernel_report(KernelId("tanh"), linear_grid(1.0, 1.0 + 1e-15, 3))
+    assert rep.monotonicity_verdict == "none"
+    assert rep.diagnostics
+    assert all(d.startswith("inconclusive step") for d in rep.diagnostics)
+    assert not any("mixed directions" in d for d in rep.diagnostics)
+    assert rep.range_passed
 
 
 def test_report_grid_validation():

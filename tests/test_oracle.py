@@ -30,8 +30,8 @@ from polycm import (
     polygamma,
     tanh_kernel,
 )
-from polycm.crosscheck import reference_digamma, reference_polygamma
 from polycm.kernels import reciprocal_expm1
+from reference import reference_digamma, reference_polygamma
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf

@@ -27,7 +27,7 @@ from polycm import (
     log_grid,
     polygamma,
 )
-from polycm.crosscheck import (
+from reference import (
     polygamma_quadrature,
     recurrence_residual,
     reference_digamma,
