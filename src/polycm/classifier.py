@@ -61,10 +61,8 @@ class IntPolynomial(NamedTuple):
     def from_pairs(pairs) -> "IntPolynomial":
         acc: dict[int, int] = {}
         for coeff, power in pairs:
-            if not isinstance(coeff, int) or not isinstance(power, int):
-                raise DomainError("coefficients and powers must be exact integers")
-            if power < 0:
-                raise DomainError(f"powers must be non-negative, got {power}")
+            coeff = checks.integer("coefficient", coeff)
+            power = checks.integer("power", power, 0)
             acc[power] = acc.get(power, 0) + coeff
         terms = tuple(
             (c, p) for p, c in sorted(acc.items(), reverse=True) if c != 0
@@ -154,8 +152,6 @@ def leading_term_sign(poly: IntPolynomial, end: str) -> int:
     """Sign (+1/-1) of the coefficient that dominates at the given end:
     highest power toward infinity, lowest power toward zero."""
     _check_end(end)
-    if poly.is_zero():
-        raise DomainError("zero polynomial has no dominant term")
     coeff, _ = poly.leading() if end == "infinity" else poly.trailing()
     return 1 if coeff > 0 else -1
 
@@ -218,15 +214,16 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
             # above; int / int rounds the exact quotient once
             b = poly.homogenized(xn, xd, degree) / ((2 if lower else 4) * power)
             bounds[name] = b
-            margin = (fp.value - b) if lower else (b - fp.value)
-            status = _AUDIT_STATUS[EvalResult(margin, fp.abs_error + ulp(b)).certified_sign()]
+            rounded = EvalResult(b, ulp(b))
+            margin = (fp - rounded) if lower else (rounded - fp)
+            status = _AUDIT_STATUS[margin.certified_sign()]
             statuses[name] = status
-            margins[name] = margin
+            margins[name] = margin.value
             if status == "holds" or name.endswith("derived"):
                 continue
             if name == "p_printed":
                 findings.append(f"printed upper bound {status} at (m={m}, n={n}), "
-                                f"x={x:.6g}: margin {margin:.3e}")
+                                f"x={x:.6g}: margin {margin.value:.3e}")
             else:
                 findings.append(f"printed lower bound {status} at (m={m}, n={n}), "
                                 f"x={x:.6g}: f'={fp.value:.6e} vs bound {b:.6e}")

@@ -83,6 +83,10 @@ class EvalResult(_EvalResultFields):
     def __neg__(self) -> "EvalResult":
         return EvalResult(-self.value, self.abs_error)
 
+    def __abs__(self) -> "EvalResult":
+        """|value| is exact, so the bound carries over unchanged."""
+        return EvalResult(abs(self.value), self.abs_error)
+
     def scaled(self, c: float) -> "EvalResult":
         """Multiply by an exact scalar (integer-valued floats stay exact)."""
         w = self.value * c

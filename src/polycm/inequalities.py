@@ -79,8 +79,7 @@ def polygamma_bounds_check(k: int, x: float) -> InequalityResult:
     """(k-1)!/x^k + k!/(2x^(k+1)) < |psi^(k)(x)| < same + k!/x^(k+1)."""
     k = checks.integer("order k", k, 1)
     x = checks.positive_real("x", x)
-    raw = polygamma(k, x)
-    mid = EvalResult(abs(raw.value), raw.abs_error)
+    mid = abs(polygamma(k, x))
     # exact over one integer denominator den = 2 a^(k+1), where x = a/b:
     # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den;
     # int / int rounds each exact quotient once

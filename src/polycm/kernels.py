@@ -11,6 +11,10 @@ Working through the shared primitive keeps boundary margins stable: the
 distance of h(0, t) above 1/2 is E(t) itself (computable to ~1e-22 at t = 50
 where the subtraction h - 1/2 would drown in ulp(1/2)), and the distance of
 h(-1, t) above 1 is exactly tanh_kernel(t).
+
+E has one route on all of (0, inf).  kappa, tanh_kernel above t = 0.05 and
+the report's limit approaches take their bounds from EvalResult's rules; the
+rest carry closed-form bounds of their own.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from typing import Callable, NamedTuple
 from . import checks
 from .errors import CapabilityError, DomainError
 from .evaluation import EvalResult, ulp
-
-_SERIES_SWITCH = 2.0**-10
 
 # A finite endpoint limit passes when the endpoint value is this close to it
 # (or when the approach to it is certified).
@@ -59,24 +61,16 @@ class KernelId(_KernelIdFields):
 def reciprocal_expm1(t: float) -> EvalResult:
     """E(t) = 1/(e^t - 1), the primitive behind every kernel here.
 
-    Below 2^-10 the Laurent series 1/t - 1/2 + t/12 - t^3/720 avoids the
-    cancellation in expm1 route's reciprocal; truncation is folded into
-    abs_error.  Decreasing from +inf to 0; positive everywhere.
+    One route on all of (0, inf), e^-t/(-expm1(-t)): exp and expm1 are each
+    within about an ulp, so 3 ulp(value) plus the smallest subnormal bounds
+    it, also past t ~ 745 where e^-t underflows to 0.
+    Decreasing from +inf to 0; positive everywhere.
     """
     t = checks.positive_real("t", t)
-    if t < _SERIES_SWITCH:
-        inv = 1.0 / t
-        if inv == math.inf:
-            # t below about 5.6e-309: E(t) ~ 1/t leaves the double range
-            raise CapabilityError(f"E(t) = 1/(e^t - 1) overflows at t={t}")
-        value = math.fsum([inv, -0.5, t / 12.0, -(t**3) / 720.0])
-        trunc = 2.0 * t**5 / 30240.0
-        return EvalResult(value, trunc + 2.0 * ulp(value))
-    e = math.exp(-t)
-    if e == 0.0:
-        # t > ~745: E(t) < e^-745, below the subnormal range
-        return EvalResult(0.0, 5e-324)
-    value = e / (-math.expm1(-t))
+    value = math.exp(-t) / -math.expm1(-t)
+    if value == math.inf:
+        # t below about 5.6e-309: E(t) ~ 1/t leaves the double range
+        raise CapabilityError(f"E(t) = 1/(e^t - 1) overflows at t={t}")
     return EvalResult(value, 3.0 * ulp(value) + 5e-324)
 
 
@@ -106,6 +100,9 @@ def h(k: int, t: float) -> EvalResult:
     if tk == 0.0:
         raise CapabilityError(f"t^{k} leaves the double range at t={t}")
     value = num.value / tk
+    if value == math.inf:
+        # k >= 1 and t^(k+1) below about 5.6e-309
+        raise CapabilityError(f"h[{k}] overflows at t={t}")
     err = num.abs_error / tk + (abs(k) + 3.0) * ulp(value)
     return EvalResult(value, err)
 
@@ -114,8 +111,8 @@ def tanh_kernel(t: float) -> EvalResult:
     """(t/2)/tanh(t/2) - 1 = t*(E(t) + 1/2) - 1; positive and increasing.
 
     Below t = 0.05 the even series t^2/12 - t^4/720 + t^6/30240 sidesteps
-    the subtraction of 1; the two branches stay independent of the kappa
-    route there, so identity tests against kappa remain meaningful.
+    the subtraction of 1 and stays independent of the kappa route, so
+    identity tests against kappa remain meaningful there.
     """
     t = checks.positive_real("t", t)
     if t < 0.05:
@@ -123,10 +120,7 @@ def tanh_kernel(t: float) -> EvalResult:
         value = t2 / 12.0 - t2 * t2 / 720.0 + t2 * t2 * t2 / 30240.0
         trunc = 2.0 * t**8 / 1209600.0
         return EvalResult(value, trunc + 2.0 * ulp(value))
-    num = half_shifted_kappa(t)
-    value = t * num.value - 1.0
-    err = t * num.abs_error + 2.0 * ulp(max(1.0, t * num.value))
-    return EvalResult(value, err)
+    return half_shifted_kappa(t).scaled(t) - 1.0
 
 
 def omega(t: float) -> EvalResult:
@@ -147,8 +141,10 @@ def omega_plus_one(t: float) -> EvalResult:
 
     This is the margin of omega above its infimum -1; at t = 1e-6 it is
     ~t^2/6 = 1.7e-13, far below what omega(t) - (-1) could resolve in ulps
-    of 1.  sinh t - t keeps ~2 ulp(sinh t) absolute error, which the margin
-    dwarfs at every positive t.  Past t = 700, where sinh t nears overflow,
+    of 1.  sinh t - t keeps ~2 ulp(sinh t) absolute error, charged to
+    abs_error: the value is off by 7.8e-5 relative at t = 1e-6, 4.7 % at
+    1e-7 and 890 % at 1e-8, so below about 1e-7 the margin is not certified
+    positive.  Past t = 700, where sinh t nears overflow,
     omega(t) > -1e-300, so omega(t) + 1 is formed directly.
     """
     t = checks.positive_real("t", t)
@@ -293,10 +289,9 @@ def kernel_report(
             grew = (signs[-1] if end == "infinity" else -signs[0]) == 1
             limits.append(LimitCheck(end, None, abs(v_end.value), None, grew, grew))
             continue
-        achieved = abs(v_end.value - expected)
-        gap_prev = abs(v_prev.value - expected)
-        closer = EvalResult(gap_prev - achieved, v_end.abs_error + v_prev.abs_error)
-        approach = closer.certified_sign() == 1
+        gap = abs(v_end - expected)
+        achieved = gap.value
+        approach = (abs(v_prev - expected) - gap).certified_sign() == 1
         limits.append(
             LimitCheck(
                 end,

@@ -47,12 +47,26 @@ def test_from_pairs_combines_and_drops_zeros():
         IntPolynomial.from_pairs([(1, -1)])
 
 
+def test_from_pairs_rejects_bools():
+    # bool is an int subclass: (True, 1) would otherwise read as (1, 1)
+    for pairs in ([(True, 1), (3, 2)], [(3, True)]):
+        with pytest.raises(DomainError, match="must be an integer, got True"):
+            IntPolynomial.from_pairs(pairs)
+
+
 def test_leading_trailing():
     p = IntPolynomial.from_pairs([(3, 5), (-7, 2)])
     assert p.leading() == (3, 5)
     assert p.trailing() == (-7, 2)
-    with pytest.raises(DomainError):
-        IntPolynomial.from_pairs([]).leading()
+    zero = IntPolynomial.from_pairs([])
+    with pytest.raises(DomainError, match="no leading term"):
+        zero.leading()
+    with pytest.raises(DomainError, match="no trailing term"):
+        zero.trailing()
+    with pytest.raises(DomainError, match="no leading term"):
+        leading_term_sign(zero, "infinity")
+    with pytest.raises(DomainError, match="no trailing term"):
+        leading_term_sign(zero, "zero")
 
 
 # -- bound polynomial families ----------------------------------------------
@@ -198,6 +212,12 @@ def test_envelope_degenerate_and_validation():
         envelope(FamilyIndex(1, 2), 1.0, "nowhere")
     with pytest.raises(DomainError):
         envelope(FamilyIndex(1, 2), -1.0, "zero")
+
+
+def test_envelope_overflow_is_capability():
+    # the envelope ~ 1/x^6 at x = 1e-100 is past the double range
+    with pytest.raises(CapabilityError, match="envelope overflows"):
+        envelope(FamilyIndex(2, 4), 1e-100, "zero")
 
 
 # -- witness search -------------------------------------------------------------

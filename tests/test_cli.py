@@ -160,6 +160,23 @@ def test_inequalities_violated_margin_exits_1(capsys, monkeypatch):
     assert code == 1 and err == ""
 
 
+def test_classify_certified_violation_exits_1(capsys, monkeypatch):
+    # every CM member is CM, so a certified violation must be planted
+    check = polycm.classifier.cm_check
+
+    def violated_check(*args):
+        report = check(*args)
+        bad = report.entries[0]._replace(status="violation")
+        return report._replace(verdict="violation", violations=(bad,))
+
+    monkeypatch.setattr(polycm.classifier, "cm_check", violated_check)
+    with pytest.raises(polycm.ClassificationError, match="violation was certified"):
+        polycm.classify(1, 1)
+    code, out, err = run(capsys, ["classify", "--m-max", "1", "--n-max", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("polycm: verification failure: f[1,1] should be completely")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, ["classify", "--grid-min", "-1"])
     assert code == 2

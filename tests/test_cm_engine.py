@@ -394,6 +394,8 @@ def test_cm_grid_validation():
         cm_check(FamilyIndex(1, 2), 2, [1.0, -2.0])
     with pytest.raises(DomainError):
         cm_check(FamilyIndex(1, 2), -1, [1.0])
+    with pytest.raises(DomainError, match="grid point 1 is inf"):
+        cm_check(FamilyIndex(1, 3), 1, (1.0, math.inf))
 
 
 def test_decreasing_under_shift():

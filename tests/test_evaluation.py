@@ -86,6 +86,17 @@ def test_square_and_neg():
     assert (-r).value == 3.0 and (-r).abs_error == r.abs_error
 
 
+def test_abs_keeps_the_bound():
+    r = abs(EvalResult(-3.0, 1e-6))
+    assert r == (3.0, 1e-6)
+    assert abs(EvalResult(2.0, 0.0)) == (2.0, 0.0)
+
+
+def test_reflected_subtraction_from_a_scalar():
+    r = 2.0 - EvalResult(0.5, 1e-16)
+    assert r == (1.5, 1e-16 + ulp(1.5))
+
+
 def test_scaled_exact_for_integer_scalars():
     r = EvalResult(0.5, 1e-10)
     s = r.scaled(4.0)

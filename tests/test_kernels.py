@@ -25,6 +25,8 @@ from polycm import (
     omega_plus_one,
     tanh_kernel,
 )
+from polycm import kernels
+from polycm.evaluation import EvalResult
 from polycm.kernels import half_shifted_kappa, reciprocal_expm1
 from reference import laplace_power_identity
 
@@ -84,7 +86,7 @@ def test_small_t_series_switch_is_seamless():
     for t in (cut * (1.0 - 1e-9), cut * (1.0 + 1e-9)):
         a = reciprocal_expm1(t)
         assert a.value > 0.0
-        # both branches must agree with 1/(t + t^2/2) to first order
+        # E must agree with 1/(t + t^2/2) to first order on both sides of 2^-10
         approx = 1.0 / t - 0.5
         assert abs(a.value - approx) <= 1e-4 * a.value
 
@@ -136,6 +138,33 @@ def test_report_omega():
     assert by_end["infinity"].achieved <= 1e-5
     assert rep.range_passed
     assert rep.min_range_margin > 0.0
+
+
+def test_report_omega_approaches_zero_from_below():
+    # omega(5) ~ -0.067 is far outside the tolerance, so the infinity check
+    # passes only if the approach to 0 from below counts as closer
+    rep = kernel_report(KernelId("omega"), log_grid(1e-3, 5.0, 16))
+    inf_check = {c.end: c for c in rep.limit_checks}["infinity"]
+    assert inf_check.achieved > inf_check.tolerance
+    assert inf_check.approach_certified and inf_check.passed
+
+
+def test_report_omega_range_unresolved_near_zero():
+    # at t <= 1e-8, omega + 1 ~ t^2/6 sits below the bound of its own
+    # rounding: the range is refused, not certified
+    rep = kernel_report(KernelId("omega"), log_grid(1e-9, 1e-8, 3))
+    assert not rep.range_passed
+    assert any(d.startswith("range margin not cleared at t=1e-09") for d in rep.diagnostics)
+
+
+def test_report_names_mixed_directions(monkeypatch):
+    def zigzag(t):
+        return EvalResult(-0.5 if t == 2.0 else -0.75, 1e-12)
+
+    monkeypatch.setattr(kernels, "omega", zigzag)
+    rep = kernel_report(KernelId("omega"), [1.0, 2.0, 3.0])
+    assert rep.monotonicity_verdict == "none"
+    assert "mixed directions: 1 up, 1 down" in rep.diagnostics
 
 
 def test_report_kappa():
@@ -228,6 +257,12 @@ def test_subnormal_argument_is_capability():
 def test_h_extreme_power_capability():
     with pytest.raises(CapabilityError):
         h(400, 1e-3)
+    with pytest.raises(CapabilityError, match="t\\^2 overflows"):
+        h(2, 1e300)
+    # t^1 is in range but h ~ 1/t^2 is not: a capability limit, not the
+    # usage error a non-finite EvalResult would raise
+    with pytest.raises(CapabilityError, match=r"h\[1\] overflows at t=1e-300"):
+        h(1, 1e-300)
 
 
 @given(t=st.floats(min_value=1e-5, max_value=60.0, allow_nan=False))

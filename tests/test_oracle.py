@@ -6,13 +6,14 @@ digits, compared in mpmath so the check adds no rounding of its own.  A
 CapabilityError makes no claim and passes.
 
 The draws cover x log-uniform on [1e-3, 1e6], integers +-1e-9, the root of
-digamma, and the kernels' series switch points 2^-10 and 0.05 with their
-neighbouring doubles.
+digamma, t log-uniform on [1e-300, 1e5], and the points 2^-10 and 0.05 with
+their neighbouring doubles (tanh_kernel switches to its series below 0.05).
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,7 +52,7 @@ XS = st.one_of(
     st.builds(lambda k, d: k + d, st.integers(1, 1000), st.sampled_from((-1e-9, 1e-9))),
     st.just(DIGAMMA_ROOT),
 )
-TS = st.one_of(_log_uniform(1e-12, 1e5), st.sampled_from(SWITCH_POINTS))
+TS = st.one_of(_log_uniform(1e-300, 1e5), st.sampled_from(SWITCH_POINTS))
 
 
 def assert_covers(evaluate, truth) -> None:
@@ -109,12 +110,22 @@ def _omega(t):
     return -2 * T * mpmath.exp(-T) / -mpmath.expm1(-2 * T)
 
 
+def _near_one(truth):
+    """truth(t) for a closed form whose leading 1 cancels down to ~t^2:
+    evaluated with enough extra digits that 60 correct ones remain."""
+    def evaluate(t):
+        with mpmath.extradps(2 * max(0, -math.floor(math.log10(t))) + 10):
+            return truth(t)
+    return evaluate
+
+
 KERNELS = {
     "reciprocal_expm1": (reciprocal_expm1, _e),
     "kappa": (kappa, lambda t: 1 + _e(t)),
-    "tanh_kernel": (tanh_kernel, lambda t: (mpf(t) / 2) / mpmath.tanh(mpf(t) / 2) - 1),
+    "tanh_kernel": (tanh_kernel,
+                    _near_one(lambda t: (mpf(t) / 2) / mpmath.tanh(mpf(t) / 2) - 1)),
     "omega": (omega, _omega),
-    "omega_plus_one": (omega_plus_one, lambda t: 1 + _omega(t)),
+    "omega_plus_one": (omega_plus_one, _near_one(lambda t: 1 + _omega(t))),
 }
 KERNELS.update({
     f"h[{k}]": (lambda t, k=k: h(k, t), lambda t, k=k: (_e(t) + mpf(1) / 2) / mpf(t) ** k)
@@ -124,10 +135,28 @@ KERNELS.update({
 
 @given(name=st.sampled_from(sorted(KERNELS)), t=TS)
 @example(name="omega_plus_one", t=1e3)  # sinh t overflows past t ~ 710
+@example(name="reciprocal_expm1", t=1e-300)  # E ~ 1/t near the top of the range
+@example(name="reciprocal_expm1", t=708.0)  # e^-t is still normal
+@example(name="reciprocal_expm1", t=745.0)  # e^-t is among the smallest subnormals
+@example(name="reciprocal_expm1", t=760.0)  # e^-t underflows to 0
+@example(name="reciprocal_expm1", t=2.075456435593729e-15)  # 1.42 ulp off
+@example(name="reciprocal_expm1", t=0.4167015899288179)  # 1.85 ulp off
 @settings(max_examples=200, deadline=None)
 def test_kernels(name, t):
     evaluate, truth = KERNELS[name]
     assert_covers(lambda: evaluate(t), lambda: truth(t))
+
+
+def test_reciprocal_expm1_at_its_ends():
+    # the ends of (0, inf) where exp and expm1 leave the middle of the
+    # double range: tiny t, where E ~ 1/t, and t past 700, where e^-t
+    # turns subnormal and then 0
+    rng = random.Random(20091)
+    lo, hi = math.log(1e-300), math.log(2.0**-10)
+    ts = [math.exp(rng.uniform(lo, hi)) for _ in range(1000)]
+    ts += [rng.uniform(700.0, 760.0) for _ in range(1000)]
+    for t in ts:
+        assert_covers(lambda: reciprocal_expm1(t), lambda: _e(t))
 
 
 @given(n=st.integers(0, 64), x=XS)
