@@ -12,11 +12,11 @@ flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including an --out path that cannot be written),
 3 numeric capability error (a polygamma order above the cap of 120, or a
-computed magnitude that overflows) or a bound audit or inequality suite
-that rounding leaves undecided at some points.  ``bounds`` and
-``inequalities`` exit 1 only when some margin is certified negative.  No
-subcommand takes an error budget: each bound is what the one closed series
-behind each value guarantees.
+computed magnitude that overflows) or a bound audit, inequality suite or
+kernel report that rounding leaves undecided at some points: ``bounds``,
+``inequalities`` and ``kernels`` exit 1 only when some margin or kernel
+step is certified against them.  No subcommand takes an error budget: each
+bound is what the one closed series behind each value guarantees.
 """
 
 from __future__ import annotations
@@ -217,6 +217,9 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
             "min_range_margin": report.min_range_margin,
         },
     }
+    if report.unresolved:
+        # nothing certified against the kernel, but rounding leaves these t undecided
+        return _inconclusive("kernel steps and distances", report.unresolved), doc
     return (0 if ok else 1), doc
 
 

@@ -10,11 +10,12 @@ Every kernel here is an elementary combination of E(t) = 1/(e^t - 1):
 Working through the shared primitive keeps boundary margins stable: the
 distance of h(0, t) above 1/2 is E(t) itself (computable to ~1e-22 at t = 50
 where the subtraction h - 1/2 would drown in ulp(1/2)), and the distance of
-h(-1, t) above 1 is exactly tanh_kernel(t).
+h(-1, t) above 1 is exactly tanh_kernel(t).  The report reads each kernel's
+steps, limits and range from such distances to its finite limits.
 
-E has one route on all of (0, inf).  kappa, tanh_kernel above t = 0.05 and
-the report's limit approaches take their bounds from EvalResult's rules; the
-rest carry closed-form bounds of their own.
+E has one route on all of (0, inf).  kappa and tanh_kernel above t = 0.05
+take their bounds from EvalResult's rules; the rest carry closed-form bounds
+of their own.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from typing import Callable, NamedTuple
 from . import checks
 from .errors import CapabilityError, DomainError
 from .evaluation import EvalResult, ulp
-
-# A finite endpoint limit passes when the endpoint value is this close to it
-# (or when the approach to it is certified).
-_LIMIT_TOLERANCE = 1e-5
 
 _KINDS = ("h", "omega", "tanh", "kappa")
 
@@ -141,66 +138,69 @@ def omega_plus_one(t: float) -> EvalResult:
 
     This is the margin of omega above its infimum -1; at t = 1e-6 it is
     ~t^2/6 = 1.7e-13, far below what omega(t) - (-1) could resolve in ulps
-    of 1.  sinh t - t keeps ~2 ulp(sinh t) absolute error, charged to
-    abs_error: the value is off by 7.8e-5 relative at t = 1e-6, 4.7 % at
-    1e-7 and 890 % at 1e-8, so below about 1e-7 the margin is not certified
-    positive.  Past t = 700, where sinh t nears overflow,
-    omega(t) > -1e-300, so omega(t) + 1 is formed directly.
+    of 1.  Below t = 1, sinh t - t is its series t^3/3! + ... + t^17/17!
+    (tail below 2t^19/19!); from t = 1 on, sinh t - t in doubles keeps
+    ~2 ulp(sinh t), a few parts in 1e15 of it.  Past t = 700, where sinh t
+    nears overflow, omega(t) > -1e-300 and omega(t) + 1 is formed directly.
     """
     t = checks.positive_real("t", t)
     if t > 700.0:
         return omega(t) + 1.0
-    s = math.sinh(t) - t
-    g = 2.0 * math.exp(-t) * s
+    if t < 1.0:
+        t2 = t * t
+        s = 1/6 + t2 * (1/120 + t2 * (1/5040 + t2 * (1/362880 + t2 * (
+            1/39916800 + t2 * (1/6227020800 + t2 * (1/1307674368000 + t2 / 355687428096000))))))
+        s *= t2 * t
+        # the Horner steps and the product round well within 20 ulp(s)
+        s_err = 2.0 * t**19 / 121645100408832000 + 20.0 * ulp(s)
+    else:
+        s = math.sinh(t) - t
+        s_err = 2.0 * ulp(math.sinh(t))
     den = -math.expm1(-2.0 * t)
-    value = g / den
-    err = (2.0 * math.exp(-t) * 2.0 * ulp(math.sinh(t))) / den + 3.0 * ulp(value)
+    value = 2.0 * math.exp(-t) * s / den
+    err = 2.0 * math.exp(-t) * s_err / den + 3.0 * ulp(value)
     return EvalResult(value, err)
+
+
+_Distance = Callable[[float, EvalResult], EvalResult]
 
 
 class _Facts(NamedTuple):
     """What the report certifies about one kernel.
 
-    compared: the quantity whose adjacent differences decide monotonicity,
-    None for the kernel itself.  h at k = 0 and kappa flatten to 1/2 resp. 1
-    at large t, where subtracting near-equal values loses the comparison;
-    both differ from E(t) by a constant, so they are compared through E.
-    limits: values at t -> 0 and t -> inf, None for divergence to +inf.
-    range_margins(t, value): the margins that must all be certified positive
-    for the range claim, in the cancellation-free forms of the module
-    docstring (omega + 1 as omega_plus_one).
+    ends: the kernel at t -> 0 and at t -> inf, None where it grows to +inf,
+    else (limit, distance): distance(t, value) is its positive distance
+    from the limit in the cancellation-free forms of the module docstring
+    (omega + 1 as omega_plus_one, kappa - 1 and h(0, t) - 1/2 as E(t)).
     """
 
     value: Callable[[float], EvalResult]
-    compared: Callable[[float], EvalResult] | None
     direction: str  # "increasing" | "decreasing"
-    limits: tuple[float | None, float | None]
+    ends: tuple[tuple[float, _Distance] | None, tuple[float, _Distance] | None]
     range_text: str
-    range_margins: Callable[[float, EvalResult], list[EvalResult]]
 
 
 def _facts(kernel: KernelId) -> _Facts:
     if kernel.kind == "omega":
-        return _Facts(omega, None, "increasing", (-1.0, 0.0), "(-1, 0)",
-                      lambda t, v: [omega_plus_one(t), -v])
+        return _Facts(omega, "increasing",
+                      ((-1.0, lambda t, v: omega_plus_one(t)), (0.0, lambda t, v: -v)),
+                      "(-1, 0)")
     if kernel.kind == "kappa":
-        return _Facts(kappa, reciprocal_expm1, "decreasing", (None, 1.0), "(1, inf)",
-                      lambda t, v: [reciprocal_expm1(t)])
+        return _Facts(kappa, "decreasing", (None, (1.0, lambda t, v: reciprocal_expm1(t))),
+                      "(1, inf)")
     if kernel.kind == "tanh":
-        return _Facts(tanh_kernel, None, "increasing", (0.0, None), "(0, inf)",
-                      lambda t, v: [v])
+        return _Facts(tanh_kernel, "increasing", ((0.0, lambda t, v: v), None), "(0, inf)")
     k = kernel.k
     value = partial(h, k)
     if k == 0:
-        return _Facts(value, reciprocal_expm1, "decreasing", (None, 0.5), "(1/2, inf)",
-                      lambda t, v: [reciprocal_expm1(t)])
+        return _Facts(value, "decreasing", (None, (0.5, lambda t, v: reciprocal_expm1(t))),
+                      "(1/2, inf)")
     if k == -1:
-        return _Facts(value, None, "increasing", (1.0, None), "(1, inf)",
-                      lambda t, v: [tanh_kernel(t)])
+        return _Facts(value, "increasing", ((1.0, lambda t, v: tanh_kernel(t)), None),
+                      "(1, inf)")
     if k > 0:
-        return _Facts(value, None, "decreasing", (None, 0.0), "(0, inf)",
-                      lambda t, v: [v])
-    return _Facts(value, None, "increasing", (0.0, None), "(0, inf)", lambda t, v: [v])
+        return _Facts(value, "decreasing", (None, (0.0, lambda t, v: v)), "(0, inf)")
+    return _Facts(value, "increasing", ((0.0, lambda t, v: v), None), "(0, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +209,16 @@ def _facts(kernel: KernelId) -> _Facts:
 
 
 class LimitCheck(NamedTuple):
-    """One endpoint check.
-
-    For a finite limit, achieved is |value - limit|; the check passes when
-    that is within tolerance, or else when the approach is certified: the
-    outermost grid step moves the value strictly closer to the limit with
-    margins cleared (slow limits like 1/(2t) -> 0 cannot land inside a tight
-    tolerance on any finite grid, but their approach is checkable).
-    expected None encodes divergence; passing then means certified growth
-    outward, and achieved records the endpoint value.
+    """One endpoint check: it passes when the outermost grid step at that
+    end certifiably goes the kernel's known direction and, for a finite
+    limit, the distance from the limit at the endpoint is certified
+    positive.  achieved is that distance; for expected None (divergence to
+    +inf) it is the endpoint value.
     """
 
     end: str  # "zero" or "infinity"
     expected: float | None
     achieved: float
-    tolerance: float | None
-    approach_certified: bool
     passed: bool
 
 
@@ -238,6 +232,7 @@ class KernelReport(NamedTuple):
     range_description: str
     range_passed: bool
     min_range_margin: float
+    unresolved: tuple[float, ...]  # undecided t; () when refuted
     diagnostics: tuple[str, ...] = ()
 
 
@@ -246,70 +241,57 @@ def kernel_report(
     grid: tuple[float, ...] | list[float],
 ) -> KernelReport:
     """Evaluate the kernel over the grid and certify monotonicity, endpoint
-    limits, and range membership, each only when margins clear error bounds.
+    limits, and range membership from the distances of _Facts.ends, each
+    evaluated once per point and read only through certified_sign.
 
-    A verdict of none is a refusal to certify, not a refutation; diagnostics
-    list the offending comparisons.  A range margin whose value and bound
-    both sit below the normal double range raises CapabilityError.
+    A step goes the known direction when the first distance to decide it
+    says so; the range needs every distance certified positive.  A verdict
+    of none is a refusal to certify, not a refutation; diagnostics list the
+    offending comparisons.  unresolved holds the t of the steps and
+    distances that rounding leaves undecided, and is empty once a step or
+    a distance is certified against the kernel.  A distance whose value and
+    bound both sit below the normal double range raises CapabilityError.
     """
     grid = checks.grid(grid, 2)  # adjacent comparisons need two points
     facts = _facts(kernel)
     values = tuple(facts.value(t) for t in grid)
+    dists = [None if end is None else [end[1](t, v) for t, v in zip(grid, values)]
+             for end in facts.ends]
+    live = [(sense, d) for sense, d in zip((1, -1), dists) if d is not None]
     diagnostics: list[str] = []
+    unsure: set[float] = set()
 
-    # monotonicity: signed differences of adjacent compared values
-    compared = values if facts.compared is None else [facts.compared(t) for t in grid]
-    diffs = [b - a for a, b in zip(compared, compared[1:])]
-    signs = [d.certified_sign() for d in diffs]
-    ups = signs.count(1)
-    downs = signs.count(-1)
-    if ups == len(diffs):
-        verdict = "increasing"
-    elif downs == len(diffs):
-        verdict = "decreasing"
-    else:
-        verdict = "none"
-        for i, (d, s) in enumerate(zip(diffs, signs)):
-            if s == 0:
-                diagnostics.append(
-                    f"inconclusive step at t={grid[i]:.6g}..{grid[i+1]:.6g}: "
-                    f"diff={d.value:.3e} within error {d.abs_error:.3e}"
-                )
-        if ups and downs:
-            diagnostics.append(f"mixed directions: {ups} up, {downs} down")
-
-    # endpoint limits
-    limits: list[LimitCheck] = []
-    for end, idx, expected in zip(("zero", "infinity"), (0, len(grid) - 1), facts.limits):
-        v_end = values[idx]
-        v_prev = values[1] if end == "zero" else values[-2]
-        if expected is None:
-            # divergent endpoint: require certified growth toward it, a
-            # falling first step at zero and a rising last step at infinity
-            grew = (signs[-1] if end == "infinity" else -signs[0]) == 1
-            limits.append(LimitCheck(end, None, abs(v_end.value), None, grew, grew))
-            continue
-        gap = abs(v_end - expected)
-        achieved = gap.value
-        approach = (abs(v_prev - expected) - gap).certified_sign() == 1
-        limits.append(
-            LimitCheck(
-                end,
-                expected,
-                achieved,
-                _LIMIT_TOLERANCE,
-                approach,
-                achieved <= _LIMIT_TOLERANCE or approach,
-            )
+    # +1 where a step goes the known direction: the distance from the limit
+    # at 0 grows, or the one from the limit at inf shrinks; -1 against it.
+    # The first distance that decides a step counts.
+    steps = [0] * (len(grid) - 1)
+    for sense, d in live:
+        steps = [s or sense * (b - a).certified_sign() for s, a, b in zip(steps, d, d[1:])]
+    first = live[0][1]
+    for i in (i for i, s in enumerate(steps) if s == 0):
+        unsure.update(grid[i:i + 2])
+        diff = first[i + 1] - first[i]
+        diagnostics.append(
+            f"inconclusive step at t={grid[i]:.6g}..{grid[i+1]:.6g}: "
+            f"diff={diff.value:.3e} within error {diff.abs_error:.3e}"
         )
+    ups, downs = steps.count(1), steps.count(-1)
+    if facts.direction == "decreasing":
+        ups, downs = downs, ups
+    verdict = ("increasing" if ups == len(steps) else
+               "decreasing" if downs == len(steps) else "none")
+    if ups and downs:
+        diagnostics.append(f"mixed directions: {ups} up, {downs} down")
 
-    # range membership with stable margins
+    # range membership: every distance certified positive
     min_margin = math.inf
     range_ok = True
-    for t, v in zip(grid, values):
-        for margin in facts.range_margins(t, v):
+    refuted = -1 in steps
+    for i, t in enumerate(grid):
+        for margin in (d[i] for _, d in live):
             min_margin = min(min_margin, margin.value - margin.abs_error)
-            if margin.certified_sign() != 1:
+            sign = margin.certified_sign()
+            if sign != 1:
                 if abs(margin.value) + margin.abs_error < sys.float_info.min:
                     # e.g. E(t) past t ~ 745: the margin left the double range
                     raise CapabilityError(
@@ -317,10 +299,23 @@ def kernel_report(
                         f"precision at t={t:.6g}"
                     )
                 range_ok = False
+                refuted = refuted or sign == -1
+                unsure.add(t)
                 diagnostics.append(
                     f"range margin not cleared at t={t:.6g}: "
                     f"{margin.value:.3e} within error {margin.abs_error:.3e}"
                 )
+
+    # endpoint limits: the outermost step, and the distance at the endpoint
+    limits: list[LimitCheck] = []
+    for end, limit, d, idx, outer in zip(
+        ("zero", "infinity"), facts.ends, dists, (0, -1), (steps[0], steps[-1])
+    ):
+        if limit is None:
+            limits.append(LimitCheck(end, None, values[idx].value, outer == 1))
+        else:
+            limits.append(LimitCheck(end, limit[0], d[idx].value,
+                                     outer == 1 and d[idx].certified_sign() == 1))
 
     return KernelReport(
         kernel=kernel,
@@ -332,5 +327,6 @@ def kernel_report(
         range_description=facts.range_text,
         range_passed=range_ok,
         min_range_margin=min_margin,
+        unresolved=() if refuted else tuple(sorted(unsure)),
         diagnostics=tuple(diagnostics),
     )

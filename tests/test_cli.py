@@ -94,7 +94,31 @@ def test_kernels_commands(capsys):
     doc = json.loads(out)
     assert doc["summary"]["monotonicity"] == "decreasing"
     inf_rows = [r for r in doc["summary"]["limit_checks"] if r["end"] == "infinity"]
-    assert inf_rows[0]["approach_certified"] is True
+    assert inf_rows[0]["passed"] is True and inf_rows[0]["achieved"] > 1e-5
+    assert set(inf_rows[0]) == {"end", "expected", "achieved", "passed"}
+
+
+def test_kernels_undecided_steps_exit_3(capsys):
+    # three points a few ulps apart: rounding leaves tanh's steps undecided,
+    # which refutes nothing
+    argv = ["kernels", "--kernel", "tanh", "--grid-min", "1", "--grid-max",
+            "1.000000000000001", "--grid-count", "3", "--grid-scale", "linear"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err == ("polycm: numeric capability limit: "
+                   "kernel steps and distances inconclusive at x = 1, 1, 1\n")
+    assert json.loads(out)["summary"]["monotonicity"] == "none"
+
+
+def test_kernels_refutation_exits_1(capsys, monkeypatch):
+    # omega pinned above 0: its distance from the limit 0 is certified
+    # negative, a refutation however the steps fall
+    monkeypatch.setattr(polycm.kernels, "omega", lambda t: polycm.EvalResult(1e-3, 1e-12))
+    code, out, err = run(capsys, ["kernels", "--kernel", "omega", "--grid-count", "4"])
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["summary"]["range_passed"] is False
+    assert doc["findings"][0].startswith("range margin not cleared at t=1e-06: -1.000e-03")
 
 
 def test_inequalities_command(capsys):

@@ -141,20 +141,37 @@ def test_report_omega():
 
 
 def test_report_omega_approaches_zero_from_below():
-    # omega(5) ~ -0.067 is far outside the tolerance, so the infinity check
-    # passes only if the approach to 0 from below counts as closer
+    # omega(5) ~ -0.067 is far from 0: the infinity check passes on its
+    # outermost step toward 0 from below and its distance -omega(5) > 0
     rep = kernel_report(KernelId("omega"), log_grid(1e-3, 5.0, 16))
     inf_check = {c.end: c for c in rep.limit_checks}["infinity"]
-    assert inf_check.achieved > inf_check.tolerance
-    assert inf_check.approach_certified and inf_check.passed
+    assert inf_check.achieved == -omega(5.0).value > 1e-5
+    assert inf_check.passed
 
 
-def test_report_omega_range_unresolved_near_zero():
-    # at t <= 1e-8, omega + 1 ~ t^2/6 sits below the bound of its own
-    # rounding: the range is refused, not certified
+def test_report_omega_range_certified_near_zero():
+    # at t <= 1e-8, omega + 1 ~ t^2/6 keeps its digits through its series:
+    # the range and the steps are certified there
     rep = kernel_report(KernelId("omega"), log_grid(1e-9, 1e-8, 3))
+    assert rep.range_passed
+    assert rep.monotonicity_verdict == "increasing"
+    assert all(c.passed for c in rep.limit_checks)
+    assert rep.unresolved == () and rep.diagnostics == ()
+
+
+def test_report_range_margin_not_cleared(monkeypatch):
+    # omega + 1 pinned at 0 within its error: the range is refused, not
+    # refuted, and the steps are decided through -omega instead
+    monkeypatch.setattr(kernels, "omega_plus_one", lambda t: EvalResult(0.0, 1e-12))
+    rep = kernel_report(KernelId("omega"), [1.0, 2.0])
     assert not rep.range_passed
-    assert any(d.startswith("range margin not cleared at t=1e-09") for d in rep.diagnostics)
+    assert rep.monotonicity_verdict == "increasing"
+    assert rep.diagnostics == tuple(
+        f"range margin not cleared at t={t}: 0.000e+00 within error 1.000e-12" for t in (1, 2)
+    )
+    assert rep.unresolved == (1.0, 2.0)
+    zero_check = {c.end: c for c in rep.limit_checks}["zero"]
+    assert not zero_check.passed and zero_check.achieved == 0.0
 
 
 def test_report_names_mixed_directions(monkeypatch):
@@ -162,9 +179,12 @@ def test_report_names_mixed_directions(monkeypatch):
         return EvalResult(-0.5 if t == 2.0 else -0.75, 1e-12)
 
     monkeypatch.setattr(kernels, "omega", zigzag)
+    monkeypatch.setattr(kernels, "omega_plus_one", lambda t: zigzag(t) + 1.0)
     rep = kernel_report(KernelId("omega"), [1.0, 2.0, 3.0])
     assert rep.monotonicity_verdict == "none"
     assert "mixed directions: 1 up, 1 down" in rep.diagnostics
+    # a step certified against the kernel is a refutation, not undecided
+    assert rep.unresolved == ()
 
 
 def test_report_kappa():
@@ -174,6 +194,25 @@ def test_report_kappa():
     assert by_end["zero"].expected is None and by_end["zero"].passed
     assert by_end["infinity"].passed
     assert rep.range_passed
+
+
+@pytest.mark.parametrize("kid", [KernelId("kappa"), KernelId("h", 0)])
+def test_report_flat_limit_is_certified_through_e(kid):
+    # kappa(50) rounds to exactly 1.0 and h(0, 50) to 0.5: their limits
+    # pass on E(50), the distance that keeps its digits
+    rep = kernel_report(kid, log_grid(1e-6, 50.0, 64))
+    inf_check = {c.end: c for c in rep.limit_checks}["infinity"]
+    assert inf_check.passed
+    assert inf_check.achieved == reciprocal_expm1(50.0).value > 0.0
+
+
+@pytest.mark.parametrize("kid", [KernelId("h", -1), KernelId("omega")])
+def test_report_increasing_down_to_tiny_t(kid):
+    # near 0, h(-1, t) and omega(t) sit within an ulp of their limits 1 and
+    # -1; tanh_kernel and omega + 1 decide their steps there
+    rep = kernel_report(kid, log_grid(1e-12, 50.0, 64))
+    assert rep.monotonicity_verdict == "increasing"
+    assert rep.range_passed and all(c.passed for c in rep.limit_checks)
 
 
 def test_report_tanh():
@@ -196,10 +235,10 @@ def test_report_h_directions_and_limits(k, direction):
     assert all(c.passed for c in rep.limit_checks)
     assert rep.range_passed
     if k >= 1:
-        # 1/(2t^k) decay cannot land inside the tolerance on this grid;
-        # the pass must come from a certified approach instead
+        # 1/(2t^k) decays slowly: at t = 50 it is still far from 0, and the
+        # pass comes from the outermost step toward it
         inf_check = {c.end: c for c in rep.limit_checks}["infinity"]
-        assert inf_check.approach_certified
+        assert inf_check.passed and inf_check.achieved > 1e-5
 
 
 def test_report_refuses_steps_within_the_error():
@@ -212,6 +251,9 @@ def test_report_refuses_steps_within_the_error():
     assert all(d.startswith("inconclusive step") for d in rep.diagnostics)
     assert not any("mixed directions" in d for d in rep.diagnostics)
     assert rep.range_passed
+    # tanh(1) is far above its limit 0, but no step toward it is certified
+    assert [c.passed for c in rep.limit_checks] == [False, False]
+    assert rep.unresolved == (1.0, 1.0 + 5e-16, 1.0 + 1e-15)
 
 
 def test_report_grid_validation():

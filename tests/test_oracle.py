@@ -6,8 +6,9 @@ digits, compared in mpmath so the check adds no rounding of its own.  A
 CapabilityError makes no claim and passes.
 
 The draws cover x log-uniform on [1e-3, 1e6], integers +-1e-9, the root of
-digamma, t log-uniform on [1e-300, 1e5], and the points 2^-10 and 0.05 with
-their neighbouring doubles (tanh_kernel switches to its series below 0.05).
+digamma, t log-uniform on [1e-300, 1e5], and the points 2^-10, 0.05 and 1
+with their neighbouring doubles (tanh_kernel switches to its series below
+0.05, omega_plus_one below 1).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ mpf = mpmath.mpf
 
 DIGAMMA_ROOT = 1.4616321449683623
 SWITCH_POINTS = tuple(
-    p for c in (2.0**-10, 0.05) for p in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))
+    p for c in (2.0**-10, 0.05, 1.0) for p in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))
 )
 
 
@@ -145,6 +146,15 @@ KERNELS.update({
 def test_kernels(name, t):
     evaluate, truth = KERNELS[name]
     assert_covers(lambda: evaluate(t), lambda: truth(t))
+
+
+def test_omega_plus_one_keeps_its_digits():
+    # omega + 1 ~ t^2/6 near 0: the series below t = 1 and sinh t - t above
+    # it both stay within 1e-14 relative of the truth
+    truth = KERNELS["omega_plus_one"][1]
+    for t in SWITCH_POINTS[-3:] + (1e-100, 1e-12, 1e-8, 1e-7, 1e-6, 0.2, 0.5, 0.9, 1.5, 5.0):
+        with mpmath.workdps(60):
+            assert abs(mpf(omega_plus_one(t).value) / truth(t) - 1) <= mpf(1e-14), t
 
 
 def test_reciprocal_expm1_at_its_ends():
