@@ -12,10 +12,11 @@ flattens to value/error column pairs.  Reports are deterministic: identical
 config yields byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error (including an --out path that cannot be written),
 3 numeric capability error (a polygamma order above the cap of 120, or a
-computed magnitude that overflows) or a bound audit, inequality suite or
-kernel report that rounding leaves undecided at some points: ``bounds``,
-``inequalities`` and ``kernels`` exit 1 only when some margin or kernel
-step is certified against them.  No subcommand takes an error budget: each
+computed magnitude that overflows) or a CM check, bound audit, inequality
+suite or kernel report that rounding leaves undecided at some points:
+``check-cm`` exits 1 only on a certified violation, and ``bounds``,
+``inequalities`` and ``kernels`` only when some margin or kernel step is
+certified against them.  No subcommand takes an error budget: each
 bound is what the one closed series behind each value guarantees.
 """
 
@@ -188,6 +189,9 @@ def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
             "inconclusive_fraction": report.inconclusive_fraction,
         },
     }
+    if report.verdict == "inconclusive":  # no violation, but too many entries undecided
+        xs = sorted({e.x for e in report.inconclusive_points})
+        return _inconclusive("CM entries", "x", xs), doc
     return (1 if report.verdict == "violation" else 0), doc
 
 
@@ -219,14 +223,14 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
     }
     if report.unresolved:
         # nothing certified against the kernel, but rounding leaves these t undecided
-        return _inconclusive("kernel steps and distances", report.unresolved), doc
+        return _inconclusive("kernel steps and distances", "t", report.unresolved), doc
     return (0 if ok else 1), doc
 
 
-def _inconclusive(what: str, xs) -> int:
+def _inconclusive(what: str, var: str, points) -> int:
     """Report the points where rounding leaves a check undecided; exit code 3."""
-    print(f"polycm: numeric capability limit: {what} inconclusive at x = "
-          + ", ".join(f"{x:.6g}" for x in xs), file=sys.stderr)
+    print(f"polycm: numeric capability limit: {what} inconclusive at {var} = "
+          + ", ".join(map(repr, points)), file=sys.stderr)
     return 3
 
 
@@ -267,7 +271,7 @@ def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
         return 1, doc
     if report.failures:
         # no margin certified negative, but rounding leaves these points undecided
-        return _inconclusive("inequality margins", sorted({r.x for r in report.failures})), doc
+        return _inconclusive("inequality margins", "x", sorted({r.x for r in report.failures})), doc
     return 0, doc
 
 
@@ -296,7 +300,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
         return 1, doc
     if report.derived_unresolved:
         # no failure, but rounding leaves these points undecided
-        return _inconclusive("derived bounds", report.derived_unresolved), doc
+        return _inconclusive("derived bounds", "x", report.derived_unresolved), doc
     return 0, doc
 
 

@@ -55,9 +55,7 @@ _DIGAMMA_REMAINDER = abs(_BERNOULLI[16][0] / _BERNOULLI[16][1]) / 16
 # derivative that needs a higher order before it evaluates anything.
 ORDER_CAP = 120
 
-# Powers of the tail argument below this are subnormal: they keep too few
-# significant bits to carry a value or a remainder bound.
-_TINY = sys.float_info.min
+_TINY = sys.float_info.min  # smallest normal double: below it a value loses bits
 
 
 # ---------------------------------------------------------------------------
@@ -68,25 +66,23 @@ _TINY = sys.float_info.min
 @lru_cache(maxsize=ORDER_CAP)
 def _order_constants(n: int) -> tuple:
     """What polygamma's series needs of the order n alone, as floats rounded
-    from exact integers and rationals: n!, (n-1)!, the exponents -(n+1), -n
-    and -(n+2p), the Euler-Maclaurin coefficients B_2p (n+2p-1)!/(2p)! and
-    their absolute values, the explicit-sum and tail rounding charge
-    factors, and the full charge n! * _TINY/2 of an underflowed half-sample.
+    from exact integers and rationals: n!, (n-1)!, the exponents -(n+1) and
+    -n, the coefficients c_p = B_2p (n+2p-1)!/(2p)! of pairs p = 1..7, |c_8|
+    for the remainder, and the explicit-sum and tail rounding charge factors.
     """
     fact_f = float(math.factorial(n))
-    pairs = range(1, _MAX_EM_PAIRS + 1)
     # int / int rounds the exact quotient once, as float(Fraction) would
     coeffs = tuple(
         _BERNOULLI[2 * p][0] * math.factorial(n + 2 * p - 1)
         / (_BERNOULLI[2 * p][1] * math.factorial(2 * p))
-        for p in pairs
+        for p in range(1, _MAX_EM_PAIRS + 1)
     )
     # explicit-sum charge, per term: pow amplification (n+1)/2 eps on the
     # rounded base, ~1 ulp for pow itself, 1/2 ulp each for factorial and
     # product; math.fsum rounds the sum once
     return (fact_f, float(math.factorial(n - 1)), -(n + 1.0), -float(n),
-            tuple(-(n + 2.0 * p) for p in pairs), coeffs, tuple(abs(c) for c in coeffs),
-            ((n + 1.0) / 2.0 + 3.0) * _EPS, ((n + 16.0) / 2.0 + 4.0) * _EPS, fact_f * _TINY / 2.0)
+            coeffs[:-1], abs(coeffs[-1]),
+            ((n + 1.0) / 2.0 + 3.0) * _EPS, ((n + 16.0) / 2.0 + 4.0) * _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +108,13 @@ def polygamma(n: int, x: float) -> EvalResult:
     Series route: psi^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (x+k)^-(n+1), its
     first K terms summed explicitly (summing them is the recurrence shift:
     each term strips one pole), and finished with an Euler-Maclaurin tail
-    whose remainder bound is folded into abs_error with the rounding.  The
-    shift to x + K >= 24 + 0.55n depends on n and x alone, and tests hold
-    the abs_error it reaches to max(1e-12, 1e-13 |psi^(n)(x)|).  Nothing is
-    cached here but the constants of each order: polycm.cm_engine shares
-    whole psi rows across calls.
+    of seven pairs whose remainder bound is folded into abs_error with the
+    rounding.  The shift to x + K >= 24 + 0.55n depends on n and x alone.
+    Every tail term is scaled by y^-n last, so the value keeps its digits
+    down to the underflow edge: tests hold abs_error to 1e-13 |psi^(n)(x)|
+    where y^-(n+16) is subnormal, and to max(1e-12, 1e-13 |psi^(n)(x)|)
+    everywhere.  Nothing is cached here but the constants of each order:
+    polycm.cm_engine shares whole psi rows across calls.
     """
     n = checks.integer("order", n, 1)
     if n > ORDER_CAP:
@@ -124,8 +122,8 @@ def polygamma(n: int, x: float) -> EvalResult:
             f"order {n} exceeds the double-precision capability cap {ORDER_CAP}"
         )
     x = checks.positive_real("x", x)
-    (fact_f, fact_m1, e_expl, e_tail, e_pairs, coeffs, abs_coeffs,
-     expl_charge, tail_charge, tiny_charge) = _order_constants(n)
+    (fact_f, fact_m1, e_expl, e_tail, coeffs, c_rem,
+     expl_charge, tail_charge) = _order_constants(n)
     K = max(0, math.ceil(24.0 + 0.55 * n - x))
     # K = 0 only when x >= 24 + 0.55n, where n!/x^(n+1) fits a double.  A
     # first term that overflows without raising is inf, and _result refuses it.
@@ -134,31 +132,29 @@ def polygamma(n: int, x: float) -> EvalResult:
     except OverflowError as exc:
         raise CapabilityError(f"|{_label(n, x)}| overflows double precision") from exc
     # Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1): the integral part
-    # (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), then every Bernoulli pair
-    # whose power y^-(n+2p) is normal.  In exact rationals |c_(p+1)| y^-2 /
-    # |c_p| <= 0.0566 for n <= 120, p <= 7 and y >= 24 + 0.55n (worst at
-    # n = 120, p = 7), so rounding cannot reorder the pair bounds and the last
-    # pair taken has the smallest.  Negative exponents let extreme y underflow
-    # instead of raising OverflowError.  A subnormal y^-n has lost the value's
-    # bits: CapabilityError.  An underflowed half-sample term is charged in
-    # full, and the p = 1 remainder power is at least _TINY.
+    # (n-1)!/y^n, the half-sample n!/(2 y^(n+1)), the pairs p = 1..7 as
+    # (c_p r^p) y^-n with r = 1/y^2, and the remainder |c_8| r^8 y^-n, so a
+    # term is lost only where it falls below _TINY itself.  A subnormal y^-n
+    # (a negative exponent underflows where y^n would overflow) raises.
+    # Rounding, in eps per |term| with y's own rounding costing j/2 on y^-j:
+    # the leading term needs n/2 + 2, the half-sample n/2 + 3.5 and pair p
+    # n/2 + 2.5p + 3.5 (r 2.5, r^p 2.5p + 1).  tail_charge grants n/2 + 12 to
+    # each, so pairs 4..7 overdraw by at most 9 eps of their size; in exact
+    # rationals they are below 1.1e-5 of the leading term for n <= 120 and
+    # y >= 24 + 0.55n, and its unused 10 eps pay for them and the remainder's.
+    # Floor: a product below _TINY is off by up to half of 5e-324, not eps
+    # relative.  Ten last steps can be (two in the half-sample, one per pair
+    # and the remainder); earlier ones, only where y^(2p) > 2^1016, reach the
+    # result scaled by under 1e-17 in all.  Eight 5e-324 cover them.
     y = x + K
     inv_pow = y ** e_tail
     if inv_pow < _TINY:
         raise CapabilityError(f"y^-{n} underflows double precision at y={y}")
     inv_y = 1.0 / y
-    powers = [y ** e_pairs[0]]  # entry i: the power of pair i + 1
-    for e in e_pairs[1:]:
-        power = y ** e
-        if power < _TINY:
-            break
-        powers.append(power)
-    best_p = len(powers)
-    remainder = abs_coeffs[best_p - 1] * max(powers[-1], _TINY)
-    if inv_pow * inv_y < _TINY:
-        remainder += tiny_charge
+    r = inv_y * inv_y
     tail = [fact_m1 * inv_pow, fact_f * inv_pow * inv_y / 2.0]
-    tail += [c * w for c, w in zip(coeffs, powers[:best_p - 1])]
+    tail += [c * r ** p * inv_pow for p, c in enumerate(coeffs, 1)]
+    remainder = c_rem * r ** _MAX_EM_PAIRS * inv_pow + 8 * 5e-324
     tail_abs = math.fsum([abs(t) for t in tail])
     total = math.fsum([s_expl] + tail)
     rounding = expl_charge * s_expl + tail_charge * tail_abs + 2.0 * ulp(total)

@@ -106,7 +106,8 @@ def test_kernels_undecided_steps_exit_3(capsys):
     code, out, err = run(capsys, argv)
     assert code == 3
     assert err == ("polycm: numeric capability limit: "
-                   "kernel steps and distances inconclusive at x = 1, 1, 1\n")
+                   "kernel steps and distances inconclusive at "
+                   "t = 1.0, 1.0000000000000004, 1.000000000000001\n")
     assert json.loads(out)["summary"]["monotonicity"] == "none"
 
 
@@ -151,7 +152,7 @@ def test_bounds_unresolved_derived_points_exit_3(capsys):
     code, out, err = run(capsys, argv)
     assert code == 3
     assert err == ("polycm: numeric capability limit: "
-                   "derived bounds inconclusive at x = 1e-60, 1e-29\n")
+                   "derived bounds inconclusive at x = 1e-60, 1.0000000000000071e-29\n")
     doc = json.loads(out)
     assert doc["summary"]["derived_ok"] is True
     derived = [e[f"{name}_status"] for e in doc["entries"] for name in ("q_derived", "p_derived")]
@@ -165,7 +166,7 @@ def test_inequalities_unresolved_margins_exit_3(capsys):
     code, out, err = run(capsys, argv)
     assert code == 3
     assert err == ("polycm: numeric capability limit: "
-                   "inequality margins inconclusive at x = 2.23607e+149, 1e+300\n")
+                   "inequality margins inconclusive at x = 2.2360679774998355e+149, 1e+300\n")
     doc = json.loads(out)
     assert doc["summary"]["failures"] == len(doc["findings"]) == 4
 
@@ -408,9 +409,12 @@ INCONCLUSIVE_CM = ["check-cm", "--m", "1", "--n", "2",
 
 def test_check_cm_reports_an_inconclusive_run(capsys):
     # far out, the values of f[1,2] and its derivatives sink below their
-    # error bounds: 31 of the 45 entries are unresolved, not violations
-    code, out, _ = run(capsys, INCONCLUSIVE_CM)
-    assert code == 0
+    # error bounds: 31 of the 45 entries are unresolved, not violations, a
+    # capability limit (exit 3) that names their points
+    code, out, err = run(capsys, INCONCLUSIVE_CM)
+    assert code == 3
+    assert err == ("polycm: numeric capability limit: CM entries inconclusive at x = "
+                   "7208434.2424042635, 17320508.075688824, 41617914.50287827, 100000000.0\n")
     doc = json.loads(out)
     assert doc["summary"]["verdict"] == "inconclusive"
     assert doc["summary"]["violations"] == 0
@@ -422,7 +426,7 @@ def test_check_cm_reports_an_inconclusive_run(capsys):
 
 def test_text_format_ends_with_the_findings(capsys):
     code, out, _ = run(capsys, INCONCLUSIVE_CM + ["--format", "text"])
-    assert code == 0
+    assert code == 3
     lines = out.splitlines()
     findings = [line for line in lines if line.startswith("finding: ")]
     assert len(findings) == 31

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from polycm import (
     f_derivative,
     h,
     kappa,
+    log_grid,
     omega,
     omega_plus_one,
     polygamma,
@@ -76,11 +78,36 @@ def test_digamma(x):
 @given(n=st.integers(1, 120), x=XS)
 @example(n=64, x=3e4)
 @example(n=120, x=200.0)
-@example(n=67, x=22328.889092033143)  # error/bound 0.99999982: the remainder bound is tight
+@example(n=67, x=22328.889092033143)  # error/bound 0.013; 0.99999982 while pairs were dropped
+@example(n=89, x=2363.9100807815594)  # y^-(n+4) underflows: was 1.17e-4 off
+@example(n=82, x=5623.413251903491)  # y^-(n+1) underflows: bound was 425 |value|
 @example(n=1, x=DIGAMMA_ROOT)
 @settings(max_examples=120, deadline=None)
 def test_polygamma(n, x):
     assert_covers(lambda: polygamma(n, x), lambda: mpmath.psi(n, mpf(x)))
+
+
+def test_polygamma_keeps_its_digits_down_to_the_underflow_edge():
+    # Where y^-(n+16) is subnormal (as it is wherever y^-(n+1) is) the bare
+    # powers of the tail's pairs and remainder would underflow, but the value
+    # is normal and must keep relative 1e-13.  Orders 1-120 on the log grid,
+    # plus orders up to 8 out to x = 1e38.
+    points = [(n, x) for n in range(1, 121) for x in log_grid(1e-3, 1e6, 61)]
+    points += [(n, x) for n in range(1, 9) for x in log_grid(1e3, 1e38, 36)]
+    checked = 0
+    for n, x in points:
+        y = x + max(0, math.ceil(24.0 + 0.55 * n - x))
+        if y ** -(n + 16.0) >= sys.float_info.min:
+            continue
+        try:
+            r = polygamma(n, x)
+        except CapabilityError:
+            continue
+        assert r.abs_error <= 1e-13 * abs(r.value), (n, x)
+        with mpmath.workdps(60):
+            assert abs(mpf(r.value) - mpmath.psi(n, mpf(x))) <= mpf(r.abs_error), (n, x)
+        checked += 1
+    assert checked > 500
 
 
 @given(
