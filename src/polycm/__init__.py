@@ -10,7 +10,6 @@ tests/reference.py, outside this package.
 from .errors import (
     CapabilityError,
     ClassificationError,
-    ConvergenceError,
     DomainError,
     PolycmError,
     SearchExhaustedError,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapabilityError",
     "ClassificationError",
-    "ConvergenceError",
     "DomainError",
     "PolycmError",
     "SearchExhaustedError",

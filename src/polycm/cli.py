@@ -9,15 +9,16 @@ Subcommands
 
 Every numeric value in JSON output is paired with its abs_error; CSV
 flattens to value/error column pairs.  Reports are deterministic: identical
-config yields byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error (including an --out path that cannot be written),
-3 numeric capability error (a polygamma order above the cap of 120, or a
-computed magnitude that overflows) or a CM check, bound audit, inequality
-suite or kernel report that rounding leaves undecided at some points:
-``check-cm`` exits 1 only on a certified violation, and ``bounds``,
-``inequalities`` and ``kernels`` only when some margin or kernel step is
-certified against them.  No subcommand takes an error budget: each
-bound is what the one closed series behind each value guarantees.
+config yields byte-identical output.  No subcommand takes an error budget:
+each bound is what the one closed series behind each value guarantees.
+
+Exit codes: 2 for a usage error (including an --out path that cannot be
+written), 3 for a numeric capability error (a polygamma order above the
+cap of 120, or a computed magnitude that leaves the double range).
+Otherwise each handler reports what it certified against the paper's claim
+and the points that rounding left undecided, and main alone picks the
+code: 1 if anything was refuted, else 3 if any point is undecided (named
+on stderr), else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Sequence
 
 from . import checks
 from .classifier import (
@@ -93,9 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each takes the parsed arguments and returns
-# (exit_code, document)
+# Command implementations: each takes the parsed arguments and returns its
+# document, whether anything was certified against the claim, and the label,
+# variable and points of what rounding left undecided
 # ---------------------------------------------------------------------------
+
+Outcome = tuple[dict, bool, tuple[str, str, Sequence[float]]]
 
 
 def _grid(args: argparse.Namespace) -> list[float]:
@@ -138,7 +143,7 @@ def _classification_row(entry: ClassificationEntry) -> dict:
     return row
 
 
-def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_classify(args: argparse.Namespace) -> Outcome:
     m_max = checks.integer("--m-max", args.m_max, 1)
     n_max = checks.integer("--n-max", args.n_max, 1)
     grid = _grid(args)
@@ -155,10 +160,10 @@ def cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
         "findings": [],
         "summary": counts,
     }
-    return 0, doc
+    return doc, False, ("", "", ())
 
 
-def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_check_cm(args: argparse.Namespace) -> Outcome:
     report: CMReport = cm_check(FamilyIndex(args.m, args.n), args.orders, _grid(args))
     entries = [
         {
@@ -189,13 +194,13 @@ def cmd_check_cm(args: argparse.Namespace) -> tuple[int, dict]:
             "inconclusive_fraction": report.inconclusive_fraction,
         },
     }
-    if report.verdict == "inconclusive":  # no violation, but too many entries undecided
-        xs = sorted({e.x for e in report.inconclusive_points})
-        return _inconclusive("CM entries", "x", xs), doc
-    return (1 if report.verdict == "violation" else 0), doc
+    # a consistent_with_CM verdict tolerates a few undecided entries
+    undecided = report.inconclusive_points if report.verdict == "inconclusive" else ()
+    xs = sorted({e.x for e in undecided})
+    return doc, report.verdict == "violation", ("CM entries", "x", xs)
 
 
-def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_kernels(args: argparse.Namespace) -> Outcome:
     k = 0 if args.k is None and args.kernel == "h" else args.k
     kid = KernelId(args.kernel, k)
     report = kernel_report(kid, _grid(args))
@@ -203,11 +208,6 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
         {"t": t, "value": v.value, "abs_error": v.abs_error}
         for t, v in zip(report.grid, report.values)
     ]
-    ok = (
-        report.monotonicity_verdict == report.expected_monotonicity
-        and all(c.passed for c in report.limit_checks)
-        and report.range_passed
-    )
     doc = {
         "config": _config_doc(args, kernel=kid.label()),
         "entries": entries,
@@ -221,20 +221,10 @@ def cmd_kernels(args: argparse.Namespace) -> tuple[int, dict]:
             "min_range_margin": report.min_range_margin,
         },
     }
-    if report.unresolved:
-        # nothing certified against the kernel, but rounding leaves these t undecided
-        return _inconclusive("kernel steps and distances", "t", report.unresolved), doc
-    return (0 if ok else 1), doc
+    return doc, report.refuted, ("kernel steps and distances", "t", report.unresolved)
 
 
-def _inconclusive(what: str, var: str, points) -> int:
-    """Report the points where rounding leaves a check undecided; exit code 3."""
-    print(f"polycm: numeric capability limit: {what} inconclusive at {var} = "
-          + ", ".join(map(repr, points)), file=sys.stderr)
-    return 3
-
-
-def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_inequalities(args: argparse.Namespace) -> Outcome:
     report: BoundsSuiteReport = bounds_suite(args.k_max, _grid(args))
     entries = [
         {
@@ -267,15 +257,11 @@ def cmd_inequalities(args: argparse.Namespace) -> tuple[int, dict]:
             "min_upper_margin": report.min_upper_margin,
         },
     }
-    if report.violations:
-        return 1, doc
-    if report.failures:
-        # no margin certified negative, but rounding leaves these points undecided
-        return _inconclusive("inequality margins", "x", sorted({r.x for r in report.failures})), doc
-    return 0, doc
+    xs = sorted({r.x for r in report.failures})
+    return doc, bool(report.violations), ("inequality margins", "x", xs)
 
 
-def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
+def cmd_bounds(args: argparse.Namespace) -> Outcome:
     report: BoundAuditReport = bound_check(args.m, args.n, _grid(args))
     entries = []
     for e in report.entries:
@@ -296,12 +282,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[int, dict]:
             "printed_findings": len(report.findings),
         },
     }
-    if not report.derived_ok:
-        return 1, doc
-    if report.derived_unresolved:
-        # no failure, but rounding leaves these points undecided
-        return _inconclusive("derived bounds", "x", report.derived_unresolved), doc
-    return 0, doc
+    return doc, not report.derived_ok, ("derived bounds", "x", report.derived_unresolved)
 
 
 _COMMANDS = {
@@ -369,7 +350,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, doc = _COMMANDS[args.command](args)
+        doc, refuted, (what, var, points) = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"polycm: usage error: {exc}", file=sys.stderr)
         return 2
@@ -390,7 +371,13 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(rendered)
-    return code
+    if refuted:
+        return 1
+    if points:
+        print(f"polycm: numeric capability limit: {what} inconclusive at {var} = "
+              + ", ".join(map(repr, points)), file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

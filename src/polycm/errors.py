@@ -2,8 +2,7 @@
 
 Callers that map failures to process exit codes treat CapabilityError as a
 "numeric capability" failure (exit 3), DomainError as a usage error (exit 2)
-and everything else as a verification failure.  Only the verification routes
-of the tests' reference module (tests/reference.py) raise ConvergenceError.
+and everything else as a verification failure.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ class PolycmError(Exception):
 
 class DomainError(PolycmError, ValueError):
     """Input outside the mathematical domain (x <= 0, bad order, ...)."""
-
-
-class ConvergenceError(PolycmError, ArithmeticError):
-    """A verification route could not meet its requested tolerance."""
 
 
 class CapabilityError(PolycmError, ArithmeticError):

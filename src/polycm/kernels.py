@@ -13,15 +13,14 @@ where the subtraction h - 1/2 would drown in ulp(1/2)), and the distance of
 h(-1, t) above 1 is exactly tanh_kernel(t).  The report reads each kernel's
 steps, limits and range from such distances to its finite limits.
 
-E has one route on all of (0, inf).  kappa and tanh_kernel above t = 0.05
-take their bounds from EvalResult's rules; the rest carry closed-form bounds
-of their own.
+E has one route on all of (0, inf).  kappa, tanh_kernel above t = 0.05 and
+omega_plus_one from t = 1 on take their bounds from EvalResult's rules; the
+rest carry closed-form bounds of their own.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -134,28 +133,24 @@ def omega(t: float) -> EvalResult:
 
 
 def omega_plus_one(t: float) -> EvalResult:
-    """omega(t) + 1 computed without cancellation: 2e^-t(sinh t - t)/(1 - e^-2t).
+    """omega(t) + 1, the margin of omega above its infimum -1.
 
-    This is the margin of omega above its infimum -1; at t = 1e-6 it is
-    ~t^2/6 = 1.7e-13, far below what omega(t) - (-1) could resolve in ulps
-    of 1.  Below t = 1, sinh t - t is its series t^3/3! + ... + t^17/17!
-    (tail below 2t^19/19!); from t = 1 on, sinh t - t in doubles keeps
-    ~2 ulp(sinh t), a few parts in 1e15 of it.  Past t = 700, where sinh t
-    nears overflow, omega(t) > -1e-300 and omega(t) + 1 is formed directly.
+    At t = 1e-6 it is ~t^2/6 = 1.7e-13, far below what omega(t) - (-1)
+    could resolve in ulps of 1.  Below t = 1 it is
+    2e^-t(sinh t - t)/(1 - e^-2t), with sinh t - t as its series
+    t^3/3! + ... + t^17/17! (tail below 2t^19/19!).  From t = 1 on,
+    omega(t) + 1 >= 0.149 is formed directly, losing under a factor 6 of
+    relative accuracy to the cancellation.
     """
     t = checks.positive_real("t", t)
-    if t > 700.0:
+    if t >= 1.0:
         return omega(t) + 1.0
-    if t < 1.0:
-        t2 = t * t
-        s = 1/6 + t2 * (1/120 + t2 * (1/5040 + t2 * (1/362880 + t2 * (
-            1/39916800 + t2 * (1/6227020800 + t2 * (1/1307674368000 + t2 / 355687428096000))))))
-        s *= t2 * t
-        # the Horner steps and the product round well within 20 ulp(s)
-        s_err = 2.0 * t**19 / 121645100408832000 + 20.0 * ulp(s)
-    else:
-        s = math.sinh(t) - t
-        s_err = 2.0 * ulp(math.sinh(t))
+    t2 = t * t
+    s = 1/6 + t2 * (1/120 + t2 * (1/5040 + t2 * (1/362880 + t2 * (
+        1/39916800 + t2 * (1/6227020800 + t2 * (1/1307674368000 + t2 / 355687428096000))))))
+    s *= t2 * t
+    # the Horner steps and the product round well within 20 ulp(s)
+    s_err = 2.0 * t**19 / 121645100408832000 + 20.0 * ulp(s)
     den = -math.expm1(-2.0 * t)
     value = 2.0 * math.exp(-t) * s / den
     err = 2.0 * math.exp(-t) * s_err / den + 3.0 * ulp(value)
@@ -232,7 +227,8 @@ class KernelReport(NamedTuple):
     range_description: str
     range_passed: bool
     min_range_margin: float
-    unresolved: tuple[float, ...]  # undecided t; () when refuted
+    refuted: bool  # some step or distance certified against the kernel
+    unresolved: tuple[float, ...]  # t of the steps and distances left undecided
     diagnostics: tuple[str, ...] = ()
 
 
@@ -247,10 +243,10 @@ def kernel_report(
     A step goes the known direction when the first distance to decide it
     says so; the range needs every distance certified positive.  A verdict
     of none is a refusal to certify, not a refutation; diagnostics list the
-    offending comparisons.  unresolved holds the t of the steps and
-    distances that rounding leaves undecided, and is empty once a step or
-    a distance is certified against the kernel.  A distance whose value and
-    bound both sit below the normal double range raises CapabilityError.
+    offending comparisons.  refuted says whether a step or a distance is
+    certified against the kernel; unresolved holds the t of the steps and
+    distances that rounding leaves undecided, such as a distance that has
+    underflowed to 0.
     """
     grid = checks.grid(grid, 2)  # adjacent comparisons need two points
     facts = _facts(kernel)
@@ -292,15 +288,10 @@ def kernel_report(
             min_margin = min(min_margin, margin.value - margin.abs_error)
             sign = margin.certified_sign()
             if sign != 1:
-                if abs(margin.value) + margin.abs_error < sys.float_info.min:
-                    # e.g. E(t) past t ~ 745: the margin left the double range
-                    raise CapabilityError(
-                        f"{kernel.label()} range margin underflows double "
-                        f"precision at t={t:.6g}"
-                    )
                 range_ok = False
                 refuted = refuted or sign == -1
-                unsure.add(t)
+                if sign == 0:
+                    unsure.add(t)
                 diagnostics.append(
                     f"range margin not cleared at t={t:.6g}: "
                     f"{margin.value:.3e} within error {margin.abs_error:.3e}"
@@ -327,6 +318,7 @@ def kernel_report(
         range_description=facts.range_text,
         range_passed=range_ok,
         min_range_margin=min_margin,
-        unresolved=() if refuted else tuple(sorted(unsure)),
+        refuted=refuted,
+        unresolved=tuple(sorted(unsure)),
         diagnostics=tuple(diagnostics),
     )

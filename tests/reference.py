@@ -18,13 +18,18 @@ from mpmath import fp
 
 from polycm import checks
 from polycm.cm_engine import FamilyIndex, f_derivative, f_value
-from polycm.errors import CapabilityError, ConvergenceError, DomainError
+from polycm.errors import CapabilityError, DomainError, PolycmError
 from polycm.evaluation import EvalResult, ulp
 from polycm.kernels import tanh_kernel
 from polycm.polygamma import EULER_GAMMA, digamma, polygamma
 
 _EPS = 2.0 ** -52
 _MAX_TERMS = 60_000_000
+
+
+class ConvergenceError(PolycmError, ArithmeticError):
+    """A verification route could not meet its requested tolerance."""
+
 
 # ---------------------------------------------------------------------------
 # Reference series

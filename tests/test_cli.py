@@ -122,6 +122,26 @@ def test_kernels_refutation_exits_1(capsys, monkeypatch):
     assert doc["findings"][0].startswith("range margin not cleared at t=1e-06: -1.000e-03")
 
 
+def test_kernels_refutation_outranks_undecided_points(capsys, monkeypatch):
+    # omega pinned at -0.5 at t = 1 and 2, and at -0.75 at t = 3: the flat
+    # step 1 -> 2 is left undecided by its error, and the step 2 -> 3 is
+    # certified against omega's increase
+    def pinned(t):
+        return polycm.EvalResult(-0.5 if t < 3.0 else -0.75, 1e-12)
+
+    monkeypatch.setattr(polycm.kernels, "omega", pinned)
+    monkeypatch.setattr(polycm.kernels, "omega_plus_one", lambda t: pinned(t) + 1.0)
+    rep = polycm.kernel_report(polycm.KernelId("omega"), [1.0, 2.0, 3.0])
+    assert rep.refuted and rep.unresolved == (1.0, 2.0)
+    argv = ["kernels", "--kernel", "omega", "--grid-min", "1", "--grid-max", "3",
+            "--grid-count", "3", "--grid-scale", "linear"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["summary"]["monotonicity"] == "none"
+    assert doc["findings"] == ["inconclusive step at t=1..2: diff=0.000e+00 within error 2.000e-12"]
+
+
 def test_inequalities_command(capsys):
     code, out, _ = run(
         capsys, ["inequalities", "--k-max", "2", "--grid-count", "10"]
@@ -358,17 +378,20 @@ def test_capability_exit_code(capsys):
         # finite products whose sum overflows
         ["check-cm", "--m", "1", "--n", "2", "--grid-min", "6.18e-52",
          "--grid-max", "6.19e-52", "--grid-count", "2", "--orders", "2"],
-        # E(t) and omega(t) underflow past t ~ 745, so their range margins
-        # leave the double range
-        ["kernels", "--kernel", "omega", "--grid-max", "1000"],
-        ["kernels", "--kernel", "kappa", "--grid-max", "1000"],
-        ["kernels", "--kernel", "h", "--k", "0", "--grid-max", "1000"],
         # E(t) ~ 1/t overflows below t ~ 5.6e-309
         ["kernels", "--kernel", "kappa", "--grid-min", "1e-310", "--grid-count", "3"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 3
         assert "capability" in err
+    # E(t) and omega(t) underflow to 0 past t ~ 745: their range margins
+    # are undecided there, and the report is printed
+    for kernel in (["omega"], ["kappa"], ["h", "--k", "0"]):
+        code, out, err = run(capsys, ["kernels", "--kernel", *kernel, "--grid-max", "1000"])
+        assert code == 3
+        assert json.loads(out)["summary"]["range_passed"] is False
+        assert err == ("polycm: numeric capability limit: "
+                       "kernel steps and distances inconclusive at t = 1000.0\n")
 
 
 MIXED_OVERFLOW = ["check-cm", "--m", "1", "--n", "2", "--orders", "0",

@@ -169,7 +169,7 @@ def test_report_range_margin_not_cleared(monkeypatch):
     assert rep.diagnostics == tuple(
         f"range margin not cleared at t={t}: 0.000e+00 within error 1.000e-12" for t in (1, 2)
     )
-    assert rep.unresolved == (1.0, 2.0)
+    assert rep.unresolved == (1.0, 2.0) and not rep.refuted
     zero_check = {c.end: c for c in rep.limit_checks}["zero"]
     assert not zero_check.passed and zero_check.achieved == 0.0
 
@@ -184,7 +184,7 @@ def test_report_names_mixed_directions(monkeypatch):
     assert rep.monotonicity_verdict == "none"
     assert "mixed directions: 1 up, 1 down" in rep.diagnostics
     # a step certified against the kernel is a refutation, not undecided
-    assert rep.unresolved == ()
+    assert rep.refuted and rep.unresolved == ()
 
 
 def test_report_kappa():
@@ -277,12 +277,13 @@ def test_laplace_power_identity_residuals():
         laplace_power_identity(1.0, -2.0)
 
 
-def test_report_underflowed_range_margin_is_capability():
-    # E(t) and omega(t) underflow to 0 past t ~ 745: their range margins have
-    # left the double range, which no verdict can rest on
+def test_report_underflowed_range_margin_is_undecided():
+    # E(t) and omega(t) underflow to 0 past t ~ 745: a range margin of 0
+    # within its error refutes nothing, and its t is left undecided
     for kid in (KernelId("omega"), KernelId("kappa"), KernelId("h", 0)):
-        with pytest.raises(CapabilityError, match="t=1000"):
-            kernel_report(kid, [1.0, 700.0, 1000.0])
+        rep = kernel_report(kid, [1.0, 700.0, 1000.0])
+        assert rep.unresolved == (1000.0,)
+        assert not rep.range_passed and not rep.refuted
         # subnormal but nonzero margins still certify
         assert kernel_report(kid, [1.0, 700.0, 740.0]).range_passed
 

@@ -162,7 +162,7 @@ KERNELS.update({
 
 
 @given(name=st.sampled_from(sorted(KERNELS)), t=TS)
-@example(name="omega_plus_one", t=1e3)  # sinh t overflows past t ~ 710
+@example(name="omega_plus_one", t=1e3)  # omega(t) underflows to -0.0
 @example(name="reciprocal_expm1", t=1e-300)  # E ~ 1/t near the top of the range
 @example(name="reciprocal_expm1", t=708.0)  # e^-t is still normal
 @example(name="reciprocal_expm1", t=745.0)  # e^-t is among the smallest subnormals
@@ -176,8 +176,8 @@ def test_kernels(name, t):
 
 
 def test_omega_plus_one_keeps_its_digits():
-    # omega + 1 ~ t^2/6 near 0: the series below t = 1 and sinh t - t above
-    # it both stay within 1e-14 relative of the truth
+    # omega + 1 ~ t^2/6 near 0: the series below t = 1 and omega(t) + 1
+    # above it both stay within 1e-14 relative of the truth
     truth = KERNELS["omega_plus_one"][1]
     for t in SWITCH_POINTS[-3:] + (1e-100, 1e-12, 1e-8, 1e-7, 1e-6, 0.2, 0.5, 0.9, 1.5, 5.0):
         with mpmath.workdps(60):
