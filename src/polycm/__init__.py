@@ -9,7 +9,6 @@ tests/reference.py, outside this package.
 
 from .errors import (
     CapabilityError,
-    ClassificationError,
     DomainError,
     PolycmError,
     SearchExhaustedError,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError",
-    "ClassificationError",
     "DomainError",
     "PolycmError",
     "SearchExhaustedError",

@@ -18,7 +18,9 @@ cap of 120, or a computed magnitude that leaves the double range).
 Otherwise each handler reports what it certified against the paper's claim
 and the points that rounding left undecided, and main alone picks the
 code: 1 if anything was refuted, else 3 if any point is undecided (named
-on stderr), else 0.
+on stderr), else 0.  check-cm and classify name the x of every undecided
+CM entry: check-cm --m 1 --n 2 --grid-max 5e6 and classify --m-max 1
+--n-max 2 --grid-min 3e6 --grid-max 1e8 --grid-count 5 both exit 3.
 """
 
 from __future__ import annotations
@@ -147,24 +149,31 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
     m_max = checks.integer("--m-max", args.m_max, 1)
     n_max = checks.integer("--n-max", args.n_max, 1)
     grid = _grid(args)
+    orders = checks.integer("--orders", args.orders, 0)
     entries = []
     counts = {"CM_trivial": 0, "CM_nontrivial": 0, "sign_changing_nonmonotonic": 0}
+    refuted, undecided = False, set()
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            entry = classify(m, n, cm_max_order=args.orders, cm_grid=grid)
+            entry = classify(m, n, cm_max_order=orders, cm_grid=grid)
             counts[entry.verdict] += 1
             entries.append(_classification_row(entry))
+            rep = entry.cm_report
+            if rep is not None:
+                refuted |= rep.verdict == "violation"
+                undecided.update(e.x for e in rep.inconclusive_points)
     doc = {
-        "config": _config_doc(args, m_max=m_max, n_max=n_max, orders=args.orders),
+        "config": _config_doc(args, m_max=m_max, n_max=n_max, orders=orders),
         "entries": entries,
         "findings": [],
         "summary": counts,
     }
-    return doc, False, ("", "", ())
+    return doc, refuted, ("CM entries", "x", sorted(undecided))
 
 
 def cmd_check_cm(args: argparse.Namespace) -> Outcome:
-    report: CMReport = cm_check(FamilyIndex(args.m, args.n), args.orders, _grid(args))
+    idx, grid = FamilyIndex(args.m, args.n), _grid(args)
+    report: CMReport = cm_check(idx, checks.integer("--orders", args.orders, 0), grid)
     entries = [
         {
             "order": e.order,
@@ -194,9 +203,7 @@ def cmd_check_cm(args: argparse.Namespace) -> Outcome:
             "inconclusive_fraction": report.inconclusive_fraction,
         },
     }
-    # a consistent_with_CM verdict tolerates a few undecided entries
-    undecided = report.inconclusive_points if report.verdict == "inconclusive" else ()
-    xs = sorted({e.x for e in undecided})
+    xs = sorted({e.x for e in report.inconclusive_points})
     return doc, report.verdict == "violation", ("CM entries", "x", xs)
 
 
@@ -225,7 +232,8 @@ def cmd_kernels(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_inequalities(args: argparse.Namespace) -> Outcome:
-    report: BoundsSuiteReport = bounds_suite(args.k_max, _grid(args))
+    grid = _grid(args)
+    report: BoundsSuiteReport = bounds_suite(checks.integer("--k-max", args.k_max, 1), grid)
     entries = [
         {
             "k": r.k,

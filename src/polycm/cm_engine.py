@@ -62,9 +62,6 @@ from .polygamma import ORDER_CAP, polygamma
 # generated __new__ checks nothing.
 _tuple_new = tuple.__new__
 
-# Largest share of unresolved entries a consistent_with_CM verdict allows.
-_INCONCLUSIVE_CAP = 0.01
-
 # Status of a CM entry by the certified sign of (-1)^l f^(l)(x).
 _STATUS = {1: "positive", 0: "inconclusive", -1: "violation"}
 
@@ -148,13 +145,14 @@ def _pair_terms(m: int, order: int, row: dict) -> tuple[list, list]:
 
 def _assemble(idx: FamilyIndex, order: int, pts, rows, column: list,
               sign: float = 1.0) -> list[EvalResult]:
-    """sign * f^(order)(x) at each point, in point order: the arithmetic of
-    result_sum over psi^(n+order) and the point's _pair_terms, in that
-    order.  A point past the end of the column gets the orders n+order and
-    m..m+order that its row lacks, and its terms appended; any other point's
-    row gets n+order only when the lookup finds it lacking.  The first point
-    whose psi polygamma refuses, or whose sum leaves the double range,
-    raises."""
+    """sign * f^(order)(x) at each point, in point order: math.fsum of
+    psi^(n+order) and the point's _pair_terms, in that order, and of their
+    bounds plus one ulp of the sum, bit for bit as result_sum in
+    tests/reference.py.  A point past the end of the column gets the orders
+    n+order and m..m+order that its row lacks, and its terms appended; any
+    other point's row gets n+order only when the lookup finds it lacking.
+    The first point whose psi polygamma refuses, or whose sum leaves the
+    double range, raises."""
     m, kn = idx.m, idx.n + order
     needed = (kn, *range(m, m + order + 1))
     fsum, isfinite = math.fsum, math.isfinite
@@ -243,9 +241,9 @@ class CMReport(NamedTuple):
 def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     """Evaluate (-1)^l f^(l) for l = 0..max_order over the grid.
 
-    Verdict: violation if any point is certified negative; otherwise
-    inconclusive when the share of unresolved entries exceeds
-    _INCONCLUSIVE_CAP; otherwise consistent_with_CM.
+    Verdict: violation if any entry is certified negative; otherwise
+    inconclusive if any entry is undecided; consistent_with_CM only when
+    every entry is certified positive.
     """
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
@@ -268,7 +266,7 @@ def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     violations, inconclusive = tuple(unresolved[-1]), tuple(unresolved[0])
     if violations:
         verdict = "violation"
-    elif len(inconclusive) > _INCONCLUSIVE_CAP * len(entries):
+    elif inconclusive:
         verdict = "inconclusive"
     else:
         verdict = "consistent_with_CM"

@@ -2,7 +2,9 @@
 
 Callers that map failures to process exit codes treat CapabilityError as a
 "numeric capability" failure (exit 3), DomainError as a usage error (exit 2)
-and everything else as a verification failure.
+and everything else, which is SearchExhaustedError, as a verification
+failure (exit 1).  No CLI call reaches SearchExhaustedError: the CLI sets no
+witness search window.
 """
 
 from __future__ import annotations
@@ -22,7 +24,3 @@ class CapabilityError(PolycmError, ArithmeticError):
 
 class SearchExhaustedError(PolycmError, RuntimeError):
     """A witness search scanned its whole range without a certified point."""
-
-
-class ClassificationError(PolycmError, RuntimeError):
-    """Numeric evidence contradicts the expected classification."""

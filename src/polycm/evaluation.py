@@ -113,13 +113,6 @@ def as_result(x: "EvalResult | float | int") -> EvalResult:
     return EvalResult(float(x), 0.0)
 
 
-def result_sum(parts: list[EvalResult]) -> EvalResult:
-    """Exactly-rounded sum of values; error bounds add, and the half ulp
-    math.fsum rounds the value by is charged as one full ulp."""
-    v = math.fsum([p.value for p in parts])
-    return EvalResult(v, math.fsum([p.abs_error for p in parts]) + ulp(v))
-
-
 class PrecisionConfig:
     """Not part of polycm's API, and nothing in polycm calls it.  Only
     bench/run.py install_spans reads it: it patches for_magnitude by name.

@@ -4,7 +4,8 @@ It lives with the tests, outside the installed package, and it is the only
 module that imports mpmath, so ``import polycm`` never loads it.  It holds the
 brute-force reference series (with guaranteed bounds), the Laplace
 quadrature estimate of psi^(n) (no bound: it serves only the route-agreement
-tolerance), and residuals of identities the certified routes must satisfy.
+tolerance), the EvalResult sum that cm_engine's assembly must match, and
+residuals of identities the certified routes must satisfy.
 It runs on the standard library and mpmath alone.
 """
 
@@ -145,6 +146,19 @@ def polygamma_quadrature(n: int, x: float) -> float:
     points = [0.0, x, n, math.inf] if x < n else [0.0, n, math.inf]
     total = fp.quad(integrand, points) * math.exp(log_gamma_n - n * math.log(x))
     return total if n % 2 == 1 else -total
+
+
+# ---------------------------------------------------------------------------
+# Reference sum
+# ---------------------------------------------------------------------------
+
+
+def result_sum(parts: list[EvalResult]) -> EvalResult:
+    """Exactly-rounded sum of values; error bounds add, and the half ulp
+    math.fsum rounds the value by is charged as one full ulp.  The
+    reference that cm_engine._assemble matches bit for bit."""
+    v = math.fsum([p.value for p in parts])
+    return EvalResult(v, math.fsum([p.abs_error for p in parts]) + ulp(v))
 
 
 # ---------------------------------------------------------------------------

@@ -215,11 +215,36 @@ def test_classify_certified_violation_exits_1(capsys, monkeypatch):
         return report._replace(verdict="violation", violations=(bad,))
 
     monkeypatch.setattr(polycm.classifier, "cm_check", violated_check)
-    with pytest.raises(polycm.ClassificationError, match="violation was certified"):
-        polycm.classify(1, 1)
+    # classify reports the evidence against its verdict and raises nothing
+    entry = polycm.classify(1, 1)
+    assert (entry.verdict, entry.cm_report.verdict) == ("CM_trivial", "violation")
+    # the table is printed, and cli.main alone turns the refutation into exit 1
     code, out, err = run(capsys, ["classify", "--m-max", "1", "--n-max", "1"])
-    assert code == 1 and out == ""
-    assert err.startswith("polycm: verification failure: f[1,1] should be completely")
+    assert code == 1 and err == ""
+    [row] = json.loads(out)["entries"]
+    assert (row["m"], row["n"], row["verdict"], row["cm_verdict"]) == (1, 1, "CM_trivial",
+                                                                       "violation")
+
+
+def test_classify_names_undecided_cm_entries_and_exits_3(capsys):
+    # far out, f[1,2]'s derivatives sink below their bounds: 19 of its 45
+    # CM entries are undecided, so the run prints its table and exits 3,
+    # naming their x
+    argv = ["classify", "--m-max", "1", "--n-max", "2",
+            "--grid-min", "3e6", "--grid-max", "1e8", "--grid-count", "5"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err == ("polycm: numeric capability limit: CM entries inconclusive at x = "
+                   "7208434.2424042635, 17320508.075688824, 41617914.50287827, 100000000.0\n")
+    doc = json.loads(out)
+    assert [(e["m"], e["n"], e["verdict"], e["cm_verdict"], e["cm_inconclusive_points"],
+             e["cm_min_margin"]) for e in doc["entries"]] == [
+        (1, 1, "CM_trivial", "consistent_with_CM", 0, 2.4000001799999954e-39),
+        (1, 2, "CM_nontrivial", "inconclusive", 19, -1.5813910455110007e-28),
+    ]
+    assert doc["findings"] == []
+    assert doc["summary"] == {"CM_nontrivial": 1, "CM_trivial": 1,
+                              "sign_changing_nonmonotonic": 0}
 
 
 def test_usage_errors(capsys):
@@ -234,6 +259,13 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, ["classify", "--m-max", "0"])
     assert code == 2
     assert out == "" and "--m-max" in err
+    # each message names the flag as typed
+    for argv, message in (
+        (["check-cm", "--orders", "-1"], "--orders must be >= 0, got -1"),
+        (["classify", "--orders", "-1"], "--orders must be >= 0, got -1"),
+        (["inequalities", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+    ):
+        assert run(capsys, argv) == (2, "", f"polycm: usage error: {message}\n")
     code, _, err = run(capsys, ["bounds", "--grid-min", "5", "--grid-max", "1"])
     assert code == 2
 
@@ -445,6 +477,20 @@ def test_check_cm_reports_an_inconclusive_run(capsys):
     assert doc["summary"]["inconclusive_fraction"] == pytest.approx(0.6889, abs=1e-4)
     assert len(doc["findings"]) == 31
     assert doc["findings"][0] == "inconclusive at order 0, x=7.20843e+06"
+
+
+def test_check_cm_tolerates_no_undecided_entry(capsys):
+    # 9 of the 1,800 entries (0.5 %) sit past x ~ 3e6, where rounding hides
+    # f[1,2]'s sign; CM is consistent only when every entry is certified
+    code, out, err = run(capsys, ["check-cm", "--m", "1", "--n", "2", "--grid-max", "5e6"])
+    assert code == 3
+    assert err == ("polycm: numeric capability limit: CM entries inconclusive at x = "
+                   "3022754.7952561625, 3342845.7395422356, 3696832.325239496, "
+                   "4088303.890088311, 4521229.860385513, 5000000.0\n")
+    summary = json.loads(out)["summary"]
+    assert summary["verdict"] == "inconclusive"
+    assert (summary["violations"], summary["inconclusive"]) == (0, 9)
+    assert summary["inconclusive_fraction"] == 9 / 1800
 
 
 def test_text_format_ends_with_the_findings(capsys):

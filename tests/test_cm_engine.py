@@ -26,9 +26,9 @@ from polycm import (
     polygamma,
     signed_derivative,
 )
-from polycm.evaluation import result_sum
 from reference import (
     finite_difference_crosscheck,
+    result_sum,
     shift_difference_kernel_check,
     telescoping_check,
 )
@@ -376,15 +376,20 @@ def _classify_fields(entry):
 
 
 def test_cm_check_inconclusive_cap():
-    # f[1,2] is unresolved at x = 1e7 through order 2: 3 entries; the verdict
-    # turns inconclusive only when they are more than 1% of the entries
+    # f[1,2] is unresolved at x = 1e7 through order 2: 3 entries.  No share
+    # of undecided entries is tolerated, however small: 3 of 297 and 3 of
+    # 300 both leave the check inconclusive, and only a grid where every
+    # entry is certified reads consistent_with_CM
     idx = FamilyIndex(1, 2)
     over = cm_check(idx, 2, log_grid(0.01, 100.0, 98) + [1e7])
     assert (len(over.inconclusive_points), len(over.entries)) == (3, 297)
     assert over.verdict == "inconclusive"
     at = cm_check(idx, 2, log_grid(0.01, 100.0, 99) + [1e7])
     assert (len(at.inconclusive_points), len(at.entries)) == (3, 300)
-    assert at.verdict == "consistent_with_CM"
+    assert at.verdict == "inconclusive"
+    assert {e.x for e in at.inconclusive_points} == {1e7}
+    clear = cm_check(idx, 2, log_grid(0.01, 100.0, 99))
+    assert (len(clear.inconclusive_points), clear.verdict) == (0, "consistent_with_CM")
 
 
 def test_cm_grid_validation():

@@ -15,7 +15,8 @@ from polycm import (
     linear_grid,
     log_grid,
 )
-from polycm.evaluation import as_result, result_sum, ulp
+from polycm.evaluation import as_result, ulp
+from reference import result_sum
 
 finite_values = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
