@@ -7,12 +7,7 @@ The verification-only routes that tests compare against are in
 tests/reference.py, outside this package.
 """
 
-from .errors import (
-    CapabilityError,
-    DomainError,
-    PolycmError,
-    SearchExhaustedError,
-)
+from .errors import CapabilityError, DomainError, PolycmError
 from .evaluation import EvalResult, linear_grid, log_grid
 from .polygamma import EULER_GAMMA, digamma, polygamma
 from .kernels import (
@@ -66,7 +61,6 @@ __all__ = [
     "CapabilityError",
     "DomainError",
     "PolycmError",
-    "SearchExhaustedError",
     "EvalResult",
     "linear_grid",
     "log_grid",

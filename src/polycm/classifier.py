@@ -32,8 +32,8 @@ import math
 from typing import Iterator, NamedTuple
 
 from . import checks
-from .errors import CapabilityError, DomainError, SearchExhaustedError
-from .evaluation import EvalResult, log_grid, ulp
+from .errors import CapabilityError, DomainError
+from .evaluation import EvalResult, decide, log_grid, ulp
 # f_value is not called here any more; it stays importable from this module
 # because bench/run.py's span tracer patches classifier.f_value by name.
 from .cm_engine import CMReport, FamilyIndex, cm_check, f_derivative, f_value  # noqa: F401
@@ -174,9 +174,9 @@ class BoundAuditReport(NamedTuple):
     grid: tuple[float, ...]
     entries: tuple[BoundEntry, ...]
     findings: tuple[str, ...]    # printed-bound failures, documented not fatal
-    derived_ok: bool             # no derived bound certified to fail
     printed_p_ok: bool
-    derived_unresolved: tuple[float, ...]  # x where a derived bound is inconclusive
+    refuted: bool                # some derived bound certified to fail
+    undecided: tuple[float, ...]  # x where a derived bound is inconclusive
 
 
 def bound_check(m: int, n: int, grid) -> BoundAuditReport:
@@ -184,9 +184,10 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
 
     Lower bounds should satisfy f' >= bound, upper bounds f' <= bound; a
     status is only "fails" when the violation clears the combined error
-    margin.  Printed-bound failures become findings; derived-bound failures
-    make derived_ok false (and should never happen).  A derived bound that
-    rounding cannot resolve is no failure: its x joins derived_unresolved.
+    margin.  Printed-bound failures become findings.  refuted and undecided
+    are decide's reading of the derived bounds' signs: a derived bound
+    certified to fail refutes (and should never happen), and one that
+    rounding cannot resolve leaves its x undecided.
     """
     m = checks.integer("m", m, 1)
     n = checks.integer("n", n, 1)
@@ -195,6 +196,7 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
     numerators = {name: _bound_numerator(name, m, n) for name in _BOUND_MULTIPLIERS}
     entries: list[BoundEntry] = []
     findings: list[str] = []
+    marks: list[tuple[float, int]] = []
     degree = 2 * m + 2 * n + 3  # above every numerator power
     for x in pts:
         fp = f_derivative(idx, 1, x)
@@ -211,28 +213,29 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
             bounds[name] = b
             rounded = EvalResult(b, ulp(b))
             margin = (fp - rounded) if lower else (rounded - fp)
-            status = _AUDIT_STATUS[margin.certified_sign()]
+            sign = margin.certified_sign()
+            status = _AUDIT_STATUS[sign]
             statuses[name] = status
             margins[name] = margin.value
-            if status == "holds" or name.endswith("derived"):
-                continue
-            if name == "p_printed":
+            if name.endswith("derived"):
+                marks.append((x, sign))
+            elif name == "p_printed" and sign != 1:
                 findings.append(f"printed upper bound {status} at (m={m}, n={n}), "
                                 f"x={x:.6g}: margin {margin.value:.3e}")
-            else:
+            elif sign != 1:
                 findings.append(f"printed lower bound {status} at (m={m}, n={n}), "
                                 f"x={x:.6g}: f'={fp.value:.6e} vs bound {b:.6e}")
         entries.append(BoundEntry(x, fp, bounds, statuses, margins))
-    derived = [(e.statuses["q_derived"], e.statuses["p_derived"]) for e in entries]
+    refuted, undecided = decide(marks)
     return BoundAuditReport(
         m=m,
         n=n,
         grid=pts,
         entries=tuple(entries),
         findings=tuple(findings),
-        derived_ok=all("fails" not in d for d in derived),
         printed_p_ok=all(e.statuses["p_printed"] == "holds" for e in entries),
-        derived_unresolved=tuple(e.x for e, d in zip(entries, derived) if "inconclusive" in d),
+        refuted=refuted,
+        undecided=undecided,
     )
 
 
@@ -339,7 +342,6 @@ class Witness(NamedTuple):
     x_positive is a certified increase point and x_negative a decrease point.
     Both points are powers of two; each value is the midpoint of an exact
     bracket of the quantity there, and each abs_error covers the bracket.
-    Margins are |value| - abs_error, always positive by construction.
     """
 
     kind: str
@@ -347,8 +349,6 @@ class Witness(NamedTuple):
     x_negative: float
     positive: EvalResult
     negative: EvalResult
-    margin_positive: float
-    margin_negative: float
 
 
 def _psi_bracket(k: int, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -423,9 +423,9 @@ def _witness_search(m: int, even_n: int, order: int, kind: str, search: SearchPa
     """Probe f (order 0) or f' (order 1) at the powers of two in the window
     until one point of each sign is certified.
 
-    A probe whose bracket does not fit a double is skipped; when the window
-    runs out with no witness and some probe was skipped, CapabilityError
-    names the count, else SearchExhaustedError.
+    A probe whose bracket does not fit a double is skipped.  A window that
+    runs out with no witness refutes nothing: CapabilityError says how many
+    probes certified each sign and how many were skipped.
     """
     found: dict[int, tuple[float, EvalResult]] = {}
     counts = {1: 0, -1: 0}
@@ -444,12 +444,11 @@ def _witness_search(m: int, even_n: int, order: int, kind: str, search: SearchPa
             if len(found) == 2:
                 break
     else:
-        where = (f"no certified {kind} witness for {FamilyIndex(m, even_n).label()} at the "
-                 f"powers of two in [{search.x_min:g}, {search.x_max:g}]: "
-                 f"{counts[1]} certified positive, {counts[-1]} certified negative")
-        if skipped:
-            raise CapabilityError(f"{where}, {skipped} outside the double range")
-        raise SearchExhaustedError(where)
+        raise CapabilityError(
+            f"no certified {kind} witness for {FamilyIndex(m, even_n).label()} at the "
+            f"powers of two in [{search.x_min:g}, {search.x_max:g}]: "
+            f"{counts[1]} certified positive, {counts[-1]} certified negative, "
+            f"{skipped} outside the double range")
     (xp, ep), (xn, en) = found[1], found[-1]
     return Witness(
         kind=kind,
@@ -457,8 +456,6 @@ def _witness_search(m: int, even_n: int, order: int, kind: str, search: SearchPa
         x_negative=xn,
         positive=ep,
         negative=en,
-        margin_positive=ep.value - ep.abs_error,
-        margin_negative=-en.value - en.abs_error,
     )
 
 
@@ -477,9 +474,8 @@ def find_sign_change(m: int, even_n: int, search: SearchParams = DEFAULT_SEARCH)
 
     The envelope signs give f opposite signs near 0 and near infinity, but
     a window need not reach both regimes, nor certify a probe there: a
-    narrow window like [1.1, 1.9] raises SearchExhaustedError, and (16,32)
-    at the default window raises CapabilityError, its brackets leaving the
-    doubles.
+    narrow window like [1.1, 1.9] and (16,32) at the default window, whose
+    brackets leave the doubles, both raise CapabilityError.
     """
     m, even_n = _validate_even_pair(m, even_n)
     return _witness_search(m, even_n, 0, "sign_change", search)
@@ -526,8 +522,9 @@ def classify(
 
     CM verdicts carry a grid CM report, whatever its verdict: the report can
     back the rule, refute it (a certified violation) or leave it undecided,
-    and the caller reads which.  The sign-changing verdict carries both
-    witness kinds; a search that certifies none raises SearchExhaustedError.
+    and the caller reads refuted and undecided.  The sign-changing verdict
+    carries both witness kinds; a search that certifies none raises
+    CapabilityError.
     """
     idx = FamilyIndex(m, n)
     m, n = idx

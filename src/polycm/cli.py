@@ -14,13 +14,15 @@ each bound is what the one closed series behind each value guarantees.
 
 Exit codes: 2 for a usage error (including an --out path that cannot be
 written), 3 for a numeric capability error (a polygamma order above the
-cap of 120, or a computed magnitude that leaves the double range).
-Otherwise each handler reports what it certified against the paper's claim
-and the points that rounding left undecided, and main alone picks the
-code: 1 if anything was refuted, else 3 if any point is undecided (named
-on stderr), else 0.  check-cm and classify name the x of every undecided
-CM entry: check-cm --m 1 --n 2 --grid-max 5e6 and classify --m-max 1
---n-max 2 --grid-min 3e6 --grid-max 1e8 --grid-count 5 both exit 3.
+cap of 120, a computed magnitude that leaves the double range, or a witness
+search that certifies no point of a sign).  Otherwise each handler returns
+its report's refuted and undecided, which evaluation.decide read from the
+certified signs (classify merges those of its CM reports), and main alone
+picks the code: 1 if anything was refuted, else 3 if any point is
+undecided (named on stderr), else 0.  check-cm and classify name the x of
+every undecided CM entry: check-cm --m 1 --n 2 --grid-max 5e6 and classify
+--m-max 1 --n-max 2 --grid-min 3e6 --grid-max 1e8 --grid-count 5 both
+exit 3.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .classifier import (
     classify,
 )
 from .cm_engine import CMReport, FamilyIndex, cm_check
-from .errors import CapabilityError, DomainError, PolycmError
+from .errors import CapabilityError, DomainError
 from .evaluation import linear_grid, log_grid
 from .inequalities import BoundsSuiteReport, bounds_suite
 from .kernels import KernelId, kernel_report
@@ -98,16 +100,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # Command implementations: each takes the parsed arguments and returns its
-# document, whether anything was certified against the claim, and the label,
-# variable and points of what rounding left undecided
+# document, its report's refuted, and the label, variable and points of its
+# report's undecided
 # ---------------------------------------------------------------------------
 
 Outcome = tuple[dict, bool, tuple[str, str, Sequence[float]]]
 
 
 def _grid(args: argparse.Namespace) -> list[float]:
+    lo = checks.positive_real("--grid-min", args.grid_min)
+    hi = checks.finite("--grid-max", args.grid_max)
+    count = checks.integer("--grid-count", args.grid_count, 2)
+    if not lo < hi:
+        raise DomainError(f"--grid-min must be below --grid-max, got {lo!r} and {hi!r}")
     make = linear_grid if args.grid_scale == "linear" else log_grid
-    return make(args.grid_min, args.grid_max, args.grid_count)
+    return make(lo, hi, count)
 
 
 def _config_doc(args: argparse.Namespace, **extra) -> dict:
@@ -126,7 +133,7 @@ def _classification_row(entry: ClassificationEntry) -> dict:
     rep = entry.cm_report
     cm = (None,) * 3 if rep is None else (
         rep.verdict,
-        len(rep.inconclusive_points),
+        sum(e.status == "inconclusive" for e in rep.entries),
         min(e.signed_value.value - e.signed_value.abs_error for e in rep.entries),
     )
     row.update(zip(("cm_verdict", "cm_inconclusive_points", "cm_min_margin"), cm))
@@ -160,8 +167,8 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
             entries.append(_classification_row(entry))
             rep = entry.cm_report
             if rep is not None:
-                refuted |= rep.verdict == "violation"
-                undecided.update(e.x for e in rep.inconclusive_points)
+                refuted |= rep.refuted
+                undecided.update(rep.undecided)
     doc = {
         "config": _config_doc(args, m_max=m_max, n_max=n_max, orders=orders),
         "entries": entries,
@@ -172,7 +179,8 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_check_cm(args: argparse.Namespace) -> Outcome:
-    idx, grid = FamilyIndex(args.m, args.n), _grid(args)
+    idx = FamilyIndex(checks.integer("--m", args.m, 1), checks.integer("--n", args.n, 1))
+    grid = _grid(args)
     report: CMReport = cm_check(idx, checks.integer("--orders", args.orders, 0), grid)
     entries = [
         {
@@ -184,13 +192,15 @@ def cmd_check_cm(args: argparse.Namespace) -> Outcome:
         }
         for e in report.entries
     ]
+    violations = [e for e in report.entries if e.status == "violation"]
+    inconclusive = [e for e in report.entries if e.status == "inconclusive"]
     findings = [
         f"certified violation at order {e.order}, x={e.x:.6g}: "
         f"value {e.signed_value.value:.6e}, error {e.signed_value.abs_error:.3e}"
-        for e in report.violations
+        for e in violations
     ] + [
         f"inconclusive at order {e.order}, x={e.x:.6g}"
-        for e in report.inconclusive_points
+        for e in inconclusive
     ]
     doc = {
         "config": _config_doc(args, m=args.m, n=args.n, orders=args.orders),
@@ -198,13 +208,12 @@ def cmd_check_cm(args: argparse.Namespace) -> Outcome:
         "findings": findings,
         "summary": {
             "verdict": report.verdict,
-            "violations": len(report.violations),
-            "inconclusive": len(report.inconclusive_points),
-            "inconclusive_fraction": report.inconclusive_fraction,
+            "violations": len(violations),
+            "inconclusive": len(inconclusive),
+            "inconclusive_fraction": len(inconclusive) / max(1, len(report.entries)),
         },
     }
-    xs = sorted({e.x for e in report.inconclusive_points})
-    return doc, report.verdict == "violation", ("CM entries", "x", xs)
+    return doc, report.refuted, ("CM entries", "x", report.undecided)
 
 
 def cmd_kernels(args: argparse.Namespace) -> Outcome:
@@ -228,7 +237,7 @@ def cmd_kernels(args: argparse.Namespace) -> Outcome:
             "min_range_margin": report.min_range_margin,
         },
     }
-    return doc, report.refuted, ("kernel steps and distances", "t", report.unresolved)
+    return doc, report.refuted, ("kernel steps and distances", "t", report.undecided)
 
 
 def cmd_inequalities(args: argparse.Namespace) -> Outcome:
@@ -265,12 +274,12 @@ def cmd_inequalities(args: argparse.Namespace) -> Outcome:
             "min_upper_margin": report.min_upper_margin,
         },
     }
-    xs = sorted({r.x for r in report.failures})
-    return doc, bool(report.violations), ("inequality margins", "x", xs)
+    return doc, report.refuted, ("inequality margins", "x", report.undecided)
 
 
 def cmd_bounds(args: argparse.Namespace) -> Outcome:
-    report: BoundAuditReport = bound_check(args.m, args.n, _grid(args))
+    m, n = checks.integer("--m", args.m, 1), checks.integer("--n", args.n, 1)
+    report: BoundAuditReport = bound_check(m, n, _grid(args))
     entries = []
     for e in report.entries:
         row: dict = {"x": e.x, "f_prime": e.f_prime.value,
@@ -285,12 +294,12 @@ def cmd_bounds(args: argparse.Namespace) -> Outcome:
         "entries": entries,
         "findings": list(report.findings),
         "summary": {
-            "derived_ok": report.derived_ok,
+            "derived_ok": not report.refuted,
             "printed_p_ok": report.printed_p_ok,
             "printed_findings": len(report.findings),
         },
     }
-    return doc, not report.derived_ok, ("derived bounds", "x", report.derived_unresolved)
+    return doc, report.refuted, ("derived bounds", "x", report.undecided)
 
 
 _COMMANDS = {
@@ -365,9 +374,6 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"polycm: numeric capability error: {exc}", file=sys.stderr)
         return 3
-    except PolycmError as exc:
-        print(f"polycm: verification failure: {exc}", file=sys.stderr)
-        return 1
     rendered = _RENDERERS[args.fmt](doc)
     if args.out:
         try:

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from . import checks
 from .errors import CapabilityError
-from .evaluation import EvalResult, ulp
+from .evaluation import EvalResult, decide, ulp
 from .polygamma import ORDER_CAP, polygamma
 
 # Builds a record without its own __new__: an EvalResult only right after
@@ -230,52 +230,41 @@ class CMReport(NamedTuple):
     grid: tuple[float, ...]
     entries: tuple[CMEntry, ...]
     verdict: str  # "consistent_with_CM" | "violation" | "inconclusive"
-    violations: tuple[CMEntry, ...]
-    inconclusive_points: tuple[CMEntry, ...]
-
-    @property
-    def inconclusive_fraction(self) -> float:
-        return len(self.inconclusive_points) / max(1, len(self.entries))
+    refuted: bool  # some entry certified negative
+    undecided: tuple[float, ...]  # x of the entries that rounding leaves undecided
 
 
 def cm_check(idx: FamilyIndex, max_order: int, grid) -> CMReport:
     """Evaluate (-1)^l f^(l) for l = 0..max_order over the grid.
 
-    Verdict: violation if any entry is certified negative; otherwise
-    inconclusive if any entry is undecided; consistent_with_CM only when
-    every entry is certified positive.
+    refuted and undecided are decide's reading of the entries' signs.
+    Verdict: violation if refuted; otherwise inconclusive if any x is
+    undecided; consistent_with_CM only when every entry is certified
+    positive.
     """
     max_order = checks.integer("max_order", max_order, 0)
     pts = checks.grid(grid)
     _check_cap(idx, max_order)
     rows, kept = _grid_rows(pts), _squares(pts, idx.m)
     entries: list[CMEntry] = []
-    unresolved: dict[int, list[CMEntry]] = {0: [], -1: []}
+    marks: list[tuple[float, int]] = []
     for order in range(max_order + 1):
         column = kept.get(order, [])
         results = _assemble(idx, order, pts, rows, column, (-1.0) ** order)
         kept[order] = column  # after the pass: a raise keeps no partial column
         signs = list(map(EvalResult.certified_sign, results))
-        added = list(map(_tuple_new, repeat(CMEntry),
-                         zip(repeat(order), pts, results, map(_STATUS.__getitem__, signs))))
-        entries += added
-        if min(signs) < 1:
-            for s, entry in zip(signs, added):
-                if s < 1:
-                    unresolved[s].append(entry)
-    violations, inconclusive = tuple(unresolved[-1]), tuple(unresolved[0])
-    if violations:
-        verdict = "violation"
-    elif inconclusive:
-        verdict = "inconclusive"
-    else:
-        verdict = "consistent_with_CM"
+        entries += map(_tuple_new, repeat(CMEntry),
+                       zip(repeat(order), pts, results, map(_STATUS.__getitem__, signs)))
+        if min(signs) < 1:  # an all-positive column adds no marks
+            marks += zip(pts, signs)
+    refuted, undecided = decide(marks)
     return CMReport(
         index=idx,
         max_order=max_order,
         grid=pts,
         entries=tuple(entries),
-        verdict=verdict,
-        violations=violations,
-        inconclusive_points=inconclusive,
+        verdict=("violation" if refuted else
+                 "inconclusive" if undecided else "consistent_with_CM"),
+        refuted=refuted,
+        undecided=undecided,
     )

@@ -1,10 +1,10 @@
 """Exception taxonomy shared across the package.
 
 Callers that map failures to process exit codes treat CapabilityError as a
-"numeric capability" failure (exit 3), DomainError as a usage error (exit 2)
-and everything else, which is SearchExhaustedError, as a verification
-failure (exit 1).  No CLI call reaches SearchExhaustedError: the CLI sets no
-witness search window.
+"numeric capability" failure (exit 3) and DomainError as a usage error
+(exit 2).  No exception means a verification failure: a refutation is a
+certified sign that a report returns, read by evaluation.decide, and the
+CLI turns it into exit 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,3 @@ class DomainError(PolycmError, ValueError):
 
 class CapabilityError(PolycmError, ArithmeticError):
     """The request exceeds what double precision / configured caps support."""
-
-
-class SearchExhaustedError(PolycmError, RuntimeError):
-    """A witness search scanned its whole range without a certified point."""

@@ -97,13 +97,24 @@ class EvalResult(_EvalResultFields):
     def certified_sign(self, factor: float = 1.0) -> int:
         """+1 when value > factor * abs_error, -1 when value < -factor *
         abs_error, 0 otherwise.  The one rule by which polycm issues a
-        verdict: a sign counts only when the value clears its bound."""
+        verdict: a sign counts only when the value clears its bound.
+        decide is the one reading of the signs a report collects."""
         bound = factor * self.abs_error
         if self.value > bound:
             return 1
         if self.value < -bound:
             return -1
         return 0
+
+
+def decide(marks) -> tuple[bool, tuple[float, ...]]:
+    """The one reading of certified signs: marks are the (point, sign) of
+    each margin a report read by EvalResult.certified_sign, the one rule.
+    Returns (refuted, undecided): whether any sign is -1, and the sorted
+    distinct points whose sign is 0."""
+    marks = tuple(marks)
+    return (any(sign == -1 for _, sign in marks),
+            tuple(sorted({point for point, sign in marks if sign == 0})))
 
 
 def as_result(x: "EvalResult | float | int") -> EvalResult:

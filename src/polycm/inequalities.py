@@ -5,9 +5,11 @@
 
 Both are strict on (0, inf); a check passes only when each margin exceeds
 twice the evaluation's abs_error plus the bound's own rounding, so numeric
-noise can never fake strictness.  The upper digamma margin decays like
-1/(12 x^2), which is why margins are assembled with fsum instead of chains
-of subtractions.  digamma and polygamma take no error budget: each margin
+noise can never fake strictness.  Margins are read at that factor 2 both
+ways: the suite's refutations and undecided points are decide's reading of
+the failed rows' margins by certified_sign(2.0).  The upper digamma margin
+decays like 1/(12 x^2), which is why margins are assembled with fsum
+instead of chains of subtractions.  digamma and polygamma take no error budget: each margin
 is weighed against the bound their one closed series guarantees.
 """
 
@@ -17,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from . import checks
-from .evaluation import EvalResult, ulp
+from .evaluation import EvalResult, decide, ulp
 from .polygamma import digamma, polygamma
 
 _EPS = 2.0 ** -52
@@ -113,19 +115,8 @@ class BoundsSuiteReport(NamedTuple):
     failures: tuple[InequalityResult, ...]
     min_lower_margin: float
     min_upper_margin: float
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def violations(self) -> tuple[InequalityResult, ...]:
-        """Failures with a margin certified negative, where the inequality
-        is broken; rounding leaves the other failures unresolved."""
-        return tuple(
-            r for r in self.failures
-            if any(EvalResult(m, r.margin_error).certified_sign() == -1 for m in r.margins)
-        )
+    refuted: bool  # a failed row's margin certified negative
+    undecided: tuple[float, ...]  # x of the failed rows' undecided margins
 
 
 def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
@@ -140,6 +131,8 @@ def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
         for x in pts:
             results.append(polygamma_bounds_check(k, x))
     failures = tuple(r for r in results if not r.passed)
+    refuted, undecided = decide((r.x, EvalResult(m, r.margin_error).certified_sign(2.0))
+                                for r in failures for m in r.margins)
     min_lo = min((r.margins[0] for r in results), default=math.inf)
     min_hi = min((r.margins[1] for r in results), default=math.inf)
     return BoundsSuiteReport(
@@ -149,4 +142,6 @@ def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
         failures=failures,
         min_lower_margin=min_lo,
         min_upper_margin=min_hi,
+        refuted=refuted,
+        undecided=undecided,
     )

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import checks
 from .errors import CapabilityError, DomainError
-from .evaluation import EvalResult, ulp
+from .evaluation import EvalResult, decide, ulp
 
 _KINDS = ("h", "omega", "tanh", "kappa")
 
@@ -228,7 +228,7 @@ class KernelReport(NamedTuple):
     range_passed: bool
     min_range_margin: float
     refuted: bool  # some step or distance certified against the kernel
-    unresolved: tuple[float, ...]  # t of the steps and distances left undecided
+    undecided: tuple[float, ...]  # t of the steps and distances left undecided
     diagnostics: tuple[str, ...] = ()
 
 
@@ -243,10 +243,10 @@ def kernel_report(
     A step goes the known direction when the first distance to decide it
     says so; the range needs every distance certified positive.  A verdict
     of none is a refusal to certify, not a refutation; diagnostics list the
-    offending comparisons.  refuted says whether a step or a distance is
-    certified against the kernel; unresolved holds the t of the steps and
-    distances that rounding leaves undecided, such as a distance that has
-    underflowed to 0.
+    offending comparisons.  refuted and undecided are decide's reading of
+    the signs of the steps (marked at both ends) and of the distances:
+    whether one is certified against the kernel, and the t of those that
+    rounding leaves undecided, such as a distance that has underflowed to 0.
     """
     grid = checks.grid(grid, 2)  # adjacent comparisons need two points
     facts = _facts(kernel)
@@ -255,7 +255,6 @@ def kernel_report(
              for end in facts.ends]
     live = [(sense, d) for sense, d in zip((1, -1), dists) if d is not None]
     diagnostics: list[str] = []
-    unsure: set[float] = set()
 
     # +1 where a step goes the known direction: the distance from the limit
     # at 0 grows, or the one from the limit at inf shrinks; -1 against it.
@@ -263,9 +262,9 @@ def kernel_report(
     steps = [0] * (len(grid) - 1)
     for sense, d in live:
         steps = [s or sense * (b - a).certified_sign() for s, a, b in zip(steps, d, d[1:])]
+    marks = [(t, s) for i, s in enumerate(steps) for t in grid[i:i + 2]]
     first = live[0][1]
     for i in (i for i, s in enumerate(steps) if s == 0):
-        unsure.update(grid[i:i + 2])
         diff = first[i + 1] - first[i]
         diagnostics.append(
             f"inconclusive step at t={grid[i]:.6g}..{grid[i+1]:.6g}: "
@@ -282,16 +281,13 @@ def kernel_report(
     # range membership: every distance certified positive
     min_margin = math.inf
     range_ok = True
-    refuted = -1 in steps
     for i, t in enumerate(grid):
         for margin in (d[i] for _, d in live):
             min_margin = min(min_margin, margin.value - margin.abs_error)
             sign = margin.certified_sign()
             if sign != 1:
                 range_ok = False
-                refuted = refuted or sign == -1
-                if sign == 0:
-                    unsure.add(t)
+                marks.append((t, sign))
                 diagnostics.append(
                     f"range margin not cleared at t={t:.6g}: "
                     f"{margin.value:.3e} within error {margin.abs_error:.3e}"
@@ -308,6 +304,7 @@ def kernel_report(
             limits.append(LimitCheck(end, limit[0], d[idx].value,
                                      outer == 1 and d[idx].certified_sign() == 1))
 
+    refuted, undecided = decide(marks)
     return KernelReport(
         kernel=kernel,
         grid=grid,
@@ -319,6 +316,6 @@ def kernel_report(
         range_passed=range_ok,
         min_range_margin=min_margin,
         refuted=refuted,
-        unresolved=tuple(sorted(unsure)),
+        undecided=undecided,
         diagnostics=tuple(diagnostics),
     )

@@ -72,8 +72,7 @@ def test_criterion_2_cm_numeric_suite():
     for idx in indices:
         rep = cm_check(idx, 8, grid)
         assert rep.verdict == "consistent_with_CM", idx.label()
-        assert not rep.violations, idx.label()
-        assert rep.inconclusive_fraction <= 0.01, idx.label()
+        assert not rep.refuted and rep.undecided == (), idx.label()
     print(f"criterion 2: PASS - {len(indices)} members clean through "
           "order 8 on 200 grid points")
 
@@ -156,7 +155,7 @@ def test_criterion_7_bounds_audit():
     for m in range(1, 5):
         for n in range(1, 5):
             rep = bound_check(m, n, grid)
-            assert rep.derived_ok, (m, n)
+            assert not rep.refuted and rep.undecided == (), (m, n)
             assert rep.printed_p_ok, (m, n)
     flagged = bound_check(1, 1, [2.0])
     entry = flagged.entries[0]

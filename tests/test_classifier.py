@@ -30,7 +30,6 @@ from polycm import (
     q_printed,
 )
 from polycm import classifier
-from polycm.errors import SearchExhaustedError
 
 
 # -- exact polynomial plumbing ----------------------------------------------
@@ -129,7 +128,7 @@ def test_polynomial_family_validation():
 
 def test_bound_audit_derived_and_upper_hold(small_log_grid):
     rep = bound_check(4, 4, small_log_grid)
-    assert rep.derived_ok
+    assert not rep.refuted and rep.undecided == ()
     assert rep.printed_p_ok
     for e in rep.entries:
         assert e.statuses["q_derived"] == "holds"
@@ -143,7 +142,7 @@ def test_bound_audit_derived_and_upper_hold(small_log_grid):
 
 def test_bound_audit_reports_printed_q_discrepancy():
     rep = bound_check(1, 1, [2.0])
-    assert rep.derived_ok and rep.printed_p_ok
+    assert not rep.refuted and rep.undecided == () and rep.printed_p_ok
     entry = rep.entries[0]
     assert entry.statuses["q_printed"] == "fails"
     assert rep.findings
@@ -228,7 +227,7 @@ def test_sign_change_witness_certified():
     assert 1e-3 <= w.x_positive <= 1e3 and 1e-3 <= w.x_negative <= 1e3
     assert w.positive.value > 10.0 * w.positive.abs_error
     assert w.negative.value < -10.0 * w.negative.abs_error
-    assert w.margin_positive > 0.0 and w.margin_negative > 0.0
+    assert w.positive.certified_sign(10) == 1 and w.negative.certified_sign(10) == -1
 
 
 def test_nonmonotonic_witness_certified():
@@ -245,8 +244,9 @@ def test_witness_exists_for_every_even_member():
                 continue
             sw = find_sign_change(m, 2 * v)
             mw = find_nonmonotonic(m, 2 * v)
-            assert sw.margin_positive > 0.0 and sw.margin_negative > 0.0
-            assert mw.margin_positive > 0.0 and mw.margin_negative > 0.0
+            for w in (sw, mw):
+                assert w.positive.certified_sign(10) == 1
+                assert w.negative.certified_sign(10) == -1
 
 
 def test_witness_rejected_for_cm_members():
@@ -331,15 +331,17 @@ def test_default_window_fails_fast_past_the_double_range():
 
 
 def test_window_without_witness_raises():
-    # no power of two in (1.1, 1.9)
-    with pytest.raises(SearchExhaustedError, match="0 certified positive, 0 certified negative"):
+    # a window that runs out refutes nothing: it is a capability limit that
+    # names the skipped probes.  No power of two lies in (1.1, 1.9)
+    with pytest.raises(CapabilityError, match="0 certified positive, 0 certified negative, "
+                                              "0 outside the double range"):
         find_sign_change(2, 2, SearchParams(1.1, 1.9))
     # classify lets the search's own error through
-    with pytest.raises(SearchExhaustedError, match="0 certified positive, 0 certified negative"):
+    with pytest.raises(CapabilityError, match="0 certified positive, 0 certified negative"):
         classify(2, 2, search=SearchParams(1.1, 1.9))
     # f[2,2] is positive below its sign change near 2.4, so this window
     # holds no negative point
-    with pytest.raises(SearchExhaustedError, match="certified negative"):
+    with pytest.raises(CapabilityError, match="0 certified negative, 0 outside"):
         find_sign_change(2, 2, SearchParams(1e-3, 1.5))
 
 

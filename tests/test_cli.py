@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import textwrap
 import pytest
 
 import polycm
+from polycm import cm_engine
 from polycm.cli import main
 
 CLASSIFY_SMALL = [
@@ -132,7 +134,7 @@ def test_kernels_refutation_outranks_undecided_points(capsys, monkeypatch):
     monkeypatch.setattr(polycm.kernels, "omega", pinned)
     monkeypatch.setattr(polycm.kernels, "omega_plus_one", lambda t: pinned(t) + 1.0)
     rep = polycm.kernel_report(polycm.KernelId("omega"), [1.0, 2.0, 3.0])
-    assert rep.refuted and rep.unresolved == (1.0, 2.0)
+    assert rep.refuted and rep.undecided == (1.0, 2.0)
     argv = ["kernels", "--kernel", "omega", "--grid-min", "1", "--grid-max", "3",
             "--grid-count", "3", "--grid-scale", "linear"]
     code, out, err = run(capsys, argv)
@@ -191,30 +193,76 @@ def test_inequalities_unresolved_margins_exit_3(capsys):
     assert doc["summary"]["failures"] == len(doc["findings"]) == 4
 
 
+# x = 1 is the middle point: |psi'(1)| is bounded by 1.5 < |psi'| < 2
+INEQUALITIES_AT_1 = ["inequalities", "--k-max", "1", "--grid-min", "0.5", "--grid-max", "1.5",
+                     "--grid-count", "3", "--grid-scale", "linear"]
+
+
+def _plant_psi1_at_1(monkeypatch, planted):
+    """psi'(1) planted below the inequality suite: its own checks and its
+    own reading of their margins then run on it."""
+    real = polycm.inequalities.polygamma
+    monkeypatch.setattr(polycm.inequalities, "polygamma",
+                        lambda k, x: planted if (k, x) == (1, 1.0) else real(k, x))
+
+
 def test_inequalities_violated_margin_exits_1(capsys, monkeypatch):
-    # both inequalities hold, so a certified-negative margin must be planted
-    suite = polycm.cli.bounds_suite
-
-    def broken_suite(*args):
-        report = suite(*args)
-        bad = report.results[0]._replace(margins=(1.0, -1.0), passed=False)
-        return report._replace(failures=(bad,))
-
-    monkeypatch.setattr(polycm.cli, "bounds_suite", broken_suite)
-    code, _, err = run(capsys, ["inequalities", "--k-max", "1", "--grid-count", "4"])
+    # both inequalities hold, so a certified-negative margin must be
+    # planted: |psi'(1)| = 0.5 puts the lower margin at 0.5 - 1.5 = -1
+    _plant_psi1_at_1(monkeypatch, polycm.EvalResult(0.5, 1e-16))
+    rep = polycm.bounds_suite(1, [0.5, 1.0, 1.5])
+    [row] = rep.failures
+    assert (row.k, row.x, row.margins[0], row.passed) == (1, 1.0, -1.0, False)
+    assert rep.refuted and rep.undecided == ()
+    code, out, err = run(capsys, INEQUALITIES_AT_1)
     assert code == 1 and err == ""
+    assert json.loads(out)["summary"]["failures"] == 1
 
 
-def test_classify_certified_violation_exits_1(capsys, monkeypatch):
+def test_inequality_margin_inside_twice_its_error_is_undecided(capsys, monkeypatch):
+    # a margin of 1.5 times its error clears the error once but not twice:
+    # the suite reads margins at factor 2 in both the check and the verdict,
+    # so the row fails and is left undecided, neither passed nor refuted
+    error = 2.0**-30
+    margin_error = error + 2.0 * math.ulp(2.0)
+    _plant_psi1_at_1(monkeypatch, polycm.EvalResult(1.5 + 1.5 * margin_error, error))
+    rep = polycm.bounds_suite(1, [0.5, 1.0, 1.5])
+    [row] = rep.failures
+    assert row.margin_error == margin_error
+    assert row.margins[0] == pytest.approx(1.5 * margin_error, rel=1e-6)
+    assert not row.passed
+    assert not rep.refuted and rep.undecided == (1.0,)
+    code, _, err = run(capsys, INEQUALITIES_AT_1)
+    assert code == 3
+    assert err == "polycm: numeric capability limit: inequality margins inconclusive at x = 1.0\n"
+
+
+@pytest.fixture
+def planted_cm_violation(monkeypatch):
+    """psi'(100) planted at -0.5 below the CM engine: f[1,1] = [psi']^2 +
+    psi' is then -0.25 at x = 100, the last point of classify's default
+    grid, certified negative.  The kept grid rows are cleared before and
+    after, so neither a real nor a planted psi outlives the test."""
+    real = cm_engine.polygamma
+
+    def planted(k, x):
+        return polycm.EvalResult(-0.5, 1e-16) if (k, x) == (1, 100.0) else real(k, x)
+
+    def clear():
+        cm_engine._grid_rows.cache_clear()
+        cm_engine._squares.cache_clear()
+
+    clear()
+    monkeypatch.setattr(cm_engine, "polygamma", planted)
+    yield
+    clear()
+
+
+def test_classify_certified_violation_exits_1(capsys, planted_cm_violation):
     # every CM member is CM, so a certified violation must be planted
-    check = polycm.classifier.cm_check
-
-    def violated_check(*args):
-        report = check(*args)
-        bad = report.entries[0]._replace(status="violation")
-        return report._replace(verdict="violation", violations=(bad,))
-
-    monkeypatch.setattr(polycm.classifier, "cm_check", violated_check)
+    rep = polycm.cm_check(polycm.FamilyIndex(1, 1), 4, [1.0, 10.0, 100.0])
+    assert (rep.verdict, rep.refuted) == ("violation", True)
+    assert [(e.order, e.x) for e in rep.entries if e.status == "violation"] == [(0, 100.0)]
     # classify reports the evidence against its verdict and raises nothing
     entry = polycm.classify(1, 1)
     assert (entry.verdict, entry.cm_report.verdict) == ("CM_trivial", "violation")
@@ -264,6 +312,15 @@ def test_usage_errors(capsys):
         (["check-cm", "--orders", "-1"], "--orders must be >= 0, got -1"),
         (["classify", "--orders", "-1"], "--orders must be >= 0, got -1"),
         (["inequalities", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+        (["check-cm", "--m", "0"], "--m must be >= 1, got 0"),
+        (["check-cm", "--n", "0"], "--n must be >= 1, got 0"),
+        (["bounds", "--m", "0"], "--m must be >= 1, got 0"),
+        (["bounds", "--n", "0"], "--n must be >= 1, got 0"),
+        (["classify", "--grid-count", "1"], "--grid-count must be >= 2, got 1"),
+        (["classify", "--grid-min", "0"], "--grid-min must be a finite positive real, got 0.0"),
+        (["kernels", "--grid-max", "nan"], "--grid-max must be finite, got nan"),
+        (["check-cm", "--grid-min", "5", "--grid-max", "1"],
+         "--grid-min must be below --grid-max, got 5.0 and 1.0"),
     ):
         assert run(capsys, argv) == (2, "", f"polycm: usage error: {message}\n")
     code, _, err = run(capsys, ["bounds", "--grid-min", "5", "--grid-max", "1"])

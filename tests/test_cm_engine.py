@@ -95,14 +95,14 @@ def test_cm_check_consistent_for_cm_members():
     for m, n in ((1, 2), (3, 5)):
         rep = cm_check(FamilyIndex(m, n), 8, grid)
         assert rep.verdict == "consistent_with_CM"
-        assert not rep.violations
-        assert rep.inconclusive_fraction == 0.0
+        assert not rep.refuted and rep.undecided == ()
+        assert {e.status for e in rep.entries} == {"positive"}
 
 
 def test_cm_check_flags_certified_violation():
     rep = cm_check(FamilyIndex(2, 2), 0, [1.0, 3.0, 10.0])
-    assert rep.verdict == "violation"
-    worst = rep.violations[0]
+    assert rep.verdict == "violation" and rep.refuted
+    worst = [e for e in rep.entries if e.status == "violation"][0]
     assert worst.signed_value.certified_sign() == -1
     assert worst.x in (3.0, 10.0)
 
@@ -375,6 +375,10 @@ def _classify_fields(entry):
     return entry.verdict, entry.sign_witness, entry.monotonicity_witness
 
 
+def _inconclusive(report):
+    return sum(e.status == "inconclusive" for e in report.entries)
+
+
 def test_cm_check_inconclusive_cap():
     # f[1,2] is unresolved at x = 1e7 through order 2: 3 entries.  No share
     # of undecided entries is tolerated, however small: 3 of 297 and 3 of
@@ -382,14 +386,15 @@ def test_cm_check_inconclusive_cap():
     # entry is certified reads consistent_with_CM
     idx = FamilyIndex(1, 2)
     over = cm_check(idx, 2, log_grid(0.01, 100.0, 98) + [1e7])
-    assert (len(over.inconclusive_points), len(over.entries)) == (3, 297)
-    assert over.verdict == "inconclusive"
+    assert (_inconclusive(over), len(over.entries)) == (3, 297)
+    assert over.verdict == "inconclusive" and not over.refuted
     at = cm_check(idx, 2, log_grid(0.01, 100.0, 99) + [1e7])
-    assert (len(at.inconclusive_points), len(at.entries)) == (3, 300)
-    assert at.verdict == "inconclusive"
-    assert {e.x for e in at.inconclusive_points} == {1e7}
+    assert (_inconclusive(at), len(at.entries)) == (3, 300)
+    assert at.verdict == "inconclusive" and not at.refuted
+    assert at.undecided == (1e7,)
     clear = cm_check(idx, 2, log_grid(0.01, 100.0, 99))
-    assert (len(clear.inconclusive_points), clear.verdict) == (0, "consistent_with_CM")
+    assert (_inconclusive(clear), clear.verdict) == (0, "consistent_with_CM")
+    assert clear.undecided == ()
 
 
 def test_cm_grid_validation():

@@ -15,7 +15,7 @@ from polycm import (
     linear_grid,
     log_grid,
 )
-from polycm.evaluation import as_result, ulp
+from polycm.evaluation import as_result, decide, ulp
 from reference import result_sum
 
 finite_values = st.floats(
@@ -142,6 +142,21 @@ def test_sign_certification_boundaries(factor):
     assert EvalResult(math.nextafter(factor * err, math.inf), err).certified_sign(factor) == 1
     assert EvalResult(math.nextafter(-factor * err, -math.inf), err).certified_sign(factor) == -1
     assert EvalResult(0.0, 0.0).certified_sign(factor) == 0
+
+
+def test_decide_reads_refutations_and_undecided_points():
+    assert decide([]) == (False, ())
+    assert decide([(2.0, 1), (1.0, 1)]) == (False, ())
+    # a sign of 0 refutes nothing: its point is undecided, each point once,
+    # in increasing order
+    assert decide([(3.0, 0), (1.0, 1), (2.0, 0), (3.0, 0)]) == (False, (2.0, 3.0))
+    # a sign of -1 refutes, and its point is not undecided
+    assert decide([(1.0, -1), (2.0, 0), (3.0, 1)]) == (True, (2.0,))
+    assert decide(iter([(1.0, -1), (1.0, 1)])) == (True, ())
+    # the signs of certified_sign, read as a report reads them
+    margins = [(1.0, EvalResult(1.0, 0.1)), (2.0, EvalResult(0.05, 0.1)), (3.0, EvalResult(0.3, 0.1))]
+    assert decide((x, r.certified_sign(2.0)) for x, r in margins) == (False, (2.0,))
+    assert decide((x, (-r).certified_sign(2.0)) for x, r in margins) == (True, (2.0,))
 
 
 def test_log_grid_shape():

@@ -58,7 +58,7 @@ def test_suite_layout_and_success():
     rep = bounds_suite(3, grid)
     assert len(rep.results) == 4 * len(grid)
     assert all(r.k == 0 for r in rep.results[: len(grid)])
-    assert rep.all_passed and not rep.failures
+    assert not rep.failures and not rep.refuted and rep.undecided == ()
     assert rep.min_lower_margin > 0.0 and rep.min_upper_margin > 0.0
     assert math.isfinite(rep.min_lower_margin)
 

@@ -156,7 +156,7 @@ def test_report_omega_range_certified_near_zero():
     assert rep.range_passed
     assert rep.monotonicity_verdict == "increasing"
     assert all(c.passed for c in rep.limit_checks)
-    assert rep.unresolved == () and rep.diagnostics == ()
+    assert rep.undecided == () and rep.diagnostics == ()
 
 
 def test_report_range_margin_not_cleared(monkeypatch):
@@ -169,7 +169,7 @@ def test_report_range_margin_not_cleared(monkeypatch):
     assert rep.diagnostics == tuple(
         f"range margin not cleared at t={t}: 0.000e+00 within error 1.000e-12" for t in (1, 2)
     )
-    assert rep.unresolved == (1.0, 2.0) and not rep.refuted
+    assert rep.undecided == (1.0, 2.0) and not rep.refuted
     zero_check = {c.end: c for c in rep.limit_checks}["zero"]
     assert not zero_check.passed and zero_check.achieved == 0.0
 
@@ -184,7 +184,7 @@ def test_report_names_mixed_directions(monkeypatch):
     assert rep.monotonicity_verdict == "none"
     assert "mixed directions: 1 up, 1 down" in rep.diagnostics
     # a step certified against the kernel is a refutation, not undecided
-    assert rep.refuted and rep.unresolved == ()
+    assert rep.refuted and rep.undecided == ()
 
 
 def test_report_kappa():
@@ -253,7 +253,8 @@ def test_report_refuses_steps_within_the_error():
     assert rep.range_passed
     # tanh(1) is far above its limit 0, but no step toward it is certified
     assert [c.passed for c in rep.limit_checks] == [False, False]
-    assert rep.unresolved == (1.0, 1.0 + 5e-16, 1.0 + 1e-15)
+    assert rep.undecided == (1.0, 1.0 + 5e-16, 1.0 + 1e-15)
+    assert not rep.refuted
 
 
 def test_report_grid_validation():
@@ -282,7 +283,7 @@ def test_report_underflowed_range_margin_is_undecided():
     # within its error refutes nothing, and its t is left undecided
     for kid in (KernelId("omega"), KernelId("kappa"), KernelId("h", 0)):
         rep = kernel_report(kid, [1.0, 700.0, 1000.0])
-        assert rep.unresolved == (1000.0,)
+        assert rep.undecided == (1000.0,)
         assert not rep.range_passed and not rep.refuted
         # subnormal but nonzero margins still certify
         assert kernel_report(kid, [1.0, 700.0, 740.0]).range_passed
