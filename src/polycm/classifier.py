@@ -36,7 +36,9 @@ from .errors import CapabilityError, DomainError
 from .evaluation import EvalResult, decide, log_grid, ulp
 # f_value is not called here any more; it stays importable from this module
 # because bench/run.py's span tracer patches classifier.f_value by name.
-from .cm_engine import CMReport, FamilyIndex, cm_check, f_derivative, f_value  # noqa: F401
+from .cm_engine import (  # noqa: F401
+    CMReport, FamilyIndex, _check_cap, cm_check, f_derivative, f_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,7 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
     n = checks.integer("n", n, 1)
     pts = checks.grid(grid)
     idx = FamilyIndex(m, 2 * n)
+    _check_cap(idx, 1)  # before the factorials, which grow with m and n
     numerators = {name: _bound_numerator(name, m, n) for name in _BOUND_MULTIPLIERS}
     entries: list[BoundEntry] = []
     findings: list[str] = []

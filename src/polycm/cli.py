@@ -316,8 +316,19 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+# One flat entries row as indent=2 lays it out inside the document, less its
+# braces: indent=None keeps json on its C encoder, which indent=2 does not
+_ROW = json.JSONEncoder(sort_keys=True, allow_nan=True, separators=(",\n      ", ": "))
+_ENTRIES = '\n  "entries": [\n    0\n  ]'
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    entries = doc["entries"]
+    if not entries or not all(entries):
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    frame = json.dumps({**doc, "entries": [0]}, indent=2, sort_keys=True, allow_nan=True)
+    rows = ",\n    ".join(["{\n      " + _ROW.encode(row)[1:-1] + "\n    }" for row in entries])
+    return frame.replace(_ENTRIES, '\n  "entries": [\n    ' + rows + "\n  ]", 1) + "\n"
 
 
 def render_csv(doc: dict) -> str:

@@ -155,6 +155,19 @@ def test_bound_audit_reports_printed_q_discrepancy():
         bound_check(1, 1, [2.0, 1.0])
 
 
+@pytest.mark.parametrize("m, n", [(1, 60), (120, 1), (1, 400000), (400000, 1)])
+def test_bound_audit_refuses_past_the_cap_before_it_builds_numerators(m, n, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("numerators built before the order cap was checked")
+
+    monkeypatch.setattr(classifier, "_bound_numerator", refuse)
+    with pytest.raises(CapabilityError) as info:
+        bound_check(m, n, [2.0])
+    needed = max(m, 2 * n) + 1
+    assert str(info.value) == (f"f[{m},{2 * n}] derivative 1 needs polygamma "
+                               f"order {needed} beyond the cap 120")
+
+
 # -- combinatorial quantities -------------------------------------------------
 
 

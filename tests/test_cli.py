@@ -15,6 +15,7 @@ import pytest
 
 import polycm
 from polycm import cm_engine
+from polycm import cli
 from polycm.cli import main
 
 CLASSIFY_SMALL = [
@@ -619,3 +620,35 @@ def test_json_sorts_keys(capsys):
     _, out, _ = run(capsys, ["kernels", "--kernel", "kappa"])
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
+
+
+def _indent2(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    CLASSIFY_SMALL,
+    ["check-cm", "--m", "2", "--n", "2", "--orders", "3", "--grid-count", "12"],
+    ["kernels", "--kernel", "h", "--k", "1", "--grid-count", "8"],
+    ["inequalities", "--k-max", "2", "--grid-count", "6"],
+    ["bounds", "--m", "2", "--n", "3", "--grid-count", "7"],
+])
+def test_render_json_rows_match_the_indented_document(argv):
+    # the rows go through json's C encoder, the frame through indent=2:
+    # the bytes are those of one indent=2 dump of the whole document
+    args = cli.build_parser().parse_args(argv)
+    doc = cli._COMMANDS[args.command](args)[0]
+    assert doc["entries"]
+    assert cli.render_json(doc) == _indent2(doc)
+
+
+@pytest.mark.parametrize("entries", [
+    [],
+    [{}],
+    [{"x": 1.0}, {}],
+    [{"x": math.nan, "y": math.inf, "z": -math.inf, "s": "é\n\"", "n": None, "b": True, "i": -3}],
+])
+def test_render_json_edge_rows(entries):
+    doc = {"config": {"command": "x", "entries": [0]}, "entries": entries,
+           "findings": ["a\nb"], "summary": {"entries": [[0]]}}
+    assert cli.render_json(doc) == _indent2(doc)
