@@ -5,12 +5,10 @@ every other even n.
 Machinery: exact integer polynomials bounding f'_{m,2v}; leading-term sign
 analysis at both ends; asymptotic envelopes; and an exact witness search for
 sign changes and non-monotonicity.  The search probes x = 2^e, nearest to 1
-first, and brackets f or f' there in integer fractions from
-
-    k!/x^(k+1) + (k-1)!/(x+1)^k  <=  |psi^(k)(x)|  <=  k!/x^(k+1) + (k-1)!/x^k;
-
-each bracket is rounded outward once into an EvalResult, and a point is a
-witness when certified_sign(10) certifies it.
+first, and brackets f or f' there from exact.psi_bracket; a point is a
+witness when certified_sign(10) certifies its bracket.  Every exact rational
+here becomes an EvalResult in exact: brackets and envelopes by enclose,
+audit margins by minus_rational.
 
 Two bounding polynomial families are shipped. The "printed" ones are kept
 exactly as displayed in the source being verified; the "derived" ones are
@@ -33,7 +31,8 @@ from typing import Iterator, NamedTuple
 
 from . import checks
 from .errors import CapabilityError, DomainError
-from .evaluation import EvalResult, decide, log_grid, ulp
+from .evaluation import EvalResult, decide, log_grid
+from .exact import enclose, minus, minus_rational, psi_bracket, times
 # f_value is not called here any more; it stays importable from this module
 # because bench/run.py's span tracer patches classifier.f_value by name.
 from .cm_engine import (  # noqa: F401
@@ -185,11 +184,12 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
     """Audit f'_{m,2n} against all four bound variants over the grid.
 
     Lower bounds should satisfy f' >= bound, upper bounds f' <= bound; a
-    status is only "fails" when the violation clears the combined error
-    margin.  Printed-bound failures become findings.  refuted and undecided
-    are decide's reading of the derived bounds' signs: a derived bound
-    certified to fail refutes (and should never happen), and one that
-    rounding cannot resolve leaves its x undecided.
+    status is only "fails" when the violation clears the margin's own bound
+    (exact.minus_rational of f' and the exact bound).  Printed-bound
+    failures become findings.  refuted and undecided are decide's reading
+    of the derived bounds' signs: a derived bound certified to fail refutes
+    (and should never happen), and one that rounding cannot resolve leaves
+    its x undecided.
     """
     m = checks.integer("m", m, 1)
     n = checks.integer("n", n, 1)
@@ -211,11 +211,12 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
         for name, poly in numerators.items():
             lower = name.startswith("q")
             # q/(2 x^(2m+2n+3)) bounds f' from below, p/(4 x^(2m+2n+3)) from
-            # above; int / int rounds the exact quotient once
-            b = poly.homogenized(xn, xd, degree) / ((2 if lower else 4) * power)
-            bounds[name] = b
-            rounded = EvalResult(b, ulp(b))
-            margin = (fp - rounded) if lower else (rounded - fp)
+            # above; the bound and the margin each round their exact value once
+            num, den = poly.homogenized(xn, xd, degree), (2 if lower else 4) * power
+            b = bounds[name] = num / den
+            margin = minus_rational(fp, num, den)
+            if not lower:
+                margin = -margin
             sign = margin.certified_sign()
             status = _AUDIT_STATUS[sign]
             statuses[name] = status
@@ -285,21 +286,17 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
         raise DomainError(f"envelope applies to even second index, got {idx.n}")
     x = checks.positive_real("x", x)
     m, v = idx.m, idx.n // 2
-    # both ends are c1/x^e1 - c2/x^e2 = p(x)/x^e with e = max(e1, e2)
+    # both ends are c1/x^e1 - c2/x^e2, exactly over x = a/b
     if end == "infinity":
         c1, e1, c2, e2 = math.factorial(m - 1) ** 2, 2 * m, math.factorial(2 * v - 1), 2 * v
     else:
         c1, e1, c2, e2 = math.factorial(m) ** 2, 2 * m + 2, math.factorial(2 * v), 2 * v + 1
-    e = max(e1, e2)
-    p = IntPolynomial.from_pairs([(c1, e - e1), (-c2, e - e2)])
     a, b = x.as_integer_ratio()
+    d = minus((c1 * b**e1, a**e1), (c2 * b**e2, a**e2))
     try:
-        value = p.homogenized(a, b, e) / a**e
+        return enclose(d, d)
     except OverflowError as exc:
-        raise CapabilityError(
-            f"envelope overflows at {idx.label()}, x={x}, end={end}"
-        ) from exc
-    return EvalResult(value, ulp(value))
+        raise CapabilityError(f"envelope overflows at {idx.label()}, x={x}, end={end}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -354,58 +351,18 @@ class Witness(NamedTuple):
     negative: EvalResult
 
 
-def _psi_bracket(k: int, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Exact bounds (numerator, denominator) of |psi^(k)(a/b)|, k >= 1:
-
-        k!/x^(k+1) + (k-1)!/(x+1)^k  <=  |psi^(k)(x)|  <=  k!/x^(k+1) + (k-1)!/x^k
-
-    (k! sum_j (x+j)^-(k+1), its terms j >= 1 against the integrals of
-    t^-(k+1) over [x+1, inf) and [x, inf))."""
-    f1 = math.factorial(k - 1)
-    fk = k * f1
-    ak1, bk = a ** (k + 1), b**k
-    c = (a + b) ** k
-    lower = (fk * bk * b * c + f1 * bk * ak1, ak1 * c)
-    upper = (fk * bk * b + f1 * bk * a, ak1)
-    return lower, upper
-
-
-def _minus(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    return p[0] * q[1] - q[0] * p[1], p[1] * q[1]
-
-
-def _times(c: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    return c * p[0] * q[0], p[1] * q[1]
-
-
 def _bracket(m: int, even_n: int, order: int, a: int, b: int):
     """Exact bounds of f (order 0) or f' (order 1) at a/b, for even n:
 
         f = |psi^(m)|^2 - |psi^(n)|,   f' = |psi^(n+1)| - 2 |psi^(m)| |psi^(m+1)|
     """
-    lm, um = _psi_bracket(m, a, b)
+    lm, um = psi_bracket(m, a, b)
     if order == 0:
-        ln, un = _psi_bracket(even_n, a, b)
-        return _minus(_times(1, lm, lm), un), _minus(_times(1, um, um), ln)
-    ln, un = _psi_bracket(even_n + 1, a, b)
-    lm1, um1 = _psi_bracket(m + 1, a, b)
-    return _minus(ln, _times(2, um, um1)), _minus(un, _times(2, lm, lm1))
-
-
-def _rounded(lower: tuple[int, int], upper: tuple[int, int]) -> EvalResult:
-    """The exact bracket [lower, upper] rounded outward once: value is its
-    midpoint rounded to nearest, abs_error its half-width plus |value -
-    midpoint|, rounded up.  OverflowError when either leaves the doubles."""
-    (pl, ql), (pu, qu) = lower, upper
-    den = 2 * ql * qu
-    mid = pl * qu + pu * ql          # midpoint mid/den, half-width (pu ql - pl qu)/den
-    value = mid / den                # int / int: one rounding to nearest
-    vn, vd = value.as_integer_ratio()
-    error = (pu * ql - pl * qu) * vd + abs(vn * den - mid * vd)
-    error = math.nextafter(error / (vd * den), math.inf)
-    if error == math.inf:
-        raise OverflowError("bracket half-width overflows")
-    return EvalResult(value, error)
+        ln, un = psi_bracket(even_n, a, b)
+        return minus(times(1, lm, lm), un), minus(times(1, um, um), ln)
+    ln, un = psi_bracket(even_n + 1, a, b)
+    lm1, um1 = psi_bracket(m + 1, a, b)
+    return minus(ln, times(2, um, um1)), minus(un, times(2, lm, lm1))
 
 
 def _exponents(search: SearchParams) -> Iterator[int]:
@@ -436,7 +393,7 @@ def _witness_search(m: int, even_n: int, order: int, kind: str, search: SearchPa
     for e in _exponents(search):
         a, b = (2**e, 1) if e >= 0 else (1, 2**-e)
         try:
-            ev = _rounded(*_bracket(m, even_n, order, a, b))
+            ev = enclose(*_bracket(m, even_n, order, a, b))
         except OverflowError:
             skipped += 1
             continue

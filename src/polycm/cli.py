@@ -251,16 +251,16 @@ def cmd_inequalities(args: argparse.Namespace) -> Outcome:
             "value": r.middle.value,
             "abs_error": r.middle.abs_error,
             "upper": r.upper,
-            "margin_lower": r.margins[0],
-            "margin_upper": r.margins[1],
+            "margin_lower": r.margins[0].value,
+            "margin_upper": r.margins[1].value,
             "passed": r.passed,
         }
         for r in report.results
     ]
     findings = [
         f"margin not cleared at k={r.k}, x={r.x:.6g}: "
-        f"margins ({r.margins[0]:.3e}, {r.margins[1]:.3e}), "
-        f"error {r.margin_error:.3e}"
+        f"margins ({r.margins[0].value:.3e}, {r.margins[1].value:.3e}), "
+        f"errors ({r.margins[0].abs_error:.3e}, {r.margins[1].abs_error:.3e})"
         for r in report.failures
     ]
     doc = {

@@ -3,14 +3,16 @@
     ln x - 1/x  <  psi(x)        <  ln x - 1/(2x)
     (k-1)!/x^k + k!/(2x^(k+1))  <  |psi^(k)(x)|  <  (k-1)!/x^k + k!/x^(k+1)
 
-Both are strict on (0, inf); a check passes only when each margin exceeds
-twice the evaluation's abs_error plus the bound's own rounding, so numeric
-noise can never fake strictness.  Margins are read at that factor 2 both
-ways: the suite's refutations and undecided points are decide's reading of
-the failed rows' margins by certified_sign(2.0).  The upper digamma margin
-decays like 1/(12 x^2), which is why margins are assembled with fsum
-instead of chains of subtractions.  digamma and polygamma take no error budget: each margin
-is weighed against the bound their one closed series guarantees.
+Both are strict on (0, inf).  Each margin is an EvalResult with its own
+bound, and a check passes only when both margins are certified positive by
+certified_sign(2.0), so numeric noise can never fake strictness.  The suite
+reads the failed rows' margins at that same factor 2 for its refutations
+and undecided points.  The polygamma margins are exact: exact.minus_rational
+rounds |psi^(k)| less each rational bound once.  The upper digamma margin
+decays like 1/(12 x^2), which is why the log-bound margins are assembled
+with fsum instead of chains of subtractions.  digamma and polygamma take no
+error budget: each margin is weighed against the bound their one closed
+series guarantees.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import NamedTuple
 
 from . import checks
 from .evaluation import EvalResult, decide, ulp
+from .exact import minus_rational
 from .polygamma import digamma, polygamma
 
 _EPS = 2.0 ** -52
@@ -28,8 +31,8 @@ _EPS = 2.0 ** -52
 class InequalityResult(NamedTuple):
     """One bound check at (k, x); k = 0 is the digamma log-bound pair.
 
-    margins are (middle - lower, upper - middle); passed requires both to
-    exceed 2*(middle.abs_error + margin rounding).
+    margins are (middle - lower, upper - middle), each carrying its own
+    bound; passed requires both to be certified positive at factor 2.
     """
 
     k: int
@@ -37,15 +40,8 @@ class InequalityResult(NamedTuple):
     lower: float
     middle: EvalResult
     upper: float
-    margins: tuple[float, float]
-    margin_error: float
+    margins: tuple[EvalResult, EvalResult]
     passed: bool
-
-
-def _strict(margin_lo: float, margin_hi: float, margin_error: float) -> bool:
-    """Both margins certified positive, each clearing twice its error."""
-    return all(EvalResult(margin, margin_error).certified_sign(2.0) == 1
-               for margin in (margin_lo, margin_hi))
 
 
 def psi_log_bounds_check(x: float) -> InequalityResult:
@@ -59,21 +55,18 @@ def psi_log_bounds_check(x: float) -> InequalityResult:
     mid = digamma(x)
     lnx = math.log(x)
     inv = 1.0 / x
-    lower = lnx - inv
-    upper = lnx - 0.5 * inv
-    margin_lo = math.fsum([mid.value, -lnx, inv])
-    margin_hi = math.fsum([lnx, -0.5 * inv, -mid.value])
     bound_rounding = 3.0 * _EPS * (abs(lnx) + inv) + 2.0 * ulp(max(abs(mid.value), 1.0))
-    margin_error = mid.abs_error + bound_rounding
+    error = mid.abs_error + bound_rounding
+    margins = (EvalResult(math.fsum([mid.value, -lnx, inv]), error),
+               EvalResult(math.fsum([lnx, -0.5 * inv, -mid.value]), error))
     return InequalityResult(
         k=0,
         x=x,
-        lower=lower,
+        lower=lnx - inv,
         middle=mid,
-        upper=upper,
-        margins=(margin_lo, margin_hi),
-        margin_error=margin_error,
-        passed=_strict(margin_lo, margin_hi, margin_error),
+        upper=lnx - 0.5 * inv,
+        margins=margins,
+        passed=all(m.certified_sign(2.0) == 1 for m in margins),
     )
 
 
@@ -86,25 +79,19 @@ def polygamma_bounds_check(k: int, x: float) -> InequalityResult:
     # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den;
     # int / int rounds each exact quotient once
     a, b = x.as_integer_ratio()
-    c, d = mid.value.as_integer_ratio()
     den = 2 * a ** (k + 1)
     half_step = math.factorial(k) * b ** (k + 1)
     lower_num = 2 * math.factorial(k - 1) * a * b**k + half_step
     upper_num = lower_num + half_step
-    lower = lower_num / den
-    upper = upper_num / den
-    margin_lo = (c * den - lower_num * d) / (d * den)
-    margin_hi = (upper_num * d - c * den) / (d * den)
-    margin_error = mid.abs_error + 2.0 * ulp(upper)
+    margins = (minus_rational(mid, lower_num, den), -minus_rational(mid, upper_num, den))
     return InequalityResult(
         k=k,
         x=x,
-        lower=lower,
+        lower=lower_num / den,
         middle=mid,
-        upper=upper,
-        margins=(margin_lo, margin_hi),
-        margin_error=margin_error,
-        passed=_strict(margin_lo, margin_hi, margin_error),
+        upper=upper_num / den,
+        margins=margins,
+        passed=all(m.certified_sign(2.0) == 1 for m in margins),
     )
 
 
@@ -131,10 +118,9 @@ def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
         for x in pts:
             results.append(polygamma_bounds_check(k, x))
     failures = tuple(r for r in results if not r.passed)
-    refuted, undecided = decide((r.x, EvalResult(m, r.margin_error).certified_sign(2.0))
-                                for r in failures for m in r.margins)
-    min_lo = min((r.margins[0] for r in results), default=math.inf)
-    min_hi = min((r.margins[1] for r in results), default=math.inf)
+    refuted, undecided = decide((r.x, m.certified_sign(2.0)) for r in failures for m in r.margins)
+    min_lo = min((r.margins[0].value for r in results), default=math.inf)
+    min_hi = min((r.margins[1].value for r in results), default=math.inf)
     return BoundsSuiteReport(
         k_max=k_max,
         grid=pts,

@@ -24,6 +24,7 @@ from polycm import (
     find_nonmonotonic,
     find_sign_change,
     leading_term_sign,
+    log_grid,
     p_derived,
     p_printed,
     q_derived,
@@ -155,6 +156,21 @@ def test_bound_audit_reports_printed_q_discrepancy():
         bound_check(1, 1, [2.0, 1.0])
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
+def test_bound_audit_margins_are_the_exact_differences_rounded_once(m, n):
+    # f' less each exact bound, rounded once: no second rounding of the bound
+    polys = {"q_printed": q_printed(m, n), "q_derived": q_derived(m, n),
+             "p_printed": p_printed(m, n), "p_derived": p_derived(m, n)}
+    for e in bound_check(m, n, log_grid(0.05, 100.0, 50)).entries:
+        x, fp = Fraction(e.x), Fraction(e.f_prime.value)
+        for name, poly in polys.items():
+            lower = name.startswith("q")
+            exact = (sum(c * x**p for c, p in poly.terms)
+                     / ((2 if lower else 4) * x ** (2 * m + 2 * n + 3)))
+            assert e.bounds[name] == float(exact)
+            assert e.margins[name] == float(fp - exact if lower else exact - fp), (name, e.x)
+
+
 @pytest.mark.parametrize("m, n", [(1, 60), (120, 1), (1, 400000), (400000, 1)])
 def test_bound_audit_refuses_past_the_cap_before_it_builds_numerators(m, n, monkeypatch):
     def refuse(*args):
@@ -211,6 +227,21 @@ def test_envelope_tracks_f_at_both_ends(m, v):
         val = f_value(idx, x)
         assert env.value != 0.0
         assert abs(val.value / env.value - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("m,v", [(1, 1), (2, 1), (1, 2), (3, 2)])
+def test_envelope_is_its_exact_value_rounded_once(m, v):
+    idx = FamilyIndex(m, 2 * v)
+    for x in (1e-3, 0.3, 1.0, 7.0, 1e3):
+        t = Fraction(x)
+        fm1, fm, f2v1, f2v = (math.factorial(i) for i in (m - 1, m, 2 * v - 1, 2 * v))
+        for end, exact in (("infinity", fm1**2 / t ** (2 * m) - f2v1 / t ** (2 * v)),
+                           ("zero", fm**2 / t ** (2 * m + 2) - f2v / t ** (2 * v + 1))):
+            env = envelope(idx, x, end)
+            assert env.value == float(exact)
+            # within its bound, and the bound is the one rounding's half ulp at most
+            assert abs(Fraction(env.value) - exact) <= Fraction(env.abs_error)
+            assert env.abs_error <= math.nextafter(0.5 * math.ulp(env.value), math.inf)
 
 
 def test_envelope_degenerate_and_validation():

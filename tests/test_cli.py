@@ -213,7 +213,7 @@ def test_inequalities_violated_margin_exits_1(capsys, monkeypatch):
     _plant_psi1_at_1(monkeypatch, polycm.EvalResult(0.5, 1e-16))
     rep = polycm.bounds_suite(1, [0.5, 1.0, 1.5])
     [row] = rep.failures
-    assert (row.k, row.x, row.margins[0], row.passed) == (1, 1.0, -1.0, False)
+    assert (row.k, row.x, row.margins[0].value, row.passed) == (1, 1.0, -1.0, False)
     assert rep.refuted and rep.undecided == ()
     code, out, err = run(capsys, INEQUALITIES_AT_1)
     assert code == 1 and err == ""
@@ -225,17 +225,25 @@ def test_inequality_margin_inside_twice_its_error_is_undecided(capsys, monkeypat
     # the suite reads margins at factor 2 in both the check and the verdict,
     # so the row fails and is left undecided, neither passed nor refuted
     error = 2.0**-30
-    margin_error = error + 2.0 * math.ulp(2.0)
+    # the lower margin's own bound: the planted error plus half an ulp of
+    # the margin, rounded up
+    margin_error = math.nextafter(error + 0.5 * math.ulp(1.5 * error), math.inf)
     _plant_psi1_at_1(monkeypatch, polycm.EvalResult(1.5 + 1.5 * margin_error, error))
     rep = polycm.bounds_suite(1, [0.5, 1.0, 1.5])
     [row] = rep.failures
-    assert row.margin_error == margin_error
-    assert row.margins[0] == pytest.approx(1.5 * margin_error, rel=1e-6)
+    lower = row.margins[0]
+    assert lower.abs_error == margin_error
+    assert lower.value == pytest.approx(1.5 * lower.abs_error, rel=1e-6)
     assert not row.passed
     assert not rep.refuted and rep.undecided == (1.0,)
-    code, _, err = run(capsys, INEQUALITIES_AT_1)
+    code, out, err = run(capsys, INEQUALITIES_AT_1)
     assert code == 3
     assert err == "polycm: numeric capability limit: inequality margins inconclusive at x = 1.0\n"
+    # the finding prints each margin's own bound
+    upper = row.margins[1]
+    assert json.loads(out)["findings"] == [
+        f"margin not cleared at k=1, x=1: margins ({lower.value:.3e}, {upper.value:.3e}), "
+        f"errors ({lower.abs_error:.3e}, {upper.abs_error:.3e})"]
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ def test_digamma_log_bounds_at_one():
     assert r.upper == -0.5  # ln 1 - 1/2
     assert abs(r.middle.value + GAMMA_40) <= r.middle.abs_error + 1e-15
     assert r.passed
-    assert r.margins[0] > 0.4 and r.margins[1] > 0.07
+    assert r.margins[0].value > 0.4 and r.margins[1].value > 0.07
 
 
 def test_polygamma_bounds_low_orders():
@@ -49,8 +49,8 @@ def test_margins_are_strict():
         for k in (1, 3, 8):
             r = polygamma_bounds_check(k, x)
             assert r.passed
-            assert r.margins[0] > 2.0 * r.margin_error
-            assert r.margins[1] > 2.0 * r.margin_error
+            for m in r.margins:
+                assert m.value > 2.0 * m.abs_error
 
 
 def test_suite_layout_and_success():

@@ -14,7 +14,7 @@ import polycm
 
 PSI_LAYER = ["polycm", "polycm.checks", "polycm.errors", "polycm.evaluation", "polycm.polygamma"]
 SUBMODULES = ["errors", "checks", "evaluation", "polygamma", "kernels", "cm_engine",
-              "classifier", "inequalities", "cli"]
+              "exact", "classifier", "inequalities", "cli"]
 
 
 def _fresh_python(code: str) -> list[str]:
@@ -71,3 +71,9 @@ def test_dir_and_star_import_cover_every_export():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'polycm' has no attribute 'no_such_name'"):
         polycm.no_such_name
+
+
+def test_the_exact_layer_loads_no_fractions_or_decimal():
+    out = _fresh_python("import sys, polycm.exact\n"
+                        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    assert out == ["[]"]
