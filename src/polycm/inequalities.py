@@ -10,9 +10,9 @@ reads the failed rows' margins at that same factor 2 for its refutations
 and undecided points.  The polygamma margins are exact: exact.minus_rational
 rounds |psi^(k)| less each rational bound once.  The upper digamma margin
 decays like 1/(12 x^2), which is why the log-bound margins are assembled
-with fsum instead of chains of subtractions.  digamma and polygamma take no
-error budget: each margin is weighed against the bound their one closed
-series guarantees.
+with fsum instead of chains of subtractions.  digamma is polygamma's n = 0
+case and neither takes an error budget: each margin is weighed against the
+bound that one closed series guarantees.
 """
 
 from __future__ import annotations

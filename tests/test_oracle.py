@@ -70,6 +70,11 @@ def assert_covers(evaluate, truth) -> None:
 
 @given(x=XS)
 @example(x=DIGAMMA_ROOT)
+@example(x=1.0)
+@example(x=math.nextafter(24.0, 0.0))  # the last shift, K = 1
+@example(x=24.0)  # no shift: the tail alone
+@example(x=5.56268464626801e-309)  # the smallest x at which 1/x fits a double
+@example(x=1e300)
 @settings(max_examples=60, deadline=None)
 def test_digamma(x):
     assert_covers(lambda: digamma(x), lambda: mpmath.digamma(mpf(x)))
