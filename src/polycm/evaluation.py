@@ -128,7 +128,7 @@ class PrecisionConfig:
     """Not part of polycm's API, and nothing in polycm calls it.  Only
     bench/run.py install_spans reads it: it patches for_magnitude by name.
     The next benchmark change drops that patch and this class (ROADMAP
-    item 8)."""
+    item 1, and "Names kept only for the bench")."""
 
     @staticmethod
     def for_magnitude(magnitude: float) -> None:

@@ -7,12 +7,11 @@ Both are strict on (0, inf).  Each margin is an EvalResult with its own
 bound, and a check passes only when both margins are certified positive by
 certified_sign(2.0), so numeric noise can never fake strictness.  The suite
 reads the failed rows' margins at that same factor 2 for its refutations
-and undecided points.  The polygamma margins are exact: exact.minus_rational
-rounds |psi^(k)| less each rational bound once.  The upper digamma margin
-decays like 1/(12 x^2), which is why the log-bound margins are assembled
-with fsum instead of chains of subtractions.  digamma is polygamma's n = 0
-case and neither takes an error budget: each margin is weighed against the
-bound that one closed series guarantees.
+and undecided points.  Every margin is exact.minus_rational of a measured
+quantity and an exact rational: |psi^(k)| less each bound for k >= 1; for
+k = 0, psi - ln x + 1/x and -(psi - ln x + 1/(2x)).  digamma is
+polygamma's n = 0 case and neither takes an error budget: each margin is
+weighed against its one closed series' bound, plus 2 ulps of ln x at k = 0.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from . import checks
 from .evaluation import EvalResult, decide, ulp
 from .exact import minus_rational
 from .polygamma import digamma, polygamma
-
-_EPS = 2.0 ** -52
 
 
 class InequalityResult(NamedTuple):
@@ -45,26 +42,20 @@ class InequalityResult(NamedTuple):
 
 
 def psi_log_bounds_check(x: float) -> InequalityResult:
-    """ln x - 1/x < psi(x) < ln x - 1/(2x), margins demanded strict.
-
-    The upper margin approaches 1/(12x^2) for large x; computing it as
-    fsum([-psi, ln x, -1/(2x)]) keeps the rounding at a few ulps of ln x so
-    the shrinking margin still clears the error bar.
-    """
+    """ln x - 1/x < psi(x) < ln x - 1/(2x), margins demanded strict."""
     x = checks.positive_real("x", x)
     mid = digamma(x)
     lnx = math.log(x)
-    inv = 1.0 / x
-    bound_rounding = 3.0 * _EPS * (abs(lnx) + inv) + 2.0 * ulp(max(abs(mid.value), 1.0))
-    error = mid.abs_error + bound_rounding
-    margins = (EvalResult(math.fsum([mid.value, -lnx, inv]), error),
-               EvalResult(math.fsum([lnx, -0.5 * inv, -mid.value]), error))
+    # math.log is within one ulp of ln x: two of its result at a binade edge
+    d = mid - EvalResult(lnx, 2.0 * ulp(lnx))
+    a, b = x.as_integer_ratio()
+    margins = (minus_rational(d, -b, a), -minus_rational(d, -b, 2 * a))
     return InequalityResult(
         k=0,
         x=x,
-        lower=lnx - inv,
+        lower=lnx - 1.0 / x,
         middle=mid,
-        upper=lnx - 0.5 * inv,
+        upper=lnx - 0.5 / x,
         margins=margins,
         passed=all(m.certified_sign(2.0) == 1 for m in margins),
     )
@@ -111,20 +102,16 @@ def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
     k = 1..k_max the polygamma bounds, each at every grid point."""
     k_max = checks.integer("k_max", k_max, 1)
     pts = checks.grid(grid)
-    results: list[InequalityResult] = []
-    for x in pts:
-        results.append(psi_log_bounds_check(x))
-    for k in range(1, k_max + 1):
-        for x in pts:
-            results.append(polygamma_bounds_check(k, x))
+    results = tuple(polygamma_bounds_check(k, x) if k else psi_log_bounds_check(x)
+                    for k in range(k_max + 1) for x in pts)
     failures = tuple(r for r in results if not r.passed)
     refuted, undecided = decide((r.x, m.certified_sign(2.0)) for r in failures for m in r.margins)
-    min_lo = min((r.margins[0].value for r in results), default=math.inf)
-    min_hi = min((r.margins[1].value for r in results), default=math.inf)
+    min_lo, min_hi = (min((r.margins[i].value - r.margins[i].abs_error for r in results),
+                          default=math.inf) for i in (0, 1))
     return BoundsSuiteReport(
         k_max=k_max,
         grid=pts,
-        results=tuple(results),
+        results=results,
         failures=failures,
         min_lower_margin=min_lo,
         min_upper_margin=min_hi,

@@ -63,6 +63,16 @@ def test_suite_layout_and_success():
     assert math.isfinite(rep.min_lower_margin)
 
 
+def test_suite_minima_are_certified_lower_bounds():
+    # past x ~ 2e6 the k = 0 upper margins fall below their bounds: the
+    # minima are min(value - abs_error), negative there though nothing is refuted
+    rep = bounds_suite(1, log_grid(1.0, 1e8, 12))
+    assert rep.failures and not rep.refuted
+    for i, least in enumerate((rep.min_lower_margin, rep.min_upper_margin)):
+        assert least == min(r.margins[i].value - r.margins[i].abs_error for r in rep.results)
+    assert rep.min_upper_margin < 0.0
+
+
 def test_suite_row_matches_direct_check():
     rep = bounds_suite(1, [2.0])
     direct = polygamma_bounds_check(1, 2.0)

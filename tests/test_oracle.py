@@ -8,7 +8,8 @@ CapabilityError makes no claim and passes.
 The draws cover x log-uniform on [1e-3, 1e6], integers +-1e-9, the root of
 digamma, t log-uniform on [1e-300, 1e5], and the points 2^-10, 0.05 and 1
 with their neighbouring doubles (tanh_kernel switches to its series below
-0.05, omega_plus_one below 1).
+0.05, omega_plus_one below 1).  The inequality margins are held to mpmath
+at 50 digits, at k = 0 over x log-uniform on [1e-300, 1e300].
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from polycm import (
@@ -32,6 +33,8 @@ from polycm import (
     omega,
     omega_plus_one,
     polygamma,
+    polygamma_bounds_check,
+    psi_log_bounds_check,
     tanh_kernel,
 )
 from polycm.kernels import reciprocal_expm1
@@ -98,6 +101,45 @@ def test_digamma(x):
 @settings(max_examples=120, deadline=None)
 def test_polygamma(n, x):
     assert_covers(lambda: polygamma(n, x), lambda: mpmath.psi(n, mpf(x)))
+
+
+# k = 0 over nearly the whole double range, k = 1..8 where the CLI checks them,
+# and two high orders where their margins are smallest beside |psi^(k)|
+INEQUALITY_DRAWS = st.one_of(
+    st.tuples(st.just(0), _log_uniform(1e-300, 1e300)),
+    st.tuples(st.integers(1, 8), _log_uniform(1e-3, 1e6)),
+    st.tuples(st.sampled_from((60, 120)), _log_uniform(0.5, 100.0)),
+)
+
+
+@given(kx=INEQUALITY_DRAWS)
+@example(kx=(0, 1.0))
+@example(kx=(0, DIGAMMA_ROOT))
+@example(kx=(0, math.nextafter(24.0, 0.0)))  # the last shift, K = 1
+@example(kx=(0, 24.0))  # no shift: the tail alone
+@example(kx=(0, 1e8))  # past the wall: the upper margin is below its bound
+@example(kx=(89, 2000.0))
+@settings(max_examples=200, deadline=None)
+def test_inequality_margins(kx):
+    # each margin of the double inequality is within its abs_error of the
+    # truth at 50 digits; a CapabilityError is rejected, and Hypothesis
+    # counts the rejections and fails the test if they crowd out the draws
+    k, x = kx
+    try:
+        r = polygamma_bounds_check(k, x) if k else psi_log_bounds_check(x)
+    except CapabilityError:
+        reject()
+    with mpmath.workdps(50):
+        X = mpf(x)
+        if k:
+            mid = abs(mpmath.psi(k, X))
+            head, step = math.factorial(k - 1) / X**k, math.factorial(k) / X ** (k + 1)
+            lower, upper = head + step / 2, head + step
+        else:
+            mid = mpmath.digamma(X)
+            lower, upper = mpmath.log(X) - 1 / X, mpmath.log(X) - 1 / (2 * X)
+        for margin, truth in zip(r.margins, (mid - lower, upper - mid)):
+            assert abs(mpf(margin.value) - truth) <= mpf(margin.abs_error), (k, x, margin)
 
 
 def test_polygamma_keeps_its_digits_down_to_the_underflow_edge():
