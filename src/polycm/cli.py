@@ -45,7 +45,7 @@ from .cm_engine import CMReport, FamilyIndex, cm_check
 from .errors import CapabilityError, DomainError
 from .evaluation import linear_grid, log_grid
 from .inequalities import BoundsSuiteReport, bounds_suite
-from .kernels import KernelId, kernel_report
+from .kernels import _KINDS, KernelId, kernel_report
 
 
 def _add_common(p: argparse.ArgumentParser, gmin: float, gmax: float, gcount: int) -> None:
@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, 0.01, 100.0, 200)
 
     p = sub.add_parser("kernels", help="kernel monotonicity/limits/range")
-    p.add_argument("--kernel", choices=("h", "omega", "tanh", "kappa"),
-                   default="omega")
+    p.add_argument("--kernel", choices=_KINDS, default="omega")
     p.add_argument("--k", type=int, default=None,
                    help="power for the h kernel (default 0); no other kernel takes one")
     _add_common(p, 1e-6, 50.0, 64)

@@ -65,9 +65,8 @@ class EvalResult(_EvalResultFields):
     __radd__ = __add__
 
     def __sub__(self, other: "EvalResult | float | int") -> "EvalResult":
-        o = as_result(other)
-        v = self.value - o.value
-        return EvalResult(v, self.abs_error + o.abs_error + ulp(v))
+        # a - b and a + (-b) are one IEEE operation: one bound rule for both
+        return self + -as_result(other)
 
     def __rsub__(self, other: "EvalResult | float | int") -> "EvalResult":
         return as_result(other) - self

@@ -11,7 +11,8 @@ Working through the shared primitive keeps boundary margins stable: the
 distance of h(0, t) above 1/2 is E(t) itself (computable to ~1e-22 at t = 50
 where the subtraction h - 1/2 would drown in ulp(1/2)), and the distance of
 h(-1, t) above 1 is exactly tanh_kernel(t).  The report reads each kernel's
-steps, limits and range from such distances to its finite limits.
+steps, limits and range from such distances to its finite limits, and its
+direction from which end has one.
 
 E has one route on all of (0, inf).  kappa, tanh_kernel above t = 0.05 and
 omega_plus_one from t = 1 on take their bounds from EvalResult's rules; the
@@ -75,11 +76,6 @@ def kappa(t: float) -> EvalResult:
     return reciprocal_expm1(t) + 1.0
 
 
-def half_shifted_kappa(t: float) -> EvalResult:
-    """kappa(t) - 1/2 = E(t) + 1/2, the shared numerator of the h family."""
-    return reciprocal_expm1(t) + 0.5
-
-
 def h(k: int, t: float) -> EvalResult:
     """h_k(t) = (1/(1 - e^-t) - 1/2)/t^k for any integer k.
 
@@ -88,7 +84,7 @@ def h(k: int, t: float) -> EvalResult:
     """
     k = checks.integer("power k", k)
     t = checks.positive_real("t", t)
-    num = half_shifted_kappa(t)
+    num = reciprocal_expm1(t) + 0.5
     try:
         tk = t ** float(k)
     except OverflowError as exc:
@@ -116,7 +112,7 @@ def tanh_kernel(t: float) -> EvalResult:
         value = t2 / 12.0 - t2 * t2 / 720.0 + t2 * t2 * t2 / 30240.0
         trunc = 2.0 * t**8 / 1209600.0
         return EvalResult(value, trunc + 2.0 * ulp(value))
-    return half_shifted_kappa(t).scaled(t) - 1.0
+    return (reciprocal_expm1(t) + 0.5).scaled(t) - 1.0
 
 
 def omega(t: float) -> EvalResult:
@@ -157,9 +153,6 @@ def omega_plus_one(t: float) -> EvalResult:
     return EvalResult(value, err)
 
 
-_Distance = Callable[[float, EvalResult], EvalResult]
-
-
 class _Facts(NamedTuple):
     """What the report certifies about one kernel.
 
@@ -167,35 +160,31 @@ class _Facts(NamedTuple):
     else (limit, distance): distance(t, value) is its positive distance
     from the limit in the cancellation-free forms of the module docstring
     (omega + 1 as omega_plus_one, kappa - 1 and h(0, t) - 1/2 as E(t)).
+    Each kernel is monotone between its ends, so it increases exactly when
+    its limit at t -> 0 is finite: the report reads its direction there.
     """
 
     value: Callable[[float], EvalResult]
-    direction: str  # "increasing" | "decreasing"
-    ends: tuple[tuple[float, _Distance] | None, tuple[float, _Distance] | None]
+    ends: tuple[tuple[float, Callable[[float, EvalResult], EvalResult]] | None, ...]
     range_text: str
 
 
 def _facts(kernel: KernelId) -> _Facts:
     if kernel.kind == "omega":
-        return _Facts(omega, "increasing",
-                      ((-1.0, lambda t, v: omega_plus_one(t)), (0.0, lambda t, v: -v)),
+        return _Facts(omega, ((-1.0, lambda t, v: omega_plus_one(t)), (0.0, lambda t, v: -v)),
                       "(-1, 0)")
     if kernel.kind == "kappa":
-        return _Facts(kappa, "decreasing", (None, (1.0, lambda t, v: reciprocal_expm1(t))),
-                      "(1, inf)")
+        return _Facts(kappa, (None, (1.0, lambda t, v: reciprocal_expm1(t))), "(1, inf)")
     if kernel.kind == "tanh":
-        return _Facts(tanh_kernel, "increasing", ((0.0, lambda t, v: v), None), "(0, inf)")
+        return _Facts(tanh_kernel, ((0.0, lambda t, v: v), None), "(0, inf)")
     k = kernel.k
     value = partial(h, k)
     if k == 0:
-        return _Facts(value, "decreasing", (None, (0.5, lambda t, v: reciprocal_expm1(t))),
-                      "(1/2, inf)")
+        return _Facts(value, (None, (0.5, lambda t, v: reciprocal_expm1(t))), "(1/2, inf)")
     if k == -1:
-        return _Facts(value, "increasing", ((1.0, lambda t, v: tanh_kernel(t)), None),
-                      "(1, inf)")
-    if k > 0:
-        return _Facts(value, "decreasing", (None, (0.0, lambda t, v: v)), "(0, inf)")
-    return _Facts(value, "increasing", ((0.0, lambda t, v: v), None), "(0, inf)")
+        return _Facts(value, ((1.0, lambda t, v: tanh_kernel(t)), None), "(1, inf)")
+    zero = (0.0, lambda t, v: v)
+    return _Facts(value, (None, zero) if k > 0 else (zero, None), "(0, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +239,7 @@ def kernel_report(
     """
     grid = checks.grid(grid, 2)  # adjacent comparisons need two points
     facts = _facts(kernel)
+    direction = "decreasing" if facts.ends[0] is None else "increasing"
     values = tuple(facts.value(t) for t in grid)
     dists = [None if end is None else [end[1](t, v) for t, v in zip(grid, values)]
              for end in facts.ends]
@@ -271,7 +261,7 @@ def kernel_report(
             f"diff={diff.value:.3e} within error {diff.abs_error:.3e}"
         )
     ups, downs = steps.count(1), steps.count(-1)
-    if facts.direction == "decreasing":
+    if direction == "decreasing":
         ups, downs = downs, ups
     verdict = ("increasing" if ups == len(steps) else
                "decreasing" if downs == len(steps) else "none")
@@ -310,7 +300,7 @@ def kernel_report(
         grid=grid,
         values=values,
         monotonicity_verdict=verdict,
-        expected_monotonicity=facts.direction,
+        expected_monotonicity=direction,
         limit_checks=tuple(limits),
         range_description=facts.range_text,
         range_passed=range_ok,

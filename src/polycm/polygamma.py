@@ -59,9 +59,11 @@ def _order_constants(n: int) -> tuple:
     exact integers and rationals: n!, (n-1)! (None at n = 0, whose tail
     starts with -ln y), the exponents -(n+1) and -n, the coefficients
     c_p = B_2p (n+2p-1)!/(2p)! of pairs p = 1..7, |c_8| for the remainder,
-    and the explicit-sum and tail rounding charge factors.
+    the least tail argument y_min = 24 + 0.55n the shift reaches, and the
+    explicit-sum and tail rounding charge factors.
     """
     fact_f = float(math.factorial(n))
+    y_min = 24.0 + 0.55 * n
     # int / int rounds the exact quotient once, as float(Fraction) would
     coeffs = tuple(
         _BERNOULLI[2 * p][0] * math.factorial(n + 2 * p - 1)
@@ -72,13 +74,13 @@ def _order_constants(n: int) -> tuple:
         # derived per term in tests/test_ledger.py: 1/(x+k) needs 2 eps (x + k,
         # pow, fsum), ln y 1/2 / ln 24 + 1 and the half-sample 1; the pairs'
         # overdraw of 1.25 is below 2e-3 of ln y's surplus
-        return (fact_f, None, -1.0, -0.0, coeffs[:-1], abs(coeffs[-1]),
+        return (fact_f, None, -1.0, -0.0, coeffs[:-1], abs(coeffs[-1]), y_min,
                 2.0 * _EPS, 1.25 * _EPS)
     # explicit-sum charge, per term: pow amplification (n+1)/2 eps on the
     # rounded base, ~1 ulp for pow itself, 1/2 ulp each for factorial and
     # product; math.fsum rounds the sum once
     return (fact_f, float(math.factorial(n - 1)), -(n + 1.0), -float(n),
-            coeffs[:-1], abs(coeffs[-1]),
+            coeffs[:-1], abs(coeffs[-1]), y_min,
             ((n + 1.0) / 2.0 + 3.0) * _EPS, ((n + 16.0) / 2.0 + 4.0) * _EPS)
 
 
@@ -97,10 +99,10 @@ def _series(n: int, x: float) -> EvalResult:
     leaves the double range is a CapabilityError: the program's limit, not
     a bad argument.
     """
-    (fact_f, fact_m1, e_expl, e_tail, coeffs, c_rem,
+    (fact_f, fact_m1, e_expl, e_tail, coeffs, c_rem, y_min,
      expl_charge, tail_charge) = _order_constants(n)
-    K = max(0, math.ceil(24.0 + 0.55 * n - x))
-    # K = 0 only when x >= 24 + 0.55n, where n!/x^(n+1) fits a double.  A
+    K = max(0, math.ceil(y_min - x))
+    # K = 0 only when x >= y_min, where n!/x^(n+1) fits a double.  A
     # first term that overflows without raising is inf, and is refused below.
     try:
         s_expl = math.fsum([fact_f * (x + k) ** e_expl for k in range(K)])
@@ -117,8 +119,8 @@ def _series(n: int, x: float) -> EvalResult:
     # and pair p n/2 + 2.5p + 3.5 (r 2.5, r^p 2.5p + 1).  tail_charge grants
     # n/2 + 12 to each, so pairs 4..7 overdraw by at most 9 eps of their
     # size; in exact rationals they are below 1.1e-5 of the leading term for
-    # n <= 120 and y >= 24 + 0.55n, and its unused 10 eps pay for them and
-    # the remainder's.  n = 0 has its own charges (_order_constants).
+    # n <= 120 and y >= y_min (tests/test_ledger.py), and its unused 10 eps
+    # pay for them and the remainder's.  n = 0 has its own charges.
     # Floor: a product below _TINY is off by up to half of 5e-324, not eps
     # relative.  Ten last steps can be (two in the half-sample, one per pair
     # and the remainder); earlier ones, only where y^(2p) > 2^1016, reach the

@@ -107,6 +107,33 @@ def test_derived_bounds_double_only_the_negative_terms(m, n):
     assert p_derived(m, n) == _combine(p_printed(m, n), 2, p_pos, -1)
 
 
+def _double_inequality(k: int, x: Fraction) -> tuple[Fraction, Fraction]:
+    """(A_k, B_k) with A_k < |psi^(k)(x)| < B_k: (k-1)!/x^k plus k!/x^(k+1),
+    halved in A_k."""
+    lead = math.factorial(k - 1) / x**k
+    second = math.factorial(k) / x ** (k + 1)
+    return lead + second / 2, lead + second
+
+
+def test_derived_bounds_are_the_double_inequality_algebra():
+    # f'_{m,2n} = psi^(2n+1) + 2 psi^(m) psi^(m+1), the first term positive
+    # and the product negative, so A_(2n+1) - 2 B_m B_(m+1) < f' <
+    # B_(2n+1) - 2 A_m A_(m+1).  With d = 2m + 2n + 3, x^d times either side
+    # is a polynomial of degree at most 2 max(m, n) + 2: agreeing at more
+    # distinct points than that, the two are one polynomial.
+    for m in range(1, 9):
+        for n in range(1, 9):
+            d = 2 * m + 2 * n + 3
+            q, p = q_derived(m, n), p_derived(m, n)
+            for j in range(1, 2 * max(m, n) + 4):
+                x = Fraction(j, 3)
+                a_odd, b_odd = _double_inequality(2 * n + 1, x)
+                a_m, b_m = _double_inequality(m, x)
+                a_m1, b_m1 = _double_inequality(m + 1, x)
+                assert sum(c * x**k for c, k in q.terms) == 2 * x**d * (a_odd - 2 * b_m * b_m1)
+                assert sum(c * x**k for c, k in p.terms) == 4 * x**d * (b_odd - 2 * a_m * a_m1)
+
+
 def test_leading_term_signs():
     assert leading_term_sign(q_printed(2, 1), "infinity") == 1
     assert leading_term_sign(q_printed(2, 1), "zero") == -1

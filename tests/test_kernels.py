@@ -27,7 +27,7 @@ from polycm import (
 )
 from polycm import kernels
 from polycm.evaluation import EvalResult
-from polycm.kernels import half_shifted_kappa, reciprocal_expm1
+from polycm.kernels import reciprocal_expm1
 from reference import laplace_power_identity
 
 KAPPA_AT_1 = 1.581976706869326424385002005109011558547
@@ -77,7 +77,7 @@ def test_h_consistency_across_powers():
     for k in range(-3, 4):
         for t in (0.01, 1.0, 10.0):
             lhs = h(k, t) * t**float(k)
-            rhs = half_shifted_kappa(t)
+            rhs = reciprocal_expm1(t) + 0.5
             assert abs(lhs.value - rhs.value) <= lhs.abs_error + rhs.abs_error
 
 

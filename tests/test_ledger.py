@@ -13,7 +13,8 @@ order in eps; test_second_order_terms_fit_the_slack bounds what that leaves
 out.
 
 Routines covered so far: polygamma's series at n = 0 (digamma), where
-y = x + K >= 24, inv_y = 1/y, r = inv_y^2 and the tail's y^-0 is exactly 1.
+y = x + K >= 24, inv_y = 1/y, r = inv_y^2 and the tail's y^-0 is exactly 1;
+for n >= 1, the lemma that lets the tail charge pay for pairs 4..7.
 """
 
 from __future__ import annotations
@@ -165,3 +166,18 @@ def test_each_pair_shrinks_the_remainder_bound():
         for p in range(1, psi_mod._MAX_EM_PAIRS)
     )
     assert worst <= Fraction(57, 1000)
+
+
+def test_shift_keeps_the_late_pairs_small():
+    # The lemma _series' comment states for n >= 1: at y >= y_min, pairs
+    # 4..7 sum below 1.1e-5 of the leading term, sum |c_p| y^-(n+2p) against
+    # (n-1)! y^-n.  Each term falls in y, so the least y the shift can give
+    # covers every larger one.  y falls at most 1.5 ulp(y_min) short of
+    # y_min: y_min - x rounds by half an ulp of y_min, and x + K by half an
+    # ulp of y < 2 y_min.  The check stands 4 ulps short.
+    for n in range(1, psi_mod.ORDER_CAP + 1):
+        y_min = psi_mod._order_constants(n)[-3]
+        y = Fraction(y_min) - 4 * Fraction(math.ulp(y_min))
+        pairs = sum(abs(coeff(n, p)) / y ** (2 * p) for p in range(4, psi_mod._MAX_EM_PAIRS))
+        # the largest ratio is 1.094e-5, at n = 120
+        assert pairs <= Fraction(11, 10**6) * math.factorial(n - 1), n
