@@ -7,8 +7,8 @@ analysis at both ends; asymptotic envelopes; and an exact witness search for
 sign changes and non-monotonicity.  The search probes x = 2^e, nearest to 1
 first, and brackets f or f' there from exact.psi_bracket; a point is a
 witness when certified_sign(10) certifies its bracket.  Every exact rational
-here becomes an EvalResult in exact: brackets and envelopes by enclose,
-audit margins by minus_rational.
+here is rounded in exact: brackets and envelopes by enclose, audit margins
+by minus_rational, audit bounds by nearest.
 
 Two bounding polynomial families are shipped. The "printed" ones are kept
 exactly as displayed in the source being verified; the "derived" ones are
@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 from . import checks
 from .errors import CapabilityError, DomainError
 from .evaluation import EvalResult, decide, log_grid
-from .exact import enclose, minus, minus_rational, psi_bracket, times
+from .exact import enclose, minus, minus_rational, nearest, psi_bracket, times
 # f_value is not called here any more; it stays importable from this module
 # because bench/run.py's span tracer patches classifier.f_value by name.
 from .cm_engine import (  # noqa: F401
@@ -213,7 +213,7 @@ def bound_check(m: int, n: int, grid) -> BoundAuditReport:
             # q/(2 x^(2m+2n+3)) bounds f' from below, p/(4 x^(2m+2n+3)) from
             # above; the bound and the margin each round their exact value once
             num, den = poly.homogenized(xn, xd, degree), (2 if lower else 4) * power
-            b = bounds[name] = num / den
+            b = bounds[name] = nearest(num, den)
             margin = minus_rational(fp, num, den)
             if not lower:
                 margin = -margin
@@ -293,10 +293,7 @@ def envelope(idx: FamilyIndex, x: float, end: str) -> EvalResult:
         c1, e1, c2, e2 = math.factorial(m) ** 2, 2 * m + 2, math.factorial(2 * v), 2 * v + 1
     a, b = x.as_integer_ratio()
     d = minus((c1 * b**e1, a**e1), (c2 * b**e2, a**e2))
-    try:
-        return enclose(d, d)
-    except OverflowError as exc:
-        raise CapabilityError(f"envelope overflows at {idx.label()}, x={x}, end={end}") from exc
+    return enclose(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,7 @@ def _witness_search(m: int, even_n: int, order: int, kind: str, search: SearchPa
         a, b = (2**e, 1) if e >= 0 else (1, 2**-e)
         try:
             ev = enclose(*_bracket(m, even_n, order, a, b))
-        except OverflowError:
+        except CapabilityError:
             skipped += 1
             continue
         s = ev.certified_sign(_CERTIFY_FACTOR)

@@ -130,8 +130,8 @@ def _leibniz_weights(order: int) -> tuple[float, ...]:
 def _pair_terms(m: int, order: int, row: dict) -> tuple[list, list]:
     """The values and bounds of the terms of the order-th derivative of
     [psi^(m)]^2 at one point, from a row holding m..m+order: one term per
-    pair j, order-j, by the arithmetic of EvalResult.__mul__ then
-    EvalResult.scaled, in their operation order."""
+    pair j, order-j, by the arithmetic of EvalResult.__mul__, for the pair's
+    product and then for that product times its exact weight."""
     values, errors = [], []
     for j, c in enumerate(_leibniz_weights(order)):
         a, ea = row[m + j]

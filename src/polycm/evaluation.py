@@ -86,11 +86,6 @@ class EvalResult(_EvalResultFields):
         """|value| is exact, so the bound carries over unchanged."""
         return EvalResult(abs(self.value), self.abs_error)
 
-    def scaled(self, c: float) -> "EvalResult":
-        """Multiply by an exact scalar (integer-valued floats stay exact)."""
-        w = self.value * c
-        return EvalResult(w, abs(c) * self.abs_error + ulp(w))
-
     # -- sign certification -------------------------------------------------
 
     def certified_sign(self, factor: float = 1.0) -> int:
@@ -127,7 +122,7 @@ class PrecisionConfig:
     """Not part of polycm's API, and nothing in polycm calls it.  Only
     bench/run.py install_spans reads it: it patches for_magnitude by name.
     The next benchmark change drops that patch and this class (ROADMAP
-    item 1, and "Names kept only for the bench")."""
+    item 1)."""
 
     @staticmethod
     def for_magnitude(magnitude: float) -> None:

@@ -1,17 +1,27 @@
 """The exact layer: integer (numerator, denominator) pairs, denominators
-positive, and their one rounding into an EvalResult.
+positive, and their one rounding into a double or an EvalResult.
 
 The bounds polycm checks are exact rationals: the brackets of |psi^(k)|, the
 bounding polynomials of f'_{m,2n} and the double inequality for |psi^(k)|.
-An exact quantity becomes an EvalResult here and nowhere else: its value
-rounded once by int / int, its bound rounded up by math.nextafter.
+An exact quantity becomes a double here and nowhere else: its value rounded
+once by nearest, its bound rounded up by math.nextafter.  One that leaves
+the doubles is a CapabilityError.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import CapabilityError
 from .evaluation import EvalResult, ulp
+
+
+def nearest(p: int, q: int) -> float:
+    """p/q for q > 0, rounded once to nearest, as float(Fraction) would."""
+    try:
+        return p / q
+    except OverflowError as exc:
+        raise CapabilityError("exact rational overflows double precision") from exc
 
 
 def psi_bracket(k: int, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -41,16 +51,16 @@ def times(c: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
 def enclose(lower: tuple[int, int], upper: tuple[int, int]) -> EvalResult:
     """The exact bracket [lower, upper] rounded outward once: value is its
     midpoint rounded to nearest, abs_error its half-width plus |value -
-    midpoint|, rounded up.  OverflowError when either leaves the doubles."""
+    midpoint|, rounded up.  CapabilityError when either leaves the doubles."""
     (pl, ql), (pu, qu) = lower, upper
     den = 2 * ql * qu
     mid = pl * qu + pu * ql          # midpoint mid/den, half-width (pu ql - pl qu)/den
-    value = mid / den                # int / int: one rounding to nearest
+    value = nearest(mid, den)
     vn, vd = value.as_integer_ratio()
     error = (pu * ql - pl * qu) * vd + abs(vn * den - mid * vd)
-    error = math.nextafter(error / (vd * den), math.inf)
+    error = math.nextafter(nearest(error, vd * den), math.inf)
     if error == math.inf:
-        raise OverflowError("bracket half-width overflows")
+        raise CapabilityError("bracket half-width overflows double precision")
     return EvalResult(value, error)
 
 
@@ -59,5 +69,5 @@ def minus_rational(r: EvalResult, p: int, q: int) -> EvalResult:
     nearest, within half an ulp of the result, so abs_error is r.abs_error
     plus that half ulp, rounded up."""
     vn, vd = r.value.as_integer_ratio()
-    value = (vn * q - p * vd) / (vd * q)
+    value = nearest(vn * q - p * vd, vd * q)
     return EvalResult(value, math.nextafter(r.abs_error + 0.5 * ulp(value), math.inf))

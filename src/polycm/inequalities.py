@@ -4,12 +4,12 @@
     (k-1)!/x^k + k!/(2x^(k+1))  <  |psi^(k)(x)|  <  (k-1)!/x^k + k!/x^(k+1)
 
 Both are strict on (0, inf).  Each margin is an EvalResult with its own
-bound, and a check passes only when both margins are certified positive by
-certified_sign(2.0), so numeric noise can never fake strictness.  The suite
-reads the failed rows' margins at that same factor 2 for its refutations
-and undecided points.  Every margin is exact.minus_rational of a measured
-quantity and an exact rational: |psi^(k)| less each bound for k >= 1; for
-k = 0, psi - ln x + 1/x and -(psi - ln x + 1/(2x)).  digamma is
+bound, and a check passes only when both margins are certified positive at
+the factor _STRICTNESS, so numeric noise can never fake strictness; the
+suite reads the failed rows' margins at that same factor for its
+refutations and undecided points.  Every margin is exact.minus_rational of
+a measured quantity and an exact rational: |psi^(k)| less each bound for
+k >= 1; for k = 0, psi - ln x + 1/x and -(psi - ln x + 1/(2x)).  digamma is
 polygamma's n = 0 case and neither takes an error budget: each margin is
 weighed against its one closed series' bound, plus 2 ulps of ln x at k = 0.
 """
@@ -21,8 +21,11 @@ from typing import NamedTuple
 
 from . import checks
 from .evaluation import EvalResult, decide, ulp
-from .exact import minus_rational
+from .exact import minus_rational, nearest
 from .polygamma import digamma, polygamma
+
+# the factor by which a margin must clear its bound to count as strict
+_STRICTNESS = 2.0
 
 
 class InequalityResult(NamedTuple):
@@ -57,7 +60,7 @@ def psi_log_bounds_check(x: float) -> InequalityResult:
         middle=mid,
         upper=lnx - 0.5 / x,
         margins=margins,
-        passed=all(m.certified_sign(2.0) == 1 for m in margins),
+        passed=all(m.certified_sign(_STRICTNESS) == 1 for m in margins),
     )
 
 
@@ -67,8 +70,7 @@ def polygamma_bounds_check(k: int, x: float) -> InequalityResult:
     x = checks.positive_real("x", x)
     mid = abs(polygamma(k, x))
     # exact over one integer denominator den = 2 a^(k+1), where x = a/b:
-    # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den;
-    # int / int rounds each exact quotient once
+    # (k-1)!/x^k = 2 (k-1)! a b^k / den and k!/(2 x^(k+1)) = k! b^(k+1) / den
     a, b = x.as_integer_ratio()
     den = 2 * a ** (k + 1)
     half_step = math.factorial(k) * b ** (k + 1)
@@ -78,11 +80,11 @@ def polygamma_bounds_check(k: int, x: float) -> InequalityResult:
     return InequalityResult(
         k=k,
         x=x,
-        lower=lower_num / den,
+        lower=nearest(lower_num, den),
         middle=mid,
-        upper=upper_num / den,
+        upper=nearest(upper_num, den),
         margins=margins,
-        passed=all(m.certified_sign(2.0) == 1 for m in margins),
+        passed=all(m.certified_sign(_STRICTNESS) == 1 for m in margins),
     )
 
 
@@ -105,7 +107,8 @@ def bounds_suite(k_max: int, grid) -> BoundsSuiteReport:
     results = tuple(polygamma_bounds_check(k, x) if k else psi_log_bounds_check(x)
                     for k in range(k_max + 1) for x in pts)
     failures = tuple(r for r in results if not r.passed)
-    refuted, undecided = decide((r.x, m.certified_sign(2.0)) for r in failures for m in r.margins)
+    refuted, undecided = decide((r.x, m.certified_sign(_STRICTNESS))
+                                for r in failures for m in r.margins)
     min_lo, min_hi = (min((r.margins[i].value - r.margins[i].abs_error for r in results),
                           default=math.inf) for i in (0, 1))
     return BoundsSuiteReport(

@@ -112,7 +112,7 @@ def tanh_kernel(t: float) -> EvalResult:
         value = t2 / 12.0 - t2 * t2 / 720.0 + t2 * t2 * t2 / 30240.0
         trunc = 2.0 * t**8 / 1209600.0
         return EvalResult(value, trunc + 2.0 * ulp(value))
-    return (reciprocal_expm1(t) + 0.5).scaled(t) - 1.0
+    return (reciprocal_expm1(t) + 0.5) * t - 1.0
 
 
 def omega(t: float) -> EvalResult:

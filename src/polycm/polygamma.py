@@ -58,9 +58,9 @@ def _order_constants(n: int) -> tuple:
     """What the series needs of the order n alone, as floats rounded from
     exact integers and rationals: n!, (n-1)! (None at n = 0, whose tail
     starts with -ln y), the exponents -(n+1) and -n, the coefficients
-    c_p = B_2p (n+2p-1)!/(2p)! of pairs p = 1..7, |c_8| for the remainder,
-    the least tail argument y_min = 24 + 0.55n the shift reaches, and the
-    explicit-sum and tail rounding charge factors.
+    c_p = B_2p (n+2p-1)!/(2p)! of pairs p = 1..8 (the last one bounds the
+    remainder), the least tail argument y_min = 24 + 0.55n the shift
+    reaches, and the explicit-sum and tail rounding charge factors.
     """
     fact_f = float(math.factorial(n))
     y_min = 24.0 + 0.55 * n
@@ -74,13 +74,11 @@ def _order_constants(n: int) -> tuple:
         # derived per term in tests/test_ledger.py: 1/(x+k) needs 2 eps (x + k,
         # pow, fsum), ln y 1/2 / ln 24 + 1 and the half-sample 1; the pairs'
         # overdraw of 1.25 is below 2e-3 of ln y's surplus
-        return (fact_f, None, -1.0, -0.0, coeffs[:-1], abs(coeffs[-1]), y_min,
-                2.0 * _EPS, 1.25 * _EPS)
+        return (fact_f, None, -1.0, -0.0, coeffs, y_min, 2.0 * _EPS, 1.25 * _EPS)
     # explicit-sum charge, per term: pow amplification (n+1)/2 eps on the
     # rounded base, ~1 ulp for pow itself, 1/2 ulp each for factorial and
     # product; math.fsum rounds the sum once
-    return (fact_f, float(math.factorial(n - 1)), -(n + 1.0), -float(n),
-            coeffs[:-1], abs(coeffs[-1]), y_min,
+    return (fact_f, float(math.factorial(n - 1)), -(n + 1.0), -float(n), coeffs, y_min,
             ((n + 1.0) / 2.0 + 3.0) * _EPS, ((n + 16.0) / 2.0 + 4.0) * _EPS)
 
 
@@ -99,8 +97,7 @@ def _series(n: int, x: float) -> EvalResult:
     leaves the double range is a CapabilityError: the program's limit, not
     a bad argument.
     """
-    (fact_f, fact_m1, e_expl, e_tail, coeffs, c_rem, y_min,
-     expl_charge, tail_charge) = _order_constants(n)
+    fact_f, fact_m1, e_expl, e_tail, coeffs, y_min, expl_charge, tail_charge = _order_constants(n)
     K = max(0, math.ceil(y_min - x))
     # K = 0 only when x >= y_min, where n!/x^(n+1) fits a double.  A
     # first term that overflows without raising is inf, and is refused below.
@@ -109,9 +106,9 @@ def _series(n: int, x: float) -> EvalResult:
     except OverflowError as exc:
         raise CapabilityError(f"|{_label(n, x)}| overflows double precision") from exc
     # Euler-Maclaurin tail of n! * sum_{k>=0} (y+k)^-(n+1): the integral part
-    # (n-1)!/y^n (at n = 0, -ln y), the half-sample n!/(2 y^(n+1)), the pairs
-    # p = 1..7 as (c_p r^p) y^-n with r = 1/y^2, and the remainder
-    # |c_8| r^8 y^-n, so a term is lost only where it falls below _TINY
+    # (n-1)!/y^n (at n = 0, -ln y), the half-sample n!/(2 y^(n+1)) and the
+    # pairs p = 1..8 as (c_p r^p) y^-n with r = 1/y^2, the last one's size
+    # the remainder, so a term is lost only where it falls below _TINY
     # itself.  A subnormal y^-n (a negative exponent underflows where y^n
     # would overflow) raises; y^-0 is 1.
     # Rounding for n >= 1, in eps per |term| with y's own rounding costing
@@ -124,7 +121,7 @@ def _series(n: int, x: float) -> EvalResult:
     # Floor: a product below _TINY is off by up to half of 5e-324, not eps
     # relative.  Ten last steps can be (two in the half-sample, one per pair
     # and the remainder); earlier ones, only where y^(2p) > 2^1016, reach the
-    # result scaled by under 1e-17 in all.  Eight 5e-324 cover them.
+    # result multiplied by under 1e-17 in all.  Eight 5e-324 cover them.
     y = x + K
     inv_pow = y ** e_tail
     if inv_pow < _TINY:
@@ -133,7 +130,7 @@ def _series(n: int, x: float) -> EvalResult:
     r = inv_y * inv_y
     tail = [fact_m1 * inv_pow if n else -math.log(y), fact_f * inv_pow * inv_y / 2.0]
     tail += [c * r ** p * inv_pow for p, c in enumerate(coeffs, 1)]
-    remainder = c_rem * r ** _MAX_EM_PAIRS * inv_pow + 8 * 5e-324
+    remainder = abs(tail.pop()) + 8 * 5e-324
     tail_abs = math.fsum([abs(t) for t in tail])
     total = math.fsum([s_expl] + tail)
     rounding = expl_charge * s_expl + tail_charge * tail_abs + 2.0 * ulp(total)
@@ -147,7 +144,7 @@ def _series(n: int, x: float) -> EvalResult:
 def polygamma(n: int, x: float) -> EvalResult:
     """psi^(n)(x) for n >= 1 with a guaranteed abs_error.
 
-    Every tail term is scaled by y^-n last, so the value keeps its digits
+    Every tail term is multiplied by y^-n last, so the value keeps its digits
     down to the underflow edge: tests hold abs_error to 1e-13 |psi^(n)(x)|
     where y^-(n+16) is subnormal, and to max(1e-12, 1e-13 |psi^(n)(x)|)
     everywhere.  Nothing is cached here but the constants of each order:

@@ -211,6 +211,13 @@ def test_bound_audit_refuses_past_the_cap_before_it_builds_numerators(m, n, monk
                                f"order {needed} beyond the cap 120")
 
 
+def test_bound_audit_refuses_a_bound_past_the_doubles():
+    # f'_{20,60}(x) is 1.79769e308, within the doubles, but both upper bounds
+    # round past them: exact refuses them, as it refuses every rational
+    with pytest.raises(CapabilityError, match="exact rational overflows double precision"):
+        bound_check(20, 30, [0.00023891231376154204])
+
+
 # -- combinatorial quantities -------------------------------------------------
 
 
@@ -285,7 +292,7 @@ def test_envelope_degenerate_and_validation():
 
 def test_envelope_overflow_is_capability():
     # the envelope ~ 1/x^6 at x = 1e-100 is past the double range
-    with pytest.raises(CapabilityError, match="envelope overflows"):
+    with pytest.raises(CapabilityError, match="exact rational overflows double precision"):
         envelope(FamilyIndex(2, 4), 1e-100, "zero")
 
 

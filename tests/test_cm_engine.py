@@ -154,8 +154,8 @@ def test_f_derivative_requests_only_its_orders(psi_calls):
 
 
 def test_assembly_matches_evalresult_arithmetic():
-    # _pair_terms and _assemble write out the arithmetic of EvalResult.__mul__,
-    # scaled and result_sum, with one term of twice the weight per pair j,
+    # _pair_terms and _assemble write out the arithmetic of EvalResult.__mul__
+    # and result_sum, with one term of twice the weight per pair j,
     # order-j; the EvalResult form of the full Leibniz sum is the reference,
     # bit for bit, for f_derivative and for the cm_check entries on kept terms
     xs = (0.02, 0.7, 3.0, 40.0)
@@ -175,7 +175,7 @@ def test_assembly_matches_evalresult_arithmetic():
     for m, n, order, x in cases:
         psi = {k: polygamma(k, x) for k in {n + order, *range(m, m + order + 1)}}
         terms = [psi[n + order]] + [
-            (psi[m + j] * psi[m + order - j]).scaled(float(math.comb(order, j)))
+            psi[m + j] * psi[m + order - j] * float(math.comb(order, j))
             for j in range(order + 1)
         ]
         ref = result_sum(terms)

@@ -98,9 +98,9 @@ def test_reflected_subtraction_from_a_scalar():
     assert r == (1.5, 1e-16 + ulp(1.5))
 
 
-def test_scaled_exact_for_integer_scalars():
+def test_mul_exact_for_integer_scalars():
     r = EvalResult(0.5, 1e-10)
-    s = r.scaled(4.0)
+    s = r * 4.0
     assert s.value == 2.0
     assert s.abs_error == 4.0 * 1e-10 + ulp(2.0)
 

@@ -4,14 +4,15 @@ rational into an EvalResult, checked against Fraction arithmetic."""
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polycm import EvalResult, polygamma
-from polycm.exact import enclose, minus, minus_rational, psi_bracket, times
+from polycm import CapabilityError, EvalResult, polygamma
+from polycm.exact import enclose, minus, minus_rational, nearest, psi_bracket, times
 
 
 def _pair(r: Fraction) -> tuple[int, int]:
@@ -38,7 +39,7 @@ def brackets(draw) -> tuple[Fraction, Fraction]:
     return lower, lower + draw(st.fractions(0, 4, max_denominator=10**6)) * _ulp(lower)
 
 
-# an absolute error of zero, or an ulp of the difference scaled down by up
+# an absolute error of zero, or an ulp of the difference divided by up
 # to 2^79: past 2^53 adding half an ulp to it rounds down
 @st.composite
 def differences(draw) -> tuple[EvalResult, int, int]:
@@ -83,10 +84,29 @@ def test_minus_rational_bound_is_at_most_one_step_above_half_an_ulp():
 
 
 def test_minus_rational_and_enclose_refuse_values_past_the_doubles():
-    with pytest.raises(OverflowError):
+    with pytest.raises(CapabilityError):
         minus_rational(EvalResult(1.0, 0.0), -(10**400), 1)
-    with pytest.raises(OverflowError):
+    with pytest.raises(CapabilityError):
         enclose((10**400, 1), (10**400, 1))
+
+
+def test_nearest_rounds_once_and_refuses_past_the_doubles():
+    assert nearest(1, 3) == float(Fraction(1, 3))
+    assert nearest(-(10**400), 3 * 10**399) == float(Fraction(-10, 3))
+    # 2^1024 - 2^970 is halfway between DBL_MAX and 2^1024: it rounds to even,
+    # past the doubles, and one less rounds down to DBL_MAX
+    half = 2**1024 - 2**970
+    assert nearest(half - 1, 1) == sys.float_info.max
+    for p in (half, -half):
+        with pytest.raises(CapabilityError, match="exact rational overflows double precision"):
+            nearest(p, 1)
+
+
+def test_enclose_refuses_a_half_width_past_the_doubles():
+    # the midpoint 0 fits, the half-width DBL_MAX rounds up past it
+    top = sys.float_info.max.as_integer_ratio()
+    with pytest.raises(CapabilityError, match="bracket half-width overflows"):
+        enclose((-top[0], top[1]), top)
 
 
 def test_minus_and_times_are_exact():

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from polycm import (
+    CapabilityError,
     DomainError,
     bounds_suite,
     log_grid,
@@ -80,6 +81,13 @@ def test_suite_row_matches_direct_check():
     assert row.k == 1
     assert row.middle == direct.middle
     assert row.margins == direct.margins
+
+
+def test_bound_past_the_doubles_is_capability():
+    # |psi^(100)(x)| is 1.7975e308, within the doubles, but the upper bound
+    # rounds past them: exact refuses it, as it refuses every rational
+    with pytest.raises(CapabilityError, match="exact rational overflows double precision"):
+        polygamma_bounds_check(100, 0.032511200000000004)
 
 
 def test_validation():

@@ -14,7 +14,8 @@ out.
 
 Routines covered so far: polygamma's series at n = 0 (digamma), where
 y = x + K >= 24, inv_y = 1/y, r = inv_y^2 and the tail's y^-0 is exactly 1;
-for n >= 1, the lemma that lets the tail charge pay for pairs 4..7.
+and at every order n = 1..ORDER_CAP, each term of the explicit sum and the
+tail, with the lemma that lets the leading term pay for pairs 4..7.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def pair_need(p: int) -> Fraction:
 REMAINDER_NEED = pair_need(psi_mod._MAX_EM_PAIRS) + HALF
 
 
-def charges() -> tuple[Fraction, Fraction]:
-    """The n = 0 row's explicit-sum and tail factors, in eps."""
-    row = psi_mod._order_constants(0)
+def charges(n: int = 0) -> tuple[Fraction, Fraction]:
+    """Row n's explicit-sum and tail factors, in eps."""
+    row = psi_mod._order_constants(n)
     return Fraction(row[-2]) / EPS, Fraction(row[-1]) / EPS
 
 
@@ -100,7 +101,7 @@ def surplus(y: Fraction, ln_y: Fraction, tail: Fraction) -> Fraction:
 def test_constants_are_the_exact_rationals_rounded_once():
     row = psi_mod._order_constants(0)
     assert row[:4] == (1.0, None, -1.0, -0.0)
-    for p, c in enumerate(row[4] + (row[5],), 1):
+    for p, c in enumerate(row[4], 1):
         exact = abs(coeff(0, p))
         assert abs(abs(Fraction(c)) - exact) <= HALF * EPS * exact, p
     assert 24.0 ** row[3] == 1.0  # y^-0: the tail's scaling is exact
@@ -181,3 +182,107 @@ def test_shift_keeps_the_late_pairs_small():
         pairs = sum(abs(coeff(n, p)) / y ** (2 * p) for p in range(4, psi_mod._MAX_EM_PAIRS))
         # the largest ratio is 1.094e-5, at n = 120
         assert pairs <= Fraction(11, 10**6) * math.factorial(n - 1), n
+
+
+# -- the n >= 1 rows: each term's need, in eps per |term| ----------------------
+#
+# The tail's y^-n inherits y's rounding n times over; pow and the product
+# by y^-n cost every tail term 1 + 1/2 more.  The n = 0 terms above are these
+# terms with y^-0 = 1 and 0! = 1, whose products are exact.
+
+ORDERS = range(1, psi_mod.ORDER_CAP + 1)
+# the shift lemma's bound on pairs 4..7, per unit of the leading term
+# (test_shift_keeps_the_late_pairs_small)
+LATE_PAIRS = Fraction(11, 10**6)
+
+
+def least_y(n: int) -> Fraction:
+    """Below every y the shift gives at order n: y_min less 4 of its ulps."""
+    y_min = psi_mod._order_constants(n)[-3]
+    return Fraction(y_min) - 4 * Fraction(math.ulp(y_min))
+
+
+def scaling_need(n: int) -> Fraction:
+    """y^-n: y's rounding (1/2, amplified by n) and pow (1); the product by
+    it (1/2)."""
+    return HALF * n + 1 + HALF
+
+
+def explicit_need_n(n: int) -> Fraction:
+    """n! (x+k)^-(n+1): x + k (1/2, amplified by n + 1), pow (1), n! and the
+    product (1/2 each), math.fsum (1/2)."""
+    return HALF * (n + 1) + 1 + HALF + HALF + HALF
+
+
+def lead_need(n: int) -> Fraction:
+    """(n-1)! y^-n: (n-1)! (1/2) and the scaling."""
+    return HALF + scaling_need(n)
+
+
+def half_sample_need_n(n: int) -> Fraction:
+    """n! y^-n inv_y / 2: n! (1/2), the scaling, inv_y (1) and the product
+    by it (1/2); the halving is exact."""
+    return HALF + scaling_need(n) + 1 + HALF
+
+
+def pair_need_n(n: int, p: int) -> Fraction:
+    """c_p r^p y^-n: the n = 0 pair c_p r^p and the scaling."""
+    return pair_need(p) + scaling_need(n)
+
+
+def remainder_need_n(n: int) -> Fraction:
+    """|c_8 r^8 y^-n|, computed as the pair p = 8 (abs is exact), then added
+    to the floor (1/2); it is not in tail_abs, so all of it is extra."""
+    return pair_need_n(n, psi_mod._MAX_EM_PAIRS) + HALF
+
+
+def test_explicit_charge_covers_each_term_at_every_order():
+    for n in ORDERS:
+        explicit, _ = charges(n)
+        assert explicit >= explicit_need_n(n), n
+
+
+def test_tail_charge_covers_the_leading_term_half_sample_and_first_pairs():
+    # each on its own; pairs 4..7 are paid from the leading term's surplus
+    for n in ORDERS:
+        _, tail = charges(n)
+        needs = [lead_need(n), half_sample_need_n(n)] + [pair_need_n(n, p) for p in (1, 2, 3)]
+        assert all(tail >= need for need in needs), n
+
+
+def late_share(n: int, tail: Fraction) -> tuple[Fraction, Fraction]:
+    """Pairs 4..7 and the remainder per unit of the leading term (n-1)! y^-n
+    at the least y: their size, and the eps they need beyond the tail
+    factor.  The pairs are below the lemma's bound and overdraw by at most
+    their worst excess; the remainder, |c_8| y^-16 / (n-1)!, needs all of
+    its eps.  Both fall in y, so the least y covers every larger one."""
+    excess = max(0, *(pair_need_n(n, p) - tail for p in range(4, psi_mod._MAX_EM_PAIRS)))
+    remainder = (abs(coeff(n, psi_mod._MAX_EM_PAIRS))
+                 / (math.factorial(n - 1) * least_y(n) ** (2 * psi_mod._MAX_EM_PAIRS)))
+    return LATE_PAIRS + remainder, excess * LATE_PAIRS + remainder_need_n(n) * remainder
+
+
+def test_late_pairs_and_remainder_are_paid_by_the_leading_surplus():
+    for n in ORDERS:
+        _, tail = charges(n)
+        assert tail - lead_need(n) >= late_share(n, tail)[1], n
+
+
+def test_second_order_terms_fit_the_slack_at_every_order():
+    # Per unit of a term whose first-order need is D (as a fraction), the
+    # needs leave out: D^2/(1 - D) of compounding, the grant on a computed
+    # |term| up to D short, and 5 roundings the computed charge loses of
+    # itself.  Each term's own slack pays for them: an explicit term's, the
+    # half-sample's and pairs 1..3's; the leading term's surplus, net of the
+    # late terms' overdraw, pays for itself and them.
+    for n in ORDERS:
+        explicit, tail = charges(n)
+        # the largest need: a pair's grows with p, and the remainder is pair 8
+        d = max(explicit_need_n(n), remainder_need_n(n)) * EPS
+        grant = max(explicit, tail) * EPS
+        c = d**2 / (1 - d) + grant * d + 5 * (EPS / 2) * grant
+        own = min(explicit - explicit_need_n(n), tail - half_sample_need_n(n),
+                  *(tail - pair_need_n(n, p) for p in (1, 2, 3)))
+        assert c <= own * EPS, n
+        size, overdraw_n = late_share(n, tail)
+        assert c * (1 + size) <= (tail - lead_need(n) - overdraw_n) * EPS, n

@@ -38,6 +38,7 @@ from polycm import (
     tanh_kernel,
 )
 from polycm.kernels import reciprocal_expm1
+from polycm.polygamma import _order_constants
 from reference import reference_digamma, reference_polygamma
 
 mpmath = pytest.importorskip("mpmath")
@@ -151,7 +152,7 @@ def test_polygamma_keeps_its_digits_down_to_the_underflow_edge():
     points += [(n, x) for n in range(1, 9) for x in log_grid(1e3, 1e38, 36)]
     checked = 0
     for n, x in points:
-        y = x + max(0, math.ceil(24.0 + 0.55 * n - x))
+        y = x + max(0, math.ceil(_order_constants(n)[-3] - x))
         if y ** -(n + 16.0) >= sys.float_info.min:
             continue
         try:

@@ -324,7 +324,7 @@ def test_property_recurrence_residual_within_bound(n, x):
 # -- the per-call series with bare tail powers, as a reference ------------------
 #
 # The series as it was before its per-order constants were tabled and its
-# tail was scaled by y^-n, kept unchanged as a reference: every factorial,
+# tail was multiplied by y^-n, kept unchanged as a reference: every factorial,
 # coefficient and tail power y^-(n+2p) is recomputed on every attempt, and
 # pairs whose power underflows are dropped.  The production core must raise
 # where it raises, and elsewhere return no looser a bound and an interval
@@ -393,7 +393,7 @@ def _ref_polygamma(n: int, x: float) -> EvalResult:
         )
         return total, remainder, rounding
 
-    total, remainder, rounding = attempt(max(0, math.ceil(24.0 + 0.55 * n - x)))
+    total, remainder, rounding = attempt(max(0, math.ceil(psi_mod._order_constants(n)[-3] - x)))
     if not (math.isfinite(total) and math.isfinite(remainder + rounding)):
         raise CapabilityError(f"|psi^({n})({x})| overflows double precision")
     sign = 1.0 if n % 2 == 1 else -1.0
@@ -424,7 +424,7 @@ def test_polygamma_no_looser_than_per_call_series():
         r = polygamma(n, x)
         assert r.abs_error <= ref.abs_error * (1.0 + 1e-14), (n, x)
         assert abs(r.value - ref.value) <= r.abs_error + ref.abs_error, (n, x)
-        outcomes["K = 0" if x >= 24.0 + 0.55 * n else "K > 0"] += 1
+        outcomes["K = 0" if x >= psi_mod._order_constants(n)[-3] else "K > 0"] += 1
     assert outcomes["K = 0"] > 100 and outcomes["K > 0"] > 100
     assert outcomes["CapabilityError"] > 100
 
